@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
-from .lowness import SmallRoots
 from .elements import AffineWeylGroup
+from .lowness import SmallRoots
+from .signtypes import sign_string
 
 
 @dataclass(frozen=True)
@@ -30,18 +33,15 @@ class Automaton:
     def letter_count(self) -> int:
         return self.group.system.rank + 1
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Sign-type-style encoding of each state's small root set."""
+        return tuple(sign_string(self.small.signs_from_mask(mask))
+                     for mask in self.states)
+
     def state_label(self, state: int) -> str:
-        """Sign-type-style encoding of the state's small root set."""
-        mask = self.states[state]
-        chars = []
-        for i in range(self.small.count):
-            if mask >> i & 1:
-                chars.append("-")
-            elif mask >> (self.small.count + i) & 1:
-                chars.append("+")
-            else:
-                chars.append("0")
-        return "".join(chars)
+        """The label of one state; see ``labels``."""
+        return self.labels[state]
 
     def is_reduced(self, word: tuple[int, ...]) -> bool:
         for g in word:
@@ -124,20 +124,7 @@ def build_automaton(group: AffineWeylGroup,
 
 def element_counts_by_length(group: AffineWeylGroup, max_length: int) -> list[int]:
     """Independent oracle: ball growth of the group under all generators."""
-    counts = [1]
-    seen = {group.identity}
-    frontier = [group.identity]
-    for _ in range(max_length):
-        next_frontier = []
-        for w in frontier:
-            for gen in group.generators:
-                u = group.multiply(w, gen)
-                if u.length == w.length + 1 and u not in seen:
-                    seen.add(u)
-                    next_frontier.append(u)
-        counts.append(len(next_frontier))
-        frontier = next_frontier
-    return counts
+    return [len(shell) for shell in islice(group.shells(), max_length + 1)]
 
 
 def count_by_length(automaton: Automaton,
@@ -155,7 +142,7 @@ def count_by_length(automaton: Automaton,
 def export_dot(automaton: Automaton) -> str:
     """Deterministic DOT rendering: nodes sorted by label, edges by
     (source label, letter)."""
-    labels = [automaton.state_label(i) for i in range(len(automaton.states))]
+    labels = automaton.labels
     lines = ["digraph reduced_words {", "  rankdir=LR;",
              "  node [shape=circle];"]
     for label in sorted(labels):
@@ -197,7 +184,7 @@ def parse_dot(text: str) -> tuple[list[str], dict[tuple[str, int], str]]:
 
 def transition_table_json(automaton: Automaton) -> dict:
     system = automaton.group.system
-    labels = [automaton.state_label(i) for i in range(len(automaton.states))]
+    labels = automaton.labels
     order = sorted(range(len(labels)), key=lambda i: labels[i])
     table = {}
     for i in order:
@@ -210,6 +197,6 @@ def transition_table_json(automaton: Automaton) -> dict:
         "type": system.cartan_type.family,
         "rank": system.cartan_type.rank,
         "states": len(labels),
-        "start": automaton.state_label(0),
+        "start": labels[0],
         "transitions": table,
     }

@@ -21,7 +21,7 @@ import sys
 from . import automaton as automaton_mod
 from . import regions as regions_mod
 from . import signtypes, verify
-from .elements import AffineWeylGroup, GroupElement
+from .elements import AffineWeylGroup, word_text
 from .lowness import BudgetExceededError, certified_scan, enumerate_low, sign_of_shi
 from .rootdata import root_system
 from .signtypes import sign_string
@@ -81,8 +81,16 @@ def _add_type_rank(parser: argparse.ArgumentParser) -> None:
                         help="rank of the finite root system (default: 2)")
 
 
+def positive_int(text: str) -> int:
+    """Argument type for ``--bound``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_bound_budget(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bound", type=int, default=None,
+    parser.add_argument("--bound", type=positive_int, default=None,
                         help="optional length cap on enumeration scans; scans "
                              "self-certify, so this is a safety limit only")
     parser.add_argument("--budget", type=int, default=None,
@@ -103,8 +111,11 @@ def _emit(text: str, output: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -123,10 +134,6 @@ def _budget(args: argparse.Namespace) -> int:
     if budget <= 0:
         raise ValueError("budget must be positive")
     return budget
-
-
-def _word_text(group: AffineWeylGroup, w: GroupElement) -> str:
-    return "".join(f"s{g}" for g in group.word_from_element(w)) or "e"
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
@@ -192,7 +199,7 @@ def _enumerate_low(args: argparse.Namespace, group: AffineWeylGroup,
                           "count": len(low), "elements": entries}, indent=2),
               args.output)
         return EXIT_PASS
-    rows = [[_word_text(group, w), str(w.length),
+    rows = [[word_text(group.word_from_element(w)), str(w.length),
              sign_string(sign_of_shi(w.shi))] for w in low]
     if args.format == "csv":
         _emit(_csv_text([["word", "length", "sign_type"], *rows]), args.output)
@@ -236,7 +243,7 @@ def _enumerate_ideals(args: argparse.Namespace, system, table) -> int:
         _emit(json.dumps(data, indent=2), args.output)
         return EXIT_PASS
     rows = [[" ".join(p["antichain"]) or "-", " ".join(p["ideal"]) or "-",
-             p["sign_type"], "".join(f"s{g}" for g in p["minimal_word"]) or "e"]
+             p["sign_type"], word_text(p["minimal_word"])]
             for p in data["pairs"]]
     if args.format == "csv":
         _emit(_csv_text([["antichain", "ideal", "sign_type", "minimal_word"],

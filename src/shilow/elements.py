@@ -74,17 +74,23 @@ class GroupElement:
     ``trans`` and ``point`` are scaled by the group's denominator.
     """
 
-    __slots__ = ("group", "mat", "trans", "point", "shi", "_hash")
+    __slots__ = ("group", "mat", "trans", "shi", "_hash")
 
     def __init__(self, group: AffineWeylGroup, mat: tuple[tuple[int, ...], ...],
                  trans: tuple[int, ...]):
         self.group = group
         self.mat = mat
         self.trans = trans
-        self.point = tuple(p + t for p, t in zip(_mat_vec(mat, group.barycenter_int), trans))
+        point = tuple(p + t for p, t in zip(_mat_vec(mat, group.barycenter_int), trans))
         self.shi = tuple(
-            _floor_div(sum(p * c for p, c in zip(self.point, cov)), group.scale)
+            _floor_div(sum(p * c for p, c in zip(point, cov)), group.scale)
             for cov in group.covectors)
+
+    @property
+    def point(self) -> tuple[int, ...]:
+        """Image of the fundamental-alcove barycenter, computed on each read."""
+        return tuple(p + t for p, t in
+                     zip(_mat_vec(self.mat, self.group.barycenter_int), self.trans))
 
     @property
     def length(self) -> int:
@@ -108,8 +114,13 @@ class GroupElement:
         return (self.length, self.shi)
 
     def __repr__(self) -> str:
-        word = "".join(f"s{g}" for g in self.group.word_from_element(self)) or "e"
+        word = word_text(self.group.word_from_element(self))
         return f"<{self.group.system.cartan_type.name}~ {word}>"
+
+
+def word_text(word) -> str:
+    """A word in the generators as text: ``s0s2s1``, or ``e`` when empty."""
+    return "".join(f"s{g}" for g in word) or "e"
 
 
 def _floor_div(num: int, den: int) -> int:
@@ -167,6 +178,30 @@ class AffineWeylGroup:
         mat = _mat_mul(a.mat, b.mat)
         trans = tuple(x + t for x, t in zip(_mat_vec(a.mat, b.trans), a.trans))
         return GroupElement(self, mat, trans)
+
+    def shells(self):
+        """Yield the shells of the ball around the identity, by length.
+
+        Shell d lists the elements of length d in breadth-first order:
+        each element of shell d-1 times each generator, first visits
+        kept.  Duplicates are found by coefficient vector, and two
+        elements with the same vector are checked to be equal.
+        """
+        shell = [self.identity]
+        length = 0
+        while True:
+            yield shell
+            length += 1
+            found: dict[tuple[int, ...], GroupElement] = {}
+            for w in shell:
+                for gen in self.generators:
+                    u = self.multiply(w, gen)
+                    if u.length != length:
+                        continue
+                    known = found.setdefault(u.shi, u)
+                    assert known is u or (known.mat == u.mat and known.trans == u.trans), \
+                        "coefficient vectors must determine elements uniquely"
+            shell = list(found.values())
 
     def inverse(self, a: GroupElement) -> GroupElement:
         frac = invert_fraction_matrix([[Fraction(x) for x in row] for row in a.mat])

@@ -1,11 +1,17 @@
 """Small roots, small inversion sets, lowness tests, certified enumeration.
 
 The small roots of an irreducible affine Weyl group are the level-zero
-positive roots together with delta minus each positive root.  An element
-is low when its inversion set is the root-cone generated by its small
-inversions; the production test uses the equivalent basis criterion
-(every length-decreasing inversion is small), the cone test backs it as
-an independent oracle.
+positive roots together with delta minus each positive root.
+``SmallRoots`` indexes them and holds the one sign/mask codec: a sign
+type or coefficient vector picks the root itself at '-' and delta minus
+the root at '+'.  An element is low when its inversion set is the
+root-cone generated by its small inversions; the production test uses
+the equivalent basis criterion (every length-decreasing inversion is
+small), the cone test backs it as an independent oracle.
+
+``certified_scan`` reads the shells of ``AffineWeylGroup.shells()`` until
+every sign type holds a certified shortest element; ``enumerate_low``
+grows the low set upward through left descents instead.
 
 Soundness of the cone test's finite window: every nonzero nonnegative
 combination of positive affine roots pairs strictly positively with the
@@ -52,6 +58,9 @@ class SmallRoots:
         return beta in self.index
 
     def mask_from_shi(self, shi: tuple[int, ...]) -> int:
+        """Bitmask of the small roots picked by the signs of a coefficient
+        vector or sign type: a negative entry picks the root itself, a
+        positive one delta minus the root."""
         mask = 0
         for i, k in enumerate(shi):
             if k < 0:
@@ -59,6 +68,11 @@ class SmallRoots:
             elif k > 0:
                 mask |= 1 << (self.count + i)
         return mask
+
+    def signs_from_mask(self, mask: int) -> tuple[int, ...]:
+        """The sign type whose ``mask_from_shi`` is ``mask``."""
+        n = self.count
+        return tuple((mask >> (n + i) & 1) - (mask >> i & 1) for i in range(n))
 
     def mask_from_roots(self, roots) -> int:
         mask = 0
@@ -149,7 +163,6 @@ class ScanResult:
     minima: dict[tuple[int, ...], GroupElement]
     min_abs: dict[tuple[int, ...], tuple[int, ...]]
     samples: dict[tuple[int, ...], list[GroupElement]]
-    sigma_masks: set[int]
     visited: int
 
 
@@ -163,27 +176,31 @@ def certified_scan(group: AffineWeylGroup, target_count: int,
     """Breadth-first scan by length shells until every sign type has a
     certified minimal element.
 
-    Stops once ``target_count`` distinct sign types each hold their
-    first-visited (hence shortest) element and the current shell exceeds
-    all recorded minima.  Shell order makes first visits minimal; the
-    uniqueness of each per-sign-type minimum is asserted along the way.
+    Reads ``group.shells()`` one shell at a time and stops once
+    ``target_count`` distinct sign types each hold their first-visited
+    (hence shortest) element and the current shell exceeds all recorded
+    minima.  Shell order makes first visits minimal; the uniqueness of
+    each per-sign-type minimum is asserted along the way.
     """
-    small = SmallRoots(group)
-    visited: dict[tuple[int, ...], GroupElement] = {}
     minima: dict[tuple[int, ...], GroupElement] = {}
     min_length: dict[tuple[int, ...], int] = {}
     min_abs: dict[tuple[int, ...], list[int]] = {}
     samples: dict[tuple[int, ...], list[GroupElement]] = {}
-    sigma_masks: set[int] = set()
+    visited = 0
 
-    def visit(w: GroupElement, length: int) -> None:
-        zeta = sign_of_shi(w.shi)
-        if zeta not in minima:
-            minima[zeta] = w
-            min_length[zeta] = length
-            min_abs[zeta] = [abs(k) for k in w.shi]
-            samples[zeta] = [w]
-        else:
+    for length, shell in enumerate(group.shells()):
+        for w in shell:
+            if visited >= budget:
+                raise BudgetExceededError(
+                    budget, "scan exceeded the element budget before certification")
+            visited += 1
+            zeta = sign_of_shi(w.shi)
+            if zeta not in minima:
+                minima[zeta] = w
+                min_length[zeta] = length
+                min_abs[zeta] = [abs(k) for k in w.shi]
+                samples[zeta] = [w]
+                continue
             assert min_length[zeta] < length, \
                 "each region must hold a unique shortest element"
             current = min_abs[zeta]
@@ -192,41 +209,14 @@ def certified_scan(group: AffineWeylGroup, target_count: int,
                     current[i] = abs(k)
             if len(samples[zeta]) < sample_size:
                 samples[zeta].append(w)
-        sigma_masks.add(small.mask_from_shi(w.shi))
-
-    frontier = [group.identity]
-    visited[group.identity.shi] = group.identity
-    visit(group.identity, 0)
-    length = 0
-    while True:
         if len(minima) == target_count and length >= max(min_length.values()):
             break
-        if not frontier:
+        if not shell:
             raise BudgetExceededError(
                 target_count, "scan frontier emptied before reaching the sign-type target")
         if max_length is not None and length >= max_length:
             raise BudgetExceededError(
                 max_length, "scan exceeded the length cap before certification")
-        next_frontier = []
-        for w in frontier:
-            for gen in group.generators:
-                candidate = group.multiply(w, gen)
-                if candidate.length != length + 1:
-                    continue
-                key = candidate.shi
-                known = visited.get(key)
-                if known is not None:
-                    assert known.mat == candidate.mat and known.trans == candidate.trans, \
-                        "coefficient vectors must determine elements uniquely"
-                    continue
-                if len(visited) >= budget:
-                    raise BudgetExceededError(
-                        budget, "scan exceeded the element budget before certification")
-                visited[key] = candidate
-                visit(candidate, length + 1)
-                next_frontier.append(candidate)
-        frontier = next_frontier
-        length += 1
     assert len(minima) == target_count
     return ScanResult(
         group=group,
@@ -234,8 +224,7 @@ def certified_scan(group: AffineWeylGroup, target_count: int,
         minima=minima,
         min_abs={z: tuple(v) for z, v in min_abs.items()},
         samples=samples,
-        sigma_masks=sigma_masks,
-        visited=len(visited),
+        visited=visited,
     )
 
 

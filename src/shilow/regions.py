@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import signtypes
-from .elements import AffineRoot, AffineWeylGroup, GroupElement
+from .elements import AffineRoot, AffineWeylGroup, GroupElement, word_text
 from .lowness import (DEFAULT_BUDGET, ScanResult, SmallRoots, certified_scan,
                       sign_of_shi)
 from .rootdata import PosetIdeal, RootSystem
@@ -166,12 +166,11 @@ def region_csv_rows(table: RegionTable) -> list[list[str]]:
                      key=lambda b: (b.delta, b.finite))
         des = sorted(descent_root_set(table, region),
                      key=lambda b: (b.delta, b.finite))
-        word = group.word_from_element(region.minimal)
         rows.append([
             region.sign_string,
             " ".join(group.affine_root_name(b) for b in sep),
             " ".join(group.affine_root_name(b) for b in des),
-            "".join(f"s{g}" for g in word) or "e",
+            word_text(group.word_from_element(region.minimal)),
             str(region.minimal.length),
             "yes" if region.is_dominant else "no",
         ])

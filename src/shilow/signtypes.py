@@ -99,13 +99,7 @@ def separation_mask(system: RootSystem, small: SmallRoots,
     minus the root.
     """
     _require_admissible(system, trits)
-    mask = 0
-    for i, t in enumerate(trits):
-        if t < 0:
-            mask |= 1 << i
-        elif t > 0:
-            mask |= 1 << (small.count + i)
-    return mask
+    return small.mask_from_shi(trits)
 
 
 def descent_mask(system: RootSystem, small: SmallRoots,

@@ -21,19 +21,26 @@ Five suites, each returning a structured pass/fail report:
   pair.  Where a transcribed value is internally inconsistent, the
   harness reports the oracle-computed value next to the transcription
   instead of silently correcting either.
+
+All suites of one type share a ``DeskContext``, cached per type and
+budget; its scan, low set, region table and automaton are built on first
+read, and its ball is sliced from one walk of ``AffineWeylGroup.shells()``.
+A check over many items goes through ``_check_each``, which records the
+first failing item as the counterexample.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from . import automaton as automata
 from . import regions as regionlib
 from . import signtypes
-from .elements import AffineRoot, AffineWeylGroup, GroupElement
-from .lowness import (DEFAULT_BUDGET, ScanResult, SmallRoots, certified_scan,
+from .elements import AffineRoot, AffineWeylGroup, GroupElement, word_text
+from .lowness import (DEFAULT_BUDGET, BudgetExceededError, ScanResult,
+                      SmallRoots, certified_scan,
                       cone_window_members, enumerate_low, is_low,
                       is_low_by_cone, sign_of_shi)
 from .ratlp import in_cone
@@ -65,76 +72,93 @@ def resolve_budget(budget: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
-@dataclass
 class DeskContext:
-    """Shared exact data for one affine type, built once per process."""
+    """Exact data for one affine type and budget; each part is built on
+    its first read, so a suite pays only for what it uses."""
 
-    system: RootSystem
-    group: AffineWeylGroup
-    small: SmallRoots
-    scan: ScanResult
-    low: list[GroupElement]
-    table: regionlib.RegionTable
-    machine: automata.Automaton
-    _balls: dict[int, list[list[GroupElement]]] = field(default_factory=dict)
+    def __init__(self, system: RootSystem, budget: int):
+        self.system = system
+        self.budget = budget
+        self.group = AffineWeylGroup(system)
+        self._walk = self.group.shells()
+        self._shells: list[list[GroupElement]] = []
+
+    @cached_property
+    def small(self) -> SmallRoots:
+        return SmallRoots(self.group)
+
+    @cached_property
+    def scan(self) -> ScanResult:
+        return certified_scan(self.group, self.system.region_count, budget=self.budget)
+
+    @cached_property
+    def low(self) -> list[GroupElement]:
+        return enumerate_low(self.group, budget=self.budget, certificate_scan=self.scan)
+
+    @cached_property
+    def table(self) -> regionlib.RegionTable:
+        return regionlib.enumerate_regions(self.group, scan=self.scan)
+
+    @cached_property
+    def machine(self) -> automata.Automaton:
+        return automata.build_automaton(self.group, self.small)
 
     def shells(self, bound: int) -> list[list[GroupElement]]:
-        """BFS shells of the group ball of the given radius."""
-        best = max((b for b in self._balls if b >= bound), default=None)
-        if best is not None:
-            return [shell for depth, shell in enumerate(self._balls[best])
-                    if depth <= bound]
-        shells = [[self.group.identity]]
-        seen = {self.group.identity}
-        for _ in range(bound):
-            nxt = []
-            for w in shells[-1]:
-                for gen in self.group.generators:
-                    u = self.group.multiply(w, gen)
-                    if u.length == w.length + 1 and u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            shells.append(nxt)
-        self._balls[bound] = shells
+        """Shells 0..bound of the group ball, read once from ``group.shells()``
+        and held to the element budget."""
+        while len(self._shells) <= bound and sum(map(len, self._shells)) <= self.budget:
+            self._shells.append(next(self._walk))
+        shells = self._shells[:bound + 1]
+        if sum(map(len, shells)) > self.budget:
+            raise BudgetExceededError(
+                self.budget, f"the ball of radius {bound} exceeds the element budget")
         return shells
 
     def ball(self, bound: int) -> list[GroupElement]:
         return [w for shell in self.shells(bound) for w in shell]
 
 
-_CONTEXTS: dict[tuple[str, int], DeskContext] = {}
+_CONTEXTS: dict[tuple[str, int, int], DeskContext] = {}
 
 
 def desk_context(family: str, rank: int, budget: int | None = None) -> DeskContext:
-    key = (family, rank)
+    """The context of one type under the resolved budget, made once per process."""
+    limit = resolve_budget(budget)
+    key = (family, rank, limit)
     if key not in _CONTEXTS:
-        limit = resolve_budget(budget)
-        system = root_system(family, rank)
-        group = AffineWeylGroup(system)
-        small = SmallRoots(group)
-        scan = certified_scan(group, system.region_count, budget=limit)
-        low = enumerate_low(group, budget=limit, certificate_scan=scan)
-        table = regionlib.enumerate_regions(group, scan=scan)
-        machine = automata.build_automaton(group, small)
-        _CONTEXTS[key] = DeskContext(system=system, group=group, small=small,
-                                     scan=scan, low=low, table=table,
-                                     machine=machine)
+        _CONTEXTS[key] = DeskContext(root_system(family, rank), limit)
     return _CONTEXTS[key]
-
-
-def _word_str(group: AffineWeylGroup, w: GroupElement) -> str:
-    word = group.word_from_element(w)
-    return "".join(f"s{g}" for g in word) or "e"
 
 
 def _root_names(group: AffineWeylGroup, roots) -> list[str]:
     return sorted(group.affine_root_name(b) for b in roots)
 
 
-def _counterexample(group: AffineWeylGroup, w: GroupElement, **extra) -> dict:
-    payload = {"element": _word_str(group, w), "coefficients": list(w.shi)}
-    payload.update(extra)
-    return payload
+def _counterexample(group: AffineWeylGroup, w: GroupElement) -> dict:
+    return {"element": word_text(group.word_from_element(w)),
+            "coefficients": list(w.shi)}
+
+
+def _at_region(region: regionlib.ShiRegion) -> dict:
+    return {"sign_type": region.sign_string}
+
+
+def _check_each(report: Report, name: str, items, probe, where=None,
+                detail=None) -> None:
+    """Add check ``name``, failed by the first item that ``probe`` rejects.
+
+    ``probe(item)`` returns ``None`` for a passing item, else a dict of
+    facts about the failure; the counterexample is ``where(item)`` (what
+    the item is) followed by those facts.
+    """
+    for item in items:
+        failure = probe(item)
+        if failure is not None:
+            if where is not None:
+                failure = {**where(item), **failure}
+            report.add(name, False, counterexample=failure, detail=detail)
+            return
+    report.add(name, True, detail=detail)
 
 
 # --------------------------------------------------------------------------
@@ -145,6 +169,7 @@ def verify_main_theorem(family: str, rank: int, bound: int | None = None,
                         budget: int | None = None, seed: int | None = None) -> Report:
     ctx = desk_context(family, rank, budget)
     system, group = ctx.system, ctx.group
+    at = partial(_counterexample, group)
     report = Report(suite="main-theorem", family=family, rank=rank, bound=bound,
                     seed=seed)
     expected = system.region_count
@@ -155,7 +180,7 @@ def verify_main_theorem(family: str, rank: int, bound: int | None = None,
                detail=f"{len(ctx.scan.minima)} vs {expected}")
     report.add("automaton_state_count", len(ctx.machine.states) == expected,
                detail=f"{len(ctx.machine.states)} vs {expected}")
-    admissible = signtypes.admissible_sign_types(system, resolve_budget(budget))
+    admissible = signtypes.admissible_sign_types(system, ctx.budget)
     report.add("admissible_sign_type_count", len(admissible) == expected,
                detail=f"{len(admissible)} vs {expected}")
     report.add("admissible_set_equals_region_signs",
@@ -180,23 +205,18 @@ def verify_main_theorem(family: str, rank: int, bound: int | None = None,
     report.add("dominant_region_catalan", len(dominant_regions) == catalan)
     report.add("ideal_count_catalan", len(ideals) == catalan)
 
-    bad = next((w for w in ctx.low
-                if (all(k >= 0 for k in w.shi))
-                != (not any(1 <= g <= rank for g in group.left_descents(w)))),
-               None)
-    report.add("dominant_iff_no_finite_left_descent", bad is None,
-               counterexample=None if bad is None else _counterexample(group, bad))
+    def dominance(w):
+        dominant = all(k >= 0 for k in w.shi)
+        finite_descent = any(1 <= g <= rank for g in group.left_descents(w))
+        return None if dominant != finite_descent else {}
+    _check_each(report, "dominant_iff_no_finite_left_descent", ctx.low,
+                dominance, where=at)
 
-    bad = None
-    for w in ctx.low:
-        for g in group.left_descents(w):
-            if group.multiply(group.generators[g], w) not in low_set:
-                bad = w
-                break
-        if bad:
-            break
-    report.add("low_set_suffix_closed", bad is None,
-               counterexample=None if bad is None else _counterexample(group, bad))
+    _check_each(report, "low_set_suffix_closed", ctx.low,
+                lambda w: None if all(
+                    group.multiply(group.generators[g], w) in low_set
+                    for g in group.left_descents(w)) else {},
+                where=at)
 
     pairs = regionlib.dominant_pairs(system, ctx.table)
     closed_ok = cone_ok = antichain_ok = membership_ok = True
@@ -244,15 +264,6 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
     report = Report(suite="descent-walls", family=family, rank=rank, bound=bound,
                     seed=seed)
 
-    def check_regions(name, predicate):
-        bad = None
-        for region in table:
-            failure = predicate(region)
-            if failure is not None:
-                bad = {"sign_type": region.sign_string, **failure}
-                break
-        report.add(name, bad is None, counterexample=bad)
-
     def wall_theorem(region):
         nd = group.right_descent_roots(region.minimal)
         dr = regionlib.descent_root_set(table, region)
@@ -260,13 +271,13 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
             return {"nd_r": _root_names(group, nd),
                     "descent_roots": _root_names(group, dr)}
         return None
-    check_regions("descent_wall_equality", wall_theorem)
+    _check_each(report, "descent_wall_equality", table, wall_theorem, where=_at_region)
 
-    check_regions(
-        "descent_roots_separate",
-        lambda region: None
-        if signtypes.descent_mask(system, small, region.sign_type)
-        & ~region.separation_mask == 0 else {})
+    _check_each(report, "descent_roots_separate", table,
+                lambda region: None
+                if signtypes.descent_mask(system, small, region.sign_type)
+                & ~region.separation_mask == 0 else {},
+                where=_at_region)
 
     realized = {r.separation_mask for r in table}
 
@@ -284,7 +295,7 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
             return {"oracle": _root_names(group, small.set_from_mask(oracle)),
                     "computed": _root_names(group, small.set_from_mask(computed))}
         return None
-    check_regions("geometric_wall_oracle", geometric)
+    _check_each(report, "geometric_wall_oracle", table, geometric, where=_at_region)
 
     def star_agreement(region):
         trits = region.sign_type
@@ -296,7 +307,8 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
                     signtypes.condition_star(system, trits, s):
                 return {"simple": system.root_name(s)}
         return None
-    check_regions("pair_sum_test_agreement", star_agreement)
+    _check_each(report, "pair_sum_test_agreement", table,
+                star_agreement, where=_at_region)
 
     def suffix_transform(region):
         w = region.minimal
@@ -314,7 +326,8 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
             if regionlib.descent_root_set(table, other) != expect:
                 return {"letter": g}
         return None
-    check_regions("descent_roots_wall_crossing", suffix_transform)
+    _check_each(report, "descent_roots_wall_crossing", table,
+                suffix_transform, where=_at_region)
 
     def union_transform(region):
         trits = region.sign_type
@@ -351,7 +364,8 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
                     return {"simple": system.root_name(s),
                             "issue": "sample leaves the region"}
         return None
-    check_regions("wall_crossing_sign_transform", union_transform)
+    _check_each(report, "wall_crossing_sign_transform", table,
+                union_transform, where=_at_region)
 
     def basis_descents(region):
         w = region.minimal
@@ -362,7 +376,8 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
             if beta in basis and beta not in nd:
                 return {"root": group.affine_root_name(beta)}
         return None
-    check_regions("level_one_basis_descents", basis_descents)
+    _check_each(report, "level_one_basis_descents", table,
+                basis_descents, where=_at_region)
 
     def eq_star(region):
         w = region.minimal
@@ -371,7 +386,7 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
                     == region.sign_type:
                 return {"letter": g}
         return None
-    check_regions("right_descents_change_region", eq_star)
+    _check_each(report, "right_descents_change_region", table, eq_star, where=_at_region)
 
     def minstar(region):
         w = region.minimal
@@ -379,26 +394,29 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
             return {"minimum_magnitudes": list(region.min_abs)}
         for u in region.samples:
             if any(abs(a) > abs(b) for a, b in zip(w.shi, u.shi)):
-                return {"sample": _word_str(group, u)}
+                return {"sample": word_text(group.word_from_element(u))}
         return None
-    check_regions("minimal_coefficient_magnitudes", minstar)
+    _check_each(report, "minimal_coefficient_magnitudes", table,
+                minstar, where=_at_region)
 
     def weak_order_prefix(region):
         inv = group.inversion_set(region.minimal)
         for u in region.samples:
             if not inv <= group.inversion_set(u):
-                return {"sample": _word_str(group, u)}
+                return {"sample": word_text(group.word_from_element(u))}
         return None
-    check_regions("minimal_inversions_contained_in_samples", weak_order_prefix)
+    _check_each(report, "minimal_inversions_contained_in_samples", table,
+                weak_order_prefix, where=_at_region)
 
     def minimal_characterisation(region):
         dr = regionlib.descent_root_set(table, region)
         for u in region.samples:
             contained = group.right_descent_roots(u) <= dr
             if contained != (u == region.minimal):
-                return {"sample": _word_str(group, u)}
+                return {"sample": word_text(group.word_from_element(u))}
         return None
-    check_regions("minimality_iff_descents_in_walls", minimal_characterisation)
+    _check_each(report, "minimality_iff_descents_in_walls", table,
+                minimal_characterisation, where=_at_region)
     return report
 
 
@@ -415,112 +433,77 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
                     bound=sweep_bound, seed=seed)
     shells = ctx.shells(sweep_bound)
     sweep = [w for shell in shells for w in shell]
+    at = partial(_counterexample, group)
     signed_roots = [list(r) for r in system.positive_roots]
     signed_roots += [[-c for c in r] for r in system.positive_roots]
 
-    bad = None
-    for w in sweep:
-        for s in range(1, rank + 1):
-            sw = group.multiply(group.generators[s], w)
-            gen = group.generators[s]
-            wall = system.positive_roots[s - 1]
-            for alpha in signed_roots:
-                expect = group.shi_coefficient(w, system.reflect(wall, alpha)) \
-                    + group.shi_coefficient(gen, alpha)
-                if group.shi_coefficient(sw, alpha) != expect:
-                    bad = _counterexample(group, w, letter=s)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report.add("coefficient_recurrence_simple", bad is None, counterexample=bad)
-
+    # (counterexample facts, reflection t, its root): k(tw, a) must equal
+    # k(w, t(a)) + k(t, a) for every root a.
+    simple = [({"letter": s}, group.generators[s], system.positive_roots[s - 1])
+              for s in range(1, rank + 1)]
     reflections = [
-        (i, GroupElement(group, system.reflection_matrix(root),
-                         tuple(0 for _ in root)))
+        ({"reflection": system.root_name(i)},
+         GroupElement(group, system.reflection_matrix(root), tuple(0 for _ in root)),
+         root)
         for i, root in enumerate(system.positive_roots)]
-    bad = None
-    for w in sweep:
-        for i, refl in reflections:
-            tw = group.multiply(refl, w)
-            wall = system.positive_roots[i]
-            for alpha in signed_roots:
-                expect = group.shi_coefficient(w, system.reflect(wall, alpha)) \
-                    + group.shi_coefficient(refl, alpha)
-                if group.shi_coefficient(tw, alpha) != expect:
-                    bad = _counterexample(group, w,
-                                          reflection=system.root_name(i))
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report.add("coefficient_recurrence_reflection", bad is None, counterexample=bad)
 
-    bad = None
-    for w in sweep:
+    def recurrence(triples):
+        def probe(w):
+            for facts, t, wall in triples:
+                tw = group.multiply(t, w)
+                if any(group.shi_coefficient(tw, alpha)
+                       != group.shi_coefficient(w, system.reflect(wall, alpha))
+                       + group.shi_coefficient(t, alpha) for alpha in signed_roots):
+                    return facts
+            return None
+        return probe
+    _check_each(report, "coefficient_recurrence_simple", sweep,
+                recurrence(simple), where=at)
+    _check_each(report, "coefficient_recurrence_reflection", sweep,
+                recurrence(reflections), where=at)
+
+    def sign_convention(w):
         point = w.point
         for i, root in enumerate(system.positive_roots):
-            pairing = sum(p * c for p, c in
-                          zip(point, system.gram_image(list(root))))
+            pairing = sum(p * c for p, c in zip(point, system.gram_image(root)))
             floor_value = pairing // group.scale
-            if group.shi_coefficient(w, list(root)) != floor_value:
-                bad = _counterexample(group, w, root=system.root_name(i))
-                break
-            negated = [-c for c in root]
-            if group.shi_coefficient(w, negated) != -floor_value:
-                bad = _counterexample(group, w, root=system.root_name(i))
-                break
-        if bad:
-            break
-    report.add("negative_root_coefficient_convention", bad is None,
-               counterexample=bad)
+            if group.shi_coefficient(w, root) != floor_value \
+                    or group.shi_coefficient(w, [-c for c in root]) != -floor_value:
+                return {"root": system.root_name(i)}
+        return None
+    _check_each(report, "negative_root_coefficient_convention", sweep,
+                sign_convention, where=at)
 
-    bad = None
-    for w in group.finite_elements():
+    def finite_coefficients(w):
         finite_inv = group.finite_inversion_set(w)
         for i, root in enumerate(system.positive_roots):
-            expect = -1 if root in finite_inv else 0
-            if group.shi_coefficient(w, list(root)) != expect:
-                bad = _counterexample(group, w, root=system.root_name(i))
-                break
-        if bad:
-            break
-    report.add("finite_subgroup_coefficients", bad is None, counterexample=bad)
+            if group.shi_coefficient(w, root) != (-1 if root in finite_inv else 0):
+                return {"root": system.root_name(i)}
+        return None
+    _check_each(report, "finite_subgroup_coefficients", group.finite_elements(),
+                finite_coefficients, where=at)
 
-    bad = None
-    for w in sweep:
-        for i, refl in reflections:
-            shorter = group.multiply(refl, w).length < w.length
-            coefficient = group.shi_coefficient(w, list(system.positive_roots[i]))
-            if shorter != (coefficient <= -1):
-                bad = _counterexample(group, w, reflection=system.root_name(i))
-                break
-        if bad:
-            break
-    report.add("negative_coefficient_iff_shorter", bad is None, counterexample=bad)
+    def shortening(w):
+        for facts, t, root in reflections:
+            if (group.multiply(t, w).length < w.length) \
+                    != (group.shi_coefficient(w, root) <= -1):
+                return facts
+        return None
+    _check_each(report, "negative_coefficient_iff_shorter", sweep, shortening,
+                where=at)
 
-    bad = None
-    for w in sweep:
-        if w.length == 0:
-            continue
-        sigma = ctx.small.sigma(w)
+    def sigma_transition(w):
+        sigma = small.sigma(w)
         for g in group.left_descents(w):
             sw = group.multiply(group.generators[g], w)
-            alpha = group.simple_affine_root(g)
             image = {group.act_on_affine_root(group.generators[g], b)
-                     for b in ctx.small.sigma(sw)}
-            expect = {alpha} | {b for b in image if b in small}
-            if sigma != expect:
-                bad = _counterexample(group, w, letter=g)
-                break
-        if bad:
-            break
-    report.add("sigma_left_transition", bad is None, counterexample=bad)
+                     for b in small.sigma(sw)}
+            if sigma != {group.simple_affine_root(g)} | {b for b in image if b in small}:
+                return {"letter": g}
+        return None
+    _check_each(report, "sigma_left_transition", sweep, sigma_transition, where=at)
 
-    bad = None
-    for w in sweep:
+    def descent_roots_transition(w):
         nd = group.right_descent_roots(w)
         for g in group.left_descents(w):
             sw = group.multiply(group.generators[g], w)
@@ -528,51 +511,41 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
             expect = frozenset(group.act_on_affine_root(group.generators[g], b)
                                for b in nd - {alpha})
             if group.right_descent_roots(sw) != expect:
-                bad = _counterexample(group, w, letter=g)
-                break
-        if bad:
-            break
-    report.add("right_descent_roots_left_transition", bad is None,
-               counterexample=bad)
+                return {"letter": g}
+        return None
+    _check_each(report, "right_descent_roots_left_transition", sweep,
+                descent_roots_transition, where=at)
 
-    ok = True
-    for g in range(1, rank + 1):
+    def permutes_small_roots(g):
         alpha = group.simple_affine_root(g)
-        punctured = {b for b in small.roots} - {alpha, AffineRoot(
+        punctured = set(small.roots) - {alpha, AffineRoot(
             tuple(-c for c in alpha.finite), 1)}
-        image = {group.act_on_affine_root(group.generators[g], b)
-                 for b in punctured}
-        if image != punctured:
-            ok = False
-    report.add("finite_reflections_permute_small_roots", ok)
+        return punctured == {group.act_on_affine_root(group.generators[g], b)
+                             for b in punctured}
+    report.add("finite_reflections_permute_small_roots",
+               all(permutes_small_roots(g) for g in range(1, rank + 1)))
 
-    bad = None
-    for w in sweep:
-        if group.inversion_set(w) != group.inversion_set_by_action(w):
-            bad = _counterexample(group, w)
-            break
-    report.add("inversion_oracle_agreement", bad is None, counterexample=bad)
+    _check_each(report, "inversion_oracle_agreement", sweep,
+                lambda w: None if group.inversion_set(w)
+                == group.inversion_set_by_action(w) else {},
+                where=at)
 
     cone_cap = 8 if (rank == 2 and family != "G") else 6 if rank == 2 else 5
     cone_cap = min(cone_cap, sweep_bound)
-    bad = None
-    for w in (u for shell in shells[:cone_cap + 1] for u in shell):
-        if is_low(group, small, w) != is_low_by_cone(group, small, w):
-            bad = _counterexample(group, w)
-            break
-    report.add("lowness_oracle_agreement", bad is None, counterexample=bad,
-               detail=f"exhaustive to length {cone_cap}")
+    _check_each(report, "lowness_oracle_agreement",
+                (u for shell in shells[:cone_cap + 1] for u in shell),
+                lambda w: None if is_low(group, small, w)
+                == is_low_by_cone(group, small, w) else {},
+                where=at, detail=f"exhaustive to length {cone_cap}")
 
-    bad = None
-    for depth, shell in enumerate(shells):
-        for w in shell:
-            if not (w.length == depth == len(group.inversion_set(w))
-                    == sum(abs(k) for k in w.shi)):
-                bad = _counterexample(group, w, depth=depth)
-                break
-        if bad:
-            break
-    report.add("length_equalities", bad is None, counterexample=bad)
+    def length_equalities(item):
+        depth, w = item
+        if w.length == depth == len(group.inversion_set(w)) == sum(abs(k) for k in w.shi):
+            return None
+        return {"depth": depth}
+    _check_each(report, "length_equalities",
+                ((depth, w) for depth, shell in enumerate(shells) for w in shell),
+                length_equalities, where=lambda item: at(item[1]))
     return report
 
 
@@ -623,7 +596,7 @@ def verify_automaton(family: str, rank: int, bound: int | None = None,
             target = machine.transitions[state][g]
             u = group.multiply(elem, group.generators[g])
             if (target is not None) != (u.length == depth + 1):
-                mismatch = {"prefix": _word_str(group, elem), "letter": g}
+                mismatch = {"prefix": word_text(group.word_from_element(elem)), "letter": g}
                 return
             if target is not None:
                 word_counts[depth + 1] += 1
@@ -645,35 +618,27 @@ def verify_automaton(family: str, rank: int, bound: int | None = None,
     report.add("element_counts_match_shells", bfs_elements == shell_counts)
 
     rng = random.Random(seed)
-    bad = None
-    for _ in range(200):
-        length = rng.randint(1, word_bound + 4)
-        word = tuple(rng.randrange(rank + 1) for _ in range(length))
-        if machine.is_reduced(word) != \
-                (group.element_from_word(word).length == length):
-            bad = {"word": list(word)}
-            break
-    report.add("random_long_word_verdicts", bad is None, counterexample=bad)
+    _check_each(report, "random_long_word_verdicts",
+                (tuple(rng.randrange(rank + 1)
+                       for _ in range(rng.randint(1, word_bound + 4)))
+                 for _ in range(200)),
+                lambda word: None if machine.is_reduced(word)
+                == (group.element_from_word(word).length == len(word))
+                else {"word": list(word)})
 
     dot = automata.export_dot(machine)
     labels, edges = automata.parse_dot(dot)
-    expect_labels = sorted(machine.state_label(i)
-                           for i in range(len(machine.states)))
-    round_trip = sorted(labels) == expect_labels
-    name = [machine.state_label(i) for i in range(len(machine.states))]
-    for state, row in enumerate(machine.transitions):
-        for g, target in enumerate(row):
-            if target is not None and edges.get((name[state], g)) != name[target]:
-                round_trip = False
-    round_trip = round_trip and len(edges) == sum(
-        1 for row in machine.transitions for t in row if t is not None)
-    report.add("dot_round_trip", round_trip)
+    name = machine.labels
+    expect_edges = {(name[state], g): name[target]
+                    for state, row in enumerate(machine.transitions)
+                    for g, target in enumerate(row) if target is not None}
+    report.add("dot_round_trip", sorted(labels) == sorted(name) and edges == expect_edges)
     report.add("dot_deterministic", dot == automata.export_dot(machine))
 
     table_json = automata.transition_table_json(machine)
     report.add("json_transition_table",
                table_json["states"] == len(machine.states)
-               and table_json["start"] == machine.state_label(0))
+               and table_json["start"] == machine.labels[0])
     return report
 
 
@@ -831,17 +796,12 @@ def _validate_catalog_row(system: RootSystem, group: AffineWeylGroup,
         if canon[1][i] != canon[0][j] or canon[2][i] != canon[0][j]:
             return "transform"
     for trits, printed in zip(canon, marks):
-        computed = signtypes.descent_mask(system, small, trits)
-        expected = 0
-        for p in printed:
-            n = layout[p]
-            if trits[n] == -1:
-                expected |= 1 << n
-            elif trits[n] == 1:
-                expected |= 1 << (small.count + n)
-            else:
+        marked = [0] * system.nroots
+        for n in (layout[p] for p in printed):
+            if trits[n] == 0:
                 return "mark at zero sign"
-        if computed != expected:
+            marked[n] = trits[n]
+        if signtypes.descent_mask(system, small, trits) != small.mask_from_shi(marked):
             return "marked descent positions"
     def footprints(trits):
         out = set()
@@ -875,7 +835,7 @@ def _catalog_layouts(ctx: DeskContext, rows) -> list[tuple[int, ...]]:
 def verify_tables(family: str, rank: int, bound: int | None = None,
                   budget: int | None = None, seed: int | None = None) -> Report:
     ctx = desk_context(family, rank, budget)
-    system, group, small, table = ctx.system, ctx.group, ctx.small, ctx.table
+    system, group = ctx.system, ctx.group
     report = Report(suite="tables", family=family, rank=rank, bound=bound,
                     seed=seed)
 
@@ -889,6 +849,7 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
 
     rows = _ROW_CATALOGS.get((family, rank))
     if rows is not None:
+        table = ctx.table
         layouts = _catalog_layouts(ctx, rows)
         report.add("row_catalog_layout_unique", len(layouts) == 1,
                    detail=f"valid layouts {layouts}")
@@ -933,7 +894,7 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
             report.add("row_catalog_blocks_complete", False)
 
     if (family, rank) == ("A", 2):
-        worked = _A2_WORKED
+        worked, table = _A2_WORKED, ctx.table
         region = table.by_sign.get(worked["region_signs"])
         sep_ok = region is not None and \
             regionlib.separation_set(table, region) == worked["separation"]
@@ -963,7 +924,7 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
                    detail=f"unique element with coefficients {list(target)}")
 
     if (family, rank) == ("B", 2):
-        worked = _B2_WORKED
+        worked, table = _B2_WORKED, ctx.table
         printed_r1 = _signs_from_set(system, worked["printed_sigma_r1"])
         printed_r2 = _signs_from_set(system, worked["printed_sigma_r2"])
         report.add("reference_sigma_r1_realizable",

@@ -8,15 +8,11 @@ and asserts the criterion, so `pytest -v` shows one verdict per criterion.
 """
 from __future__ import annotations
 
-import itertools
 import time
 
-from shilow import (AffineRoot, AffineWeylGroup, admissible_sign_types,
-                    build_automaton, certified_scan, ideal_closed_form_inversions,
-                    descent_root_set, dominant_pairs, enumerate_low,
-                    is_low, is_low_by_cone, root_system, verify)
-from shilow.lowness import cone_window_members
-from shilow.ratlp import in_cone
+from shilow import (AffineWeylGroup, Report, admissible_sign_types,
+                    build_automaton, certified_scan, descent_root_set,
+                    enumerate_low, root_system, verify)
 
 _EXPECTED_REGIONS = {("A", 2): 16, ("B", 2): 25, ("G", 2): 49, ("A", 3): 125}
 _EXPECTED_CATALAN = {("A", 2): 5, ("B", 2): 6, ("G", 2): 8, ("A", 3): 14}
@@ -30,9 +26,19 @@ def _conclude(number: int, slug: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
+_REPORTS: dict[tuple[str, str, int], Report] = {}
+
+
+def _report(suite: str, family: str, rank: int) -> Report:
+    """One run of each (suite, type) per test module, shared by the criteria."""
+    key = (suite, family, rank)
+    if key not in _REPORTS:
+        _REPORTS[key] = verify.run_suite(suite, family, rank)
+    return _REPORTS[key]
+
+
 def _suite_checks(suite: str, family: str, rank: int):
-    report = verify.run_suite(suite, family, rank)
-    return {check.name: check for check in report.checks}
+    return {check.name: check for check in _report(suite, family, rank).checks}
 
 
 def test_c01_fourfold_region_counts():
@@ -125,7 +131,7 @@ def test_c06_recurrence_identities_exhaustive():
     ok = True
     pieces = []
     for family, rank in _EXPECTED_REGIONS:
-        report = verify.run_suite("recurrences", family, rank)
+        report = _report("recurrences", family, rank)
         ok = ok and report.passed
         ok = ok and report.bound == required_bounds[rank]
         pieces.append(f"{family}{rank}:len<={report.bound}"
@@ -134,106 +140,55 @@ def test_c06_recurrence_identities_exhaustive():
 
 
 def test_c07_oracle_equivalences():
+    """Inversion sets by coefficients and by action agree on the ball of
+    radius 10 (rank 2) or 8 (rank 3); the basis and cone lowness tests
+    agree up to the recorded length, 8 on A2 and B2."""
+    required_bounds = {2: 10, 3: 8}
     ok = True
-    inversion_checked = lowness_checked = 0
+    pieces = []
     for family, rank in _EXPECTED_REGIONS:
-        ctx = verify.desk_context(family, rank)
-        bound = 8 if rank == 2 else 6
-        for w in ctx.ball(bound):
-            inversion_checked += 1
-            if ctx.group.inversion_set(w) != ctx.group.inversion_set_by_action(w):
-                ok = False
-    for family in ("A", "B"):
-        ctx = verify.desk_context(family, 2)
-        for w in ctx.ball(8):
-            lowness_checked += 1
-            if is_low(ctx.group, ctx.small, w) != is_low_by_cone(
-                    ctx.group, ctx.small, w):
-                ok = False
-    _conclude(7, "oracle-equivalence", ok,
-              f"{inversion_checked} inversion sets, "
-              f"{lowness_checked} lowness verdicts")
-
-
-def _sweep_words(ctx, bound: int):
-    """Walk the full word tree, comparing verdicts against the length oracle."""
-    group, machine = ctx.group, ctx.machine
-    letters = range(machine.letter_count)
-    word_counts = [0] * (bound + 1)
-    word_counts[0] = 1
-    elements_at = [set() for _ in range(bound + 1)]
-    elements_at[0].add(group.identity)
-    ok = True
-    stack = [(group.identity, 0, 0)]
-    while stack:
-        element, state, depth = stack.pop()
-        if depth == bound:
-            continue
-        for g in letters:
-            child = group.multiply(element, group.generators[g])
-            child_state = machine.transitions[state][g] \
-                if state is not None else None
-            accepted = child_state is not None
-            if accepted != (child.length == depth + 1):
-                ok = False
-            if accepted:
-                word_counts[depth + 1] += 1
-                elements_at[depth + 1].add(child)
-            stack.append((child, child_state, depth + 1))
-    return ok, word_counts, [len(s) for s in elements_at]
+        report = _report("recurrences", family, rank)
+        checks = _suite_checks("recurrences", family, rank)
+        inversion = checks["inversion_oracle_agreement"]
+        lowness = checks["lowness_oracle_agreement"]
+        ok = ok and inversion.passed and lowness.passed
+        ok = ok and report.bound == required_bounds[rank]
+        if rank == 2 and family != "G":
+            ok = ok and lowness.detail == "exhaustive to length 8"
+        pieces.append(f"{family}{rank}:inversions len<={report.bound}, "
+                      f"lowness {lowness.detail}")
+    _conclude(7, "oracle-equivalence", ok, "; ".join(pieces))
 
 
 def test_c08_automaton_counts_and_verdicts():
-    from shilow import element_counts_by_length
+    """Every check of the automaton suite: state count, reduced-word
+    verdicts of every word up to length 10 (rank 2) or 7 (rank 3) against
+    the length oracle, word and element counts, serialization."""
+    required_bounds = {2: 10, 3: 7}
     ok = True
     pieces = []
     for (family, rank), expected in _EXPECTED_REGIONS.items():
-        ctx = verify.desk_context(family, rank)
-        machine = ctx.machine
-        if len(machine.states) != expected:
-            ok = False
-        bound = 10 if rank == 2 else 5
-        verdicts_ok, word_counts, element_counts = _sweep_words(ctx, bound)
-        ok = ok and verdicts_ok
-        ok = ok and word_counts == machine.word_counts_by_length(bound)
-        ok = ok and element_counts == element_counts_by_length(ctx.group, bound)
-        pieces.append(f"{family}{rank}:{len(machine.states)} states"
-                      f", words<=len {bound}")
+        report = _report("automaton", family, rank)
+        checks = _suite_checks("automaton", family, rank)
+        ok = ok and report.passed and report.bound == required_bounds[rank]
+        ok = ok and "reduced_word_verdicts_match_length_oracle" in checks
+        ok = ok and len(verify.desk_context(family, rank).machine.states) == expected
+        pieces.append(f"{family}{rank}:{expected} states, words<=len {report.bound}")
     _conclude(8, "automaton-agreement", ok, "; ".join(pieces))
 
 
 def test_c09_ideal_minimal_elements():
+    """Minimal elements of dominant regions are low and dominant, have the
+    closed-form inversion set generated by their ideal, and their descent
+    roots are the antichain walls."""
+    names = ("dominant_minima_low_and_dominant", "ideal_closed_form_inversions",
+             "ideal_cone_oracle", "ideal_descents_are_antichain")
     ok = True
-    checked = 0
-    for family, rank in (("A", 2), ("B", 2), ("A", 3)):
-        ctx = verify.desk_context(family, rank)
-        system, group = ctx.system, ctx.group
-        low_set = set(ctx.low)
-        for ideal, region in dominant_pairs(system, ctx.table):
-            checked += 1
-            w = region.minimal
-            inv = group.inversion_set(w)
-            if w not in low_set or not all(k >= 0 for k in w.shi):
-                ok = False
-            if ideal_closed_form_inversions(group, ideal) != inv:
-                ok = False
-            generators = {
-                AffineRoot(tuple(-c for c in system.positive_roots[p]), 1)
-                for p in ideal.ideal}
-            if not generators <= inv:
-                ok = False
-            window = max((b.delta for b in inv), default=0) + 1
-            if cone_window_members(group, generators, window) != inv:
-                ok = False
-            if any(not in_cone(
-                    [list(g.finite) + [g.delta] for g in generators],
-                    list(b.finite) + [b.delta]) for b in inv):
-                ok = False
-            antichain_walls = frozenset(
-                AffineRoot(tuple(-c for c in system.positive_roots[p]), 1)
-                for p in ideal.antichain)
-            if group.right_descent_roots(w) != antichain_walls:
-                ok = False
+    for family, rank in _EXPECTED_REGIONS:
+        checks = _suite_checks("main-theorem", family, rank)
+        ok = ok and all(name in checks and checks[name].passed for name in names)
+    checked = sum(len(root_system(family, rank).poset_ideals())
+                  for family, rank in _EXPECTED_REGIONS)
     _conclude(9, "ideal-minimal-elements", ok, f"{checked} ideals")
 
 

@@ -206,6 +206,28 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["rank"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "low", "--bound", "0"),
+    ("verify", "recurrences", "--bound", "-3"),
+    ("automaton", "--bound", "-1", "--format", "text"),
+])
+def test_bound_below_one_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "--bound" in captured.err and "at least 1" in captured.err
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "roots.txt"
+    code, out, err = run_cli(capsys, "roots", "--output", str(target))
+    assert code == 2
+    assert not out
+    assert str(target) in err
+
+
 def test_unknown_subcommand_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["polish"])

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from shilow import Report, run_suite, verify
+from shilow import BudgetExceededError, Report, run_suite, verify
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
@@ -23,6 +23,24 @@ def test_tables_suite_covers_rank4_pair():
     names = {check.name for check in report.checks}
     assert "rank4_pair_admissible" in names
     assert "rank4_pair_inadmissible" in names
+
+
+def test_budget_applies_after_a_default_context_is_cached(a2):
+    """The context cache is keyed by budget, so a small budget still fails
+    after the default-budget context of the same type was built."""
+    assert len(a2.table) == 16
+    with pytest.raises(BudgetExceededError):
+        run_suite("descent-walls", "A", 2, budget=10)
+
+
+def test_ball_walk_is_held_to_the_budget():
+    with pytest.raises(BudgetExceededError):
+        run_suite("recurrences", "A", 2, budget=10)
+
+
+def test_tables_suite_builds_no_scan_off_the_catalog_types():
+    run_suite("tables", "B", 3)
+    assert "scan" not in vars(verify.desk_context("B", 3))
 
 
 def test_unknown_suite_rejected():
