@@ -95,15 +95,6 @@ def affine_root_vector(beta: AffineRoot) -> tuple[int, ...]:
     return beta.finite + (beta.delta,)
 
 
-def cone_contains_all(generators, targets) -> AffineRoot | None:
-    """First target outside the rational cone of the generators, else None."""
-    columns = [affine_root_vector(g) for g in generators]
-    for beta in targets:
-        if not in_cone(columns, affine_root_vector(beta)):
-            return beta
-    return None
-
-
 def positive_roots_window(group: AffineWeylGroup, max_delta: int) -> list[AffineRoot]:
     """All positive affine roots with delta coefficient at most ``max_delta``."""
     out = []

@@ -387,9 +387,6 @@ class RootSystem:
         found: list[Rank2Subsystem] = []
         for i in range(self.nroots):
             for j in range(i + 1, self.nroots):
-                if solve_two_unknowns(self.positive_roots[i], (0,) * self.rank,
-                                      self.positive_roots[j]) is not None:
-                    continue  # proportional; cannot happen for distinct positives
                 members = self._span_members(i, j)
                 key = frozenset(members)
                 if key in seen:

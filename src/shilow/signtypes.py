@@ -107,14 +107,20 @@ def descent_mask(system: RootSystem, small: SmallRoots,
     """Descent-roots of the region: separating walls whose sign can be
     zeroed without leaving the admissible set."""
     _require_admissible(system, trits)
-    mask = 0
-    for i, t in enumerate(trits):
-        if t == 0:
-            continue
-        zeroed = trits[:i] + (0,) + trits[i + 1:]
-        if is_admissible(system, zeroed):
-            mask |= 1 << (i if t < 0 else small.count + i)
-    return mask
+    return small.mask_from_shi(tuple(
+        t if t and is_admissible(system, trits[:i] + (0,) + trits[i + 1:]) else 0
+        for i, t in enumerate(trits)))
+
+
+def reflect_sign_type(system: RootSystem, trits: tuple[int, ...],
+                      simple_index: int, value: int) -> tuple[int, ...]:
+    """The sign type across the wall of a simple root: each other positive
+    root takes the sign of its image under the simple reflection, which
+    permutes them; the simple root itself takes ``value``."""
+    wall = system.positive_roots[simple_index]
+    return tuple(value if i == simple_index
+                 else trits[system.root_index[system.reflect(wall, root)]]
+                 for i, root in enumerate(system.positive_roots))
 
 
 def rank2_tables_json() -> dict[str, dict[str, object]]:

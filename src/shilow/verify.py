@@ -12,7 +12,8 @@ Five suites, each returning a structured pass/fail report:
 * ``recurrences``    -- exhaustive sweeps of the coefficient recurrences,
   inversion-set transition rules, and the two lowness oracles.
 * ``automaton``      -- state counts, exhaustive reduced-word verdicts
-  against the length oracle, growth counts, and serialization round
+  against the length oracle (walked over (element, state) pairs, which
+  decide every word's verdict), growth counts, and serialization round
   trips.
 * ``tables``         -- conformance fixtures: transcribed wall-crossing
   row catalogs for the two smallest affine types (root-position layout
@@ -26,7 +27,10 @@ All suites of one type share a ``DeskContext``, cached per type and
 budget; its scan, low set, region table and automaton are built on first
 read, and its ball is sliced from one walk of ``AffineWeylGroup.shells()``.
 A check over many items goes through ``_check_each``, which records the
-first failing item as the counterexample.
+first failing item as the counterexample.  Sign-type reflection, the
+small-root codec and the shell walk are the library's own
+(``signtypes.reflect_sign_type``, ``SmallRoots``, ``AffineWeylGroup.shells``);
+the suites do not re-derive them.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .lowness import (DEFAULT_BUDGET, BudgetExceededError, ScanResult,
                       SmallRoots, certified_scan,
                       cone_window_members, enumerate_low, is_low,
                       is_low_by_cone, sign_of_shi)
-from .ratlp import in_cone
 from .report import Report
 from .rootdata import RootSystem, root_system
 
@@ -218,38 +221,33 @@ def verify_main_theorem(family: str, rank: int, bound: int | None = None,
                     for g in group.left_descents(w)) else {},
                 where=at)
 
-    pairs = regionlib.dominant_pairs(system, ctx.table)
-    closed_ok = cone_ok = antichain_ok = membership_ok = True
-    bad_detail = None
-    for ideal, region in pairs:
-        w = region.minimal
-        inv = group.inversion_set(w)
-        if w not in low_set or not all(k >= 0 for k in w.shi):
-            membership_ok = False
-        if regionlib.ideal_closed_form_inversions(group, ideal) != inv:
-            closed_ok = False
-            bad_detail = {"ideal": [system.root_name(p) for p in ideal.ideal]}
-        generators = {AffineRoot(tuple(-c for c in system.positive_roots[p]), 1)
-                      for p in ideal.ideal}
-        if not generators <= inv:
-            cone_ok = False
-        window = max((b.delta for b in inv), default=0) + 1
-        if cone_window_members(group, generators, window) != inv:
-            cone_ok = False
-            bad_detail = {"ideal": [system.root_name(p) for p in ideal.ideal]}
-        if any(not in_cone([list(g.finite) + [g.delta] for g in generators],
-                           list(b.finite) + [b.delta]) for b in inv):
-            cone_ok = False
-        expect = frozenset(AffineRoot(tuple(-c for c in system.positive_roots[p]), 1)
-                           for p in ideal.antichain)
-        if group.right_descent_roots(w) != expect:
-            antichain_ok = False
-            bad_detail = {"ideal": [system.root_name(p) for p in ideal.ideal]}
-    report.add("dominant_minima_low_and_dominant", membership_ok)
-    report.add("ideal_closed_form_inversions", closed_ok, counterexample=bad_detail)
-    report.add("ideal_cone_oracle", cone_ok, counterexample=bad_detail)
-    report.add("ideal_descents_are_antichain", antichain_ok,
-               counterexample=bad_detail)
+    small = ctx.small
+    triples = [(ideal, region.minimal, group.inversion_set(region.minimal))
+               for ideal, region in regionlib.dominant_pairs(system, ctx.table)]
+
+    def level_one(positions):
+        """delta minus each listed positive root, as small roots."""
+        return frozenset(small.roots[small.count + p] for p in positions)
+
+    def each_ideal(name, holds):
+        """Check ``holds(ideal, w, inv)`` for every ideal, naming the first
+        ideal where it fails."""
+        _check_each(report, name, triples, lambda t: None if holds(*t) else {},
+                    where=lambda t: {"ideal": [system.root_name(p) for p in t[0].ideal]})
+
+    each_ideal("dominant_minima_low_and_dominant",
+               lambda ideal, w, inv: w in low_set and all(k >= 0 for k in w.shi))
+    each_ideal("ideal_closed_form_inversions",
+               lambda ideal, w, inv: regionlib.ideal_closed_form_inversions(group, ideal)
+               == inv)
+    # The generators lie in the window, so equality also puts them in N(w).
+    each_ideal("ideal_cone_oracle",
+               lambda ideal, w, inv: cone_window_members(
+                   group, level_one(ideal.ideal), max((b.delta for b in inv), default=0) + 1)
+               == inv)
+    each_ideal("ideal_descents_are_antichain",
+               lambda ideal, w, inv: group.right_descent_roots(w)
+               == level_one(ideal.antichain))
     return report
 
 
@@ -341,21 +339,17 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
                         "issue": "minus sign without left descent"}
             sw = group.multiply(group.generators[g], w)
             other = table.region_of(sw).sign_type
-            wall = system.positive_roots[s]
-            for i, root in enumerate(system.positive_roots):
-                if i == s:
-                    continue
-                j = system.root_index[system.reflect(wall, root)]
-                if other[i] != trits[j]:
-                    return {"simple": system.root_name(s), "position": i}
+            image = signtypes.reflect_sign_type(system, trits, s, other[s])
+            if other != image:
+                return {"simple": system.root_name(s),
+                        "position": next(i for i, t in enumerate(image) if t != other[i])}
             if other[s] not in (0, 1):
                 return {"simple": system.root_name(s)}
             expected_zero = (w.shi[s] == -1)
             if (other[s] == 0) != expected_zero:
                 return {"simple": system.root_name(s),
                         "issue": "zero sign does not match coefficient -1"}
-            zero_variant = tuple(0 if i == s else other[i]
-                                 for i in range(len(other)))
+            zero_variant = other[:s] + (0,) + other[s + 1:]
             if signtypes.is_admissible(system, zero_variant) != expected_zero:
                 return {"simple": system.root_name(s),
                         "issue": "zero variant admissibility"}
@@ -372,7 +366,7 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
         basis = group.basis_of_inversion_set(w)
         nd = group.right_descent_roots(w)
         for s in range(rank):
-            beta = AffineRoot(tuple(-c for c in system.positive_roots[s]), 1)
+            beta = small.roots[small.count + s]
             if beta in basis and beta not in nd:
                 return {"root": group.affine_root_name(beta)}
         return None
@@ -582,28 +576,27 @@ def verify_automaton(family: str, rank: int, bound: int | None = None,
                 guard_ok = False
     report.add("transition_guard", guard_ok)
 
-    word_counts = [0] * (word_bound + 1)
-    word_counts[0] = 1
-    elements_by_depth = [set() for _ in range(word_bound + 1)]
-    elements_by_depth[0].add(group.identity)
+    # Level d maps each (element, state) pair reached by a reduced word of
+    # length d to the number of such words.  A word's verdict on a letter
+    # depends only on its pair (the state's transition, the length of the
+    # element times the letter), so checking every pair of every level
+    # checks every word of length <= word_bound.
+    level = {(group.identity, 0): 1}
+    word_counts, walk_elements = [1], [1]
     mismatch = None
-
-    def walk(elem, state, depth):
-        nonlocal mismatch
-        if depth == word_bound or mismatch is not None:
-            return
-        for g in range(rank + 1):
-            target = machine.transitions[state][g]
-            u = group.multiply(elem, group.generators[g])
-            if (target is not None) != (u.length == depth + 1):
-                mismatch = {"prefix": word_text(group.word_from_element(elem)), "letter": g}
-                return
-            if target is not None:
-                word_counts[depth + 1] += 1
-                elements_by_depth[depth + 1].add(u)
-                walk(u, target, depth + 1)
-
-    walk(group.identity, 0, 0)
+    for depth in range(word_bound):
+        reached: dict[tuple[GroupElement, int], int] = {}
+        for (w, state), ways in level.items():
+            for g, target in enumerate(machine.transitions[state]):
+                u = group.multiply(w, group.generators[g])
+                if (target is not None) != (u.length == depth + 1):
+                    mismatch = mismatch or {
+                        "prefix": word_text(group.word_from_element(w)), "letter": g}
+                elif target is not None:
+                    reached[u, target] = reached.get((u, target), 0) + ways
+        level = reached
+        word_counts.append(sum(level.values()))
+        walk_elements.append(len({w for w, _ in level}))
     report.add("reduced_word_verdicts_match_length_oracle", mismatch is None,
                counterexample=mismatch,
                detail=f"exhaustive over all words of length <= {word_bound}")
@@ -611,7 +604,6 @@ def verify_automaton(family: str, rank: int, bound: int | None = None,
     dp_words, bfs_elements = automata.count_by_length(machine, word_bound)
     report.add("word_counts_match_exhaustive_walk", dp_words == word_counts,
                detail=f"counts {dp_words}")
-    walk_elements = [len(s) for s in elements_by_depth]
     report.add("element_counts_match_bfs", bfs_elements == walk_elements,
                detail=f"counts {bfs_elements}")
     shell_counts = [len(s) for s in ctx.shells(word_bound)]
@@ -752,20 +744,6 @@ def _relabel_simple_swap(system: RootSystem, roots: frozenset[AffineRoot]) \
     return frozenset(out)
 
 
-def _signs_from_set(system: RootSystem,
-                    roots: frozenset[AffineRoot]) -> tuple[int, ...] | None:
-    """Decode a separation set back into a sign type, if consistent."""
-    trits = [0] * system.nroots
-    for b in roots:
-        if b.delta == 0:
-            trits[system.root_index[b.finite]] = -1
-        elif b.delta == 1:
-            trits[system.root_index[tuple(-c for c in b.finite)]] = 1
-        else:
-            return None
-    return tuple(trits)
-
-
 def _display(trits: tuple[int, ...], order: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(trits[p] for p in order)
 
@@ -788,13 +766,9 @@ def _validate_catalog_row(system: RootSystem, group: AffineWeylGroup,
     for trits in canon:
         if trits not in table.by_sign:
             return "not a region"
-    wall = system.positive_roots[simple]
-    for i, root in enumerate(system.positive_roots):
-        if i == simple:
-            continue
-        j = system.root_index[system.reflect(wall, root)]
-        if canon[1][i] != canon[0][j] or canon[2][i] != canon[0][j]:
-            return "transform"
+    if canon[1] != signtypes.reflect_sign_type(system, canon[0], simple, 0) \
+            or canon[2] != signtypes.reflect_sign_type(system, canon[0], simple, 1):
+        return "transform"
     for trits, printed in zip(canon, marks):
         marked = [0] * system.nroots
         for n in (layout[p] for p in printed):
@@ -804,17 +778,15 @@ def _validate_catalog_row(system: RootSystem, group: AffineWeylGroup,
         if signtypes.descent_mask(system, small, trits) != small.mask_from_shi(marked):
             return "marked descent positions"
     def footprints(trits):
-        out = set()
-        mask = signtypes.descent_mask(system, small, trits)
-        for b in small.set_from_mask(mask):
-            root = b.finite if b.delta == 0 else tuple(-c for c in b.finite)
-            out.add(root)
-        return out
+        """The positive roots whose walls are descent walls."""
+        signs = small.signs_from_mask(signtypes.descent_mask(system, small, trits))
+        return {system.positive_roots[i] for i, t in enumerate(signs) if t}
     if set(beta) != footprints(canon[1]):
         return "first root column"
     expect_sbeta = footprints(canon[0]) - {tuple(system.positive_roots[simple])}
     if set(sbeta) != expect_sbeta:
         return "second root column"
+    wall = system.positive_roots[simple]
     for b, sb in zip(beta, sbeta):
         if system.reflect(wall, b) != sb:
             return "column images"
@@ -866,25 +838,10 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
                 by_letter.setdefault(row[0], set()).add(tuple(trits))
             complete = True
             for s in range(1, rank + 1):
-                simple = s - 1
-                wall = system.positive_roots[simple]
-                expect = set()
-                for trits in table.by_sign:
-                    if trits[simple] != -1:
-                        continue
-                    variants = []
-                    for fill in (0, 1):
-                        variant = [0] * system.nroots
-                        for i, root in enumerate(system.positive_roots):
-                            if i == simple:
-                                variant[i] = fill
-                            else:
-                                j = system.root_index[system.reflect(wall, root)]
-                                variant[i] = trits[j]
-                        variants.append(tuple(variant))
-                    if all(signtypes.is_admissible(system, v)
-                           for v in variants):
-                        expect.add(trits)
+                expect = {trits for trits in table.by_sign if trits[s - 1] == -1
+                          and all(signtypes.is_admissible(
+                              system, signtypes.reflect_sign_type(system, trits, s - 1, fill))
+                              for fill in (0, 1))}
                 if by_letter.get(s, set()) != expect:
                     complete = False
             report.add("row_catalog_blocks_complete", complete)
@@ -925,8 +882,10 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
 
     if (family, rank) == ("B", 2):
         worked, table = _B2_WORKED, ctx.table
-        printed_r1 = _signs_from_set(system, worked["printed_sigma_r1"])
-        printed_r2 = _signs_from_set(system, worked["printed_sigma_r2"])
+        small = ctx.small
+        printed_r1, printed_r2 = (
+            small.signs_from_mask(small.mask_from_roots(worked[key]))
+            for key in ("printed_sigma_r1", "printed_sigma_r2"))
         report.add("reference_sigma_r1_realizable",
                    printed_r1 in table.by_sign
                    and regionlib.separation_set(table, table.by_sign[printed_r1])

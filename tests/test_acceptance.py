@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import time
 
-from shilow import (AffineWeylGroup, Report, admissible_sign_types,
-                    build_automaton, certified_scan, descent_root_set,
-                    enumerate_low, root_system, verify)
+from shilow import Report, root_system, verify
 
 _EXPECTED_REGIONS = {("A", 2): 16, ("B", 2): 25, ("G", 2): 49, ("A", 3): 125}
 _EXPECTED_CATALAN = {("A", 2): 5, ("B", 2): 6, ("G", 2): 8, ("A", 3): 14}
@@ -42,21 +40,18 @@ def _suite_checks(suite: str, family: str, rank: int):
 
 
 def test_c01_fourfold_region_counts():
+    """Low elements, region minima, automaton states and admissible sign
+    types each number (h+1)^n, by the main-theorem suite's count checks."""
+    names = ("low_element_count", "region_minima_count", "automaton_state_count",
+             "admissible_sign_type_count")
     started = time.monotonic()
     ok = True
     pieces = []
     for (family, rank), expected in _EXPECTED_REGIONS.items():
-        system = root_system(family, rank)
-        group = AffineWeylGroup(system)
-        scan = certified_scan(group, system.region_count)
-        low = enumerate_low(group, certificate_scan=scan)
-        machine = build_automaton(group)
-        admissible = admissible_sign_types(system)
-        counts = (len(low), len(scan.minima), len(machine.states),
-                  len(admissible))
-        ok = ok and system.region_count == expected
-        ok = ok and all(c == expected for c in counts)
-        pieces.append(f"{family}{rank}:{counts}=={expected}")
+        checks = _suite_checks("main-theorem", family, rank)
+        ok = ok and root_system(family, rank).region_count == expected
+        ok = ok and all(name in checks and checks[name].passed for name in names)
+        pieces.append(f"{family}{rank}:{expected}")
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 60.0
     _conclude(1, "fourfold-region-counts", ok,
@@ -64,16 +59,16 @@ def test_c01_fourfold_region_counts():
 
 
 def test_c02_dominant_catalan_counts():
+    """Dominant low elements, dominant regions and ideals of the root
+    poset each number the Catalan number."""
+    names = ("dominant_low_catalan", "dominant_region_catalan", "ideal_count_catalan")
     ok = True
     pieces = []
     for (family, rank), catalan in _EXPECTED_CATALAN.items():
-        ctx = verify.desk_context(family, rank)
-        dominant_regions = ctx.table.dominant_regions()
-        dominant_low = [w for w in ctx.low if all(k >= 0 for k in w.shi)]
-        ideals = ctx.system.poset_ideals()
-        counts = (len(dominant_regions), len(dominant_low), len(ideals))
-        ok = ok and all(c == catalan for c in counts)
-        pieces.append(f"{family}{rank}:{counts}=={catalan}")
+        checks = _suite_checks("main-theorem", family, rank)
+        ok = ok and root_system(family, rank).catalan_number == catalan
+        ok = ok and all(name in checks and checks[name].passed for name in names)
+        pieces.append(f"{family}{rank}:{catalan}")
     _conclude(2, "dominant-catalan-counts", ok, "; ".join(pieces))
 
 
@@ -81,11 +76,9 @@ def test_c03_low_elements_equal_region_minima():
     ok = True
     pieces = []
     for family, rank in _EXPECTED_REGIONS:
-        ctx = verify.desk_context(family, rank)
-        low_set = set(ctx.low)
-        minima = set(ctx.scan.minima.values())
-        ok = ok and low_set == minima
-        pieces.append(f"{family}{rank}:|{len(low_set)}|==|{len(minima)}|")
+        check = _suite_checks("main-theorem", family, rank).get("low_equals_region_minima")
+        ok = ok and check is not None and check.passed
+        pieces.append(f"{family}{rank}:{check.detail if check else 'missing'}")
     _conclude(3, "low-equals-region-minima", ok, "; ".join(pieces))
 
 
@@ -93,13 +86,9 @@ def test_c04_descent_walls_match_descent_roots():
     ok = True
     checked = 0
     for family, rank in _EXPECTED_REGIONS:
-        ctx = verify.desk_context(family, rank)
-        for region in ctx.table.regions:
-            checked += 1
-            walls = descent_root_set(ctx.table, region)
-            descents = ctx.group.right_descent_roots(region.minimal)
-            if walls != descents:
-                ok = False
+        check = _suite_checks("descent-walls", family, rank).get("descent_wall_equality")
+        ok = ok and check is not None and check.passed
+        checked += len(verify.desk_context(family, rank).table)
     _conclude(4, "descent-wall-theorem", ok, f"{checked} regions")
 
 

@@ -1,11 +1,14 @@
 """Verification suites run clean on every desk-scale type."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from shilow import BudgetExceededError, Report, run_suite, verify
+from shilow import (AffineWeylGroup, BudgetExceededError, Report, regions,
+                    run_suite, verify)
+from shilow.elements import word_text
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
@@ -41,6 +44,46 @@ def test_ball_walk_is_held_to_the_budget():
 def test_tables_suite_builds_no_scan_off_the_catalog_types():
     run_suite("tables", "B", 3)
     assert "scan" not in vars(verify.desk_context("B", 3))
+
+
+def test_each_ideal_check_names_its_own_failing_ideal(a2, monkeypatch):
+    """A broken closed form for one ideal and broken descent roots for a
+    later ideal's minimum are each reported against their own ideal."""
+    pairs = regions.dominant_pairs(a2.system, a2.table)
+    x = next(ideal for ideal, _ in pairs if ideal.ideal)
+    y, y_region = pairs[-1]
+    assert x is not y
+    closed_form = regions.ideal_closed_form_inversions
+    monkeypatch.setattr(regions, "ideal_closed_form_inversions",
+                        lambda group, ideal: frozenset() if ideal.ideal == x.ideal
+                        else closed_form(group, ideal))
+    descent_roots = AffineWeylGroup.right_descent_roots
+    monkeypatch.setattr(AffineWeylGroup, "right_descent_roots",
+                        lambda group, w: frozenset() if w == y_region.minimal
+                        else descent_roots(group, w))
+    checks = {check.name: check for check in run_suite("main-theorem", "A", 2).checks}
+
+    def named(ideal):
+        return {"ideal": [a2.system.root_name(p) for p in ideal.ideal]}
+    assert checks["dominant_minima_low_and_dominant"].passed
+    assert checks["ideal_closed_form_inversions"].counterexample == named(x)
+    assert checks["ideal_descents_are_antichain"].counterexample == named(y)
+    assert checks["ideal_cone_oracle"].passed
+    assert checks["ideal_cone_oracle"].counterexample is None
+
+
+def test_automaton_suite_catches_a_redirected_transition(a2, monkeypatch):
+    """Sending s0 from the start state to where s1 goes makes the machine
+    accept the non-reduced word s0 s0, which the word walk reports."""
+    machine = a2.machine
+    rows = [list(row) for row in machine.transitions]
+    rows[0][0] = rows[0][1]
+    broken = dataclasses.replace(machine, transitions=tuple(map(tuple, rows)))
+    monkeypatch.setitem(vars(a2), "machine", broken)
+    check = {c.name: c for c in run_suite("automaton", "A", 2).checks}[
+        "reduced_word_verdicts_match_length_oracle"]
+    assert not check.passed
+    assert check.counterexample == {"prefix": word_text((0,)), "letter": 0}
 
 
 def test_unknown_suite_rejected():
