@@ -18,7 +18,7 @@ from __future__ import annotations
 from .automaton import (Automaton, build_automaton, count_by_length,
                         element_counts_by_length, export_dot, parse_dot,
                         transition_table_json)
-from .elements import AffineRoot, AffineWeylGroup, GroupElement
+from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, ScanResult,
                       SmallRoots, certified_scan, enumerate_low, is_low,
                       is_low_by_cone, sign_of_shi)
@@ -46,6 +46,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DESK_TYPES",
     "GroupElement",
+    "KernelError",
     "PosetIdeal",
     "Rank2Subsystem",
     "RegionTable",

@@ -123,13 +123,13 @@ def build_automaton(group: AffineWeylGroup,
 
 
 def element_counts_by_length(group: AffineWeylGroup, max_length: int) -> list[int]:
-    """Independent oracle: ball growth of the group under all generators."""
+    """Ball growth: the sizes of the group's length shells."""
     return [len(shell) for shell in islice(group.shells(), max_length + 1)]
 
 
 def count_by_length(automaton: Automaton,
                     max_length: int) -> tuple[list[int], list[int]]:
-    """Reduced-word counts (state DP) and element counts (BFS oracle).
+    """Reduced-word counts (state DP) and element counts (length shells).
 
     The automaton accepts every reduced word, so several words may spell
     the same element; the two lists therefore differ from length 2 on.

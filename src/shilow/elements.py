@@ -1,16 +1,29 @@
-"""Affine Weyl group elements with exact integer arithmetic.
+"""Affine Weyl group elements, keyed by their Shi coefficient vectors.
 
-An element acts on the ambient space of the finite root system as
-``x -> U x + t`` where ``U`` is the matrix of the finite part on
-simple-root coordinates and ``t`` is a coroot-lattice translation.
-Points and translations are stored as integer vectors scaled by a fixed
-common denominator, so alcove coefficients come from exact floor
-divisions and no floating point appears anywhere.
+An element is its alcove coefficient vector: the integer ``k(w, alpha)``
+for each positive root ``alpha``, read at the image of the
+fundamental-alcove barycenter.  The vector determines the element and
+drives lengths, descents and inversion sets.
 
-Every element eagerly carries its alcove coefficient vector (the integer
-``k(w, alpha)`` for each positive root ``alpha``, measured at the image
-of the fundamental-alcove barycenter); that vector determines the
-element and drives lengths, descents, and inversion sets.
+Left multiplication works on vectors alone.  For a reflection ``t`` with
+finite part ``tbar``, Shi's recurrence reads
+``k(t w, alpha) = k(w, tbar alpha) + k(t, alpha)`` (``tbar`` is its own
+inverse; negative roots follow ``k(w, -alpha) = -k(w, alpha)``).  Since
+``tbar`` permutes the roots up to sign, ``t`` acts on vectors as a signed
+permutation plus an offset: a *left table*, one triple
+``(index of +-tbar alpha, sign, k(t, alpha))`` per positive root.  The
+group holds one table per generator and, for the reflection in any
+affine root, builds one from the data of its finite root, whose offset
+is linear in the delta level.  The tables come from root data alone and
+are checked against the matrix action when the group is built; a
+mismatch raises ``KernelError``.
+
+The matrix action ``x -> U x + t`` (``U`` the finite part on simple-root
+coordinates, ``t`` a coroot-lattice translation scaled by a fixed common
+denominator, so everything stays integral) is kept as the oracle:
+``from_matrix`` builds an element from it, ``matrix_multiply`` multiplies
+through it, and an element's ``mat`` and ``trans`` are derived from its
+reduced word on first read.
 """
 
 from __future__ import annotations
@@ -18,6 +31,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rootdata import RootSystem, barycenter_denominator, invert_fraction_matrix
+
+
+class KernelError(RuntimeError):
+    """The Shi-vector kernel disagrees with the matrix action."""
 
 
 def _mat_mul(a: tuple[tuple[int, ...], ...],
@@ -34,6 +51,19 @@ def _mat_vec(m: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, .
 
 def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """The action (mat, trans) of a product, from the actions of its factors."""
+    a_mat, a_trans = a
+    b_mat, b_trans = b
+    return (_mat_mul(a_mat, b_mat),
+            tuple(x + t for x, t in zip(_mat_vec(a_mat, b_trans), a_trans)))
+
+
+def _left_apply(table: tuple, shi: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficient vector of t*w, from t's left table and w's vector."""
+    return tuple([s * shi[j] + o for j, s, o in table])
 
 
 class AffineRoot:
@@ -69,26 +99,36 @@ class AffineRoot:
 
 
 class GroupElement:
-    """One affine Weyl group element; immutable, hashable, totally ordered.
+    """One affine Weyl group element, given by its coefficient vector
+    ``shi``; immutable, hashable, totally ordered.
 
-    ``trans`` and ``point`` are scaled by the group's denominator.
+    ``mat`` and ``trans`` (scaled by the group's denominator) are the
+    matrix action, derived on first read and then kept.
     """
 
-    __slots__ = ("group", "mat", "trans", "shi", "_hash")
+    __slots__ = ("group", "shi", "_action")
 
-    def __init__(self, group: AffineWeylGroup, mat: tuple[tuple[int, ...], ...],
-                 trans: tuple[int, ...]):
+    def __init__(self, group: AffineWeylGroup, shi: tuple[int, ...]):
         self.group = group
-        self.mat = mat
-        self.trans = trans
-        point = tuple(p + t for p, t in zip(_mat_vec(mat, group.barycenter_int), trans))
-        self.shi = tuple(
-            _floor_div(sum(p * c for p, c in zip(point, cov)), group.scale)
-            for cov in group.covectors)
+        self.shi = shi
+        self._action: tuple | None = None
+
+    def _matrix_action(self) -> tuple:
+        if self._action is None:
+            self._action = self.group._action_of(self)
+        return self._action
+
+    @property
+    def mat(self) -> tuple[tuple[int, ...], ...]:
+        return self._matrix_action()[0]
+
+    @property
+    def trans(self) -> tuple[int, ...]:
+        return self._matrix_action()[1]
 
     @property
     def point(self) -> tuple[int, ...]:
-        """Image of the fundamental-alcove barycenter, computed on each read."""
+        """Image of the fundamental-alcove barycenter under the matrix action."""
         return tuple(p + t for p, t in
                      zip(_mat_vec(self.mat, self.group.barycenter_int), self.trans))
 
@@ -97,12 +137,11 @@ class GroupElement:
         return sum(abs(k) for k in self.shi)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GroupElement)
-                and self.group.system.cartan_type == other.group.system.cartan_type
-                and self.mat == other.mat and self.trans == other.trans)
+        return (isinstance(other, GroupElement) and self.shi == other.shi
+                and self.group.system.cartan_type == other.group.system.cartan_type)
 
     def __hash__(self) -> int:
-        return hash((self.mat, self.trans))
+        return hash(self.shi)
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         return self.group.multiply(self, other)
@@ -123,16 +162,13 @@ def word_text(word) -> str:
     return "".join(f"s{g}" for g in word) or "e"
 
 
-def _floor_div(num: int, den: int) -> int:
-    return num // den  # Python floor division is exact floor for any sign
-
-
 class AffineWeylGroup:
     """The affine Weyl group of a finite irreducible root system.
 
     Generators are indexed 0..n: index 0 is the affine reflection through
     the level-one hyperplane of the highest root, indices 1..n are the
-    finite simple reflections in diagram order.
+    finite simple reflections in diagram order.  ``left_tables[g]`` is
+    the left table of generator g.
     """
 
     def __init__(self, system: RootSystem):
@@ -143,16 +179,27 @@ class AffineWeylGroup:
         assert all(Fraction(b, self.scale) == c
                    for b, c in zip(self.barycenter_int, system.barycenter))
         self.covectors = tuple(system.gram_image(r) for r in system.positive_roots)
-
-        ident_mat = _identity_matrix(n)
-        self.identity = GroupElement(self, ident_mat, (0,) * n)
-        gens = [GroupElement(self, system.reflection_matrix(system.highest_root),
-                             self.coroot_scaled(system.highest_root))]
-        for i in range(n):
-            gens.append(GroupElement(
-                self, system.reflection_matrix(system.positive_roots[i]), (0,) * n))
-        self.generators = tuple(gens)
+        self.identity = GroupElement(self, (0,) * system.nroots)
+        self.identity._action = (_identity_matrix(n), (0,) * n)
         self.letters = tuple(range(n + 1))
+        self._reflections = tuple(self._reflection_data(r) for r in system.positive_roots)
+
+        simple = [self.simple_affine_root(g) for g in self.letters]
+        self.generators = tuple(self.reflection_of_affine_root(b) for b in simple)
+        self.left_tables = tuple(self.reflection_table(b) for b in simple)
+        for gen, table in zip(self.generators, self.left_tables):
+            self.check_left_table(gen, table)
+        # An offset is linear in the delta level, in the tables and in the
+        # matrix action alike, so agreement at levels 0 and 1 covers all.
+        for root in system.positive_roots:
+            for level in (0, 1):
+                beta = AffineRoot(root, level)
+                self.check_left_table(self.reflection_of_affine_root(beta),
+                                      self.reflection_table(beta))
+        # (letter, position, sign): g is a left descent of w exactly when
+        # sign * w.shi[position] <= -1.
+        self._descent_tests = ((0, system.highest_index, -1),) + tuple(
+            (i + 1, i, 1) for i in range(n))
 
     # ------------------------------------------------------------ structure
 
@@ -163,6 +210,17 @@ class AffineWeylGroup:
         factor = 2 * self.scale // nrm
         return tuple(c * factor for c in root)
 
+    def from_matrix(self, mat: tuple[tuple[int, ...], ...],
+                    trans: tuple[int, ...]) -> GroupElement:
+        """The element acting as ``x -> mat x + trans``, its coefficient
+        vector read off the matrix action (the oracle constructor)."""
+        point = tuple(p + t for p, t in zip(_mat_vec(mat, self.barycenter_int), trans))
+        w = GroupElement(self, tuple(
+            sum(p * c for p, c in zip(point, cov)) // self.scale  # exact floor
+            for cov in self.covectors))
+        w._action = (mat, trans)
+        return w
+
     def translation(self, coroot_coords: tuple[int, ...]) -> GroupElement:
         """The translation by an integer combination of simple coroots."""
         n = self.system.rank
@@ -170,51 +228,140 @@ class AffineWeylGroup:
         for i, m in enumerate(coroot_coords):
             for j, c in enumerate(self.coroot_scaled(self.system.positive_roots[i])):
                 trans[j] += m * c
-        return GroupElement(self, _identity_matrix(n), tuple(trans))
+        return self.from_matrix(_identity_matrix(n), tuple(trans))
 
-    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
+    def _action_of(self, w: GroupElement) -> tuple:
+        """The matrix action of w: the product over its reduced word."""
+        action = self.identity._matrix_action()
+        for g in self.word_from_element(w):
+            action = _compose(action, self.generators[g]._matrix_action())
+        return action
+
+    def matrix_multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        """The product a*b through the matrix action (the oracle)."""
         if a.group.system.cartan_type != b.group.system.cartan_type:
             raise ValueError("elements belong to different groups")
-        mat = _mat_mul(a.mat, b.mat)
-        trans = tuple(x + t for x, t in zip(_mat_vec(a.mat, b.trans), a.trans))
-        return GroupElement(self, mat, trans)
-
-    def shells(self):
-        """Yield the shells of the ball around the identity, by length.
-
-        Shell d lists the elements of length d in breadth-first order:
-        each element of shell d-1 times each generator, first visits
-        kept.  Duplicates are found by coefficient vector, and two
-        elements with the same vector are checked to be equal.
-        """
-        shell = [self.identity]
-        length = 0
-        while True:
-            yield shell
-            length += 1
-            found: dict[tuple[int, ...], GroupElement] = {}
-            for w in shell:
-                for gen in self.generators:
-                    u = self.multiply(w, gen)
-                    if u.length != length:
-                        continue
-                    known = found.setdefault(u.shi, u)
-                    assert known is u or (known.mat == u.mat and known.trans == u.trans), \
-                        "coefficient vectors must determine elements uniquely"
-            shell = list(found.values())
+        return self.from_matrix(*_compose(a._matrix_action(), b._matrix_action()))
 
     def inverse(self, a: GroupElement) -> GroupElement:
+        """The inverse through the matrix action (the oracle)."""
         frac = invert_fraction_matrix([[Fraction(x) for x in row] for row in a.mat])
         assert all(x.denominator == 1 for row in frac for x in row)
         inv_mat = tuple(tuple(int(x) for x in row) for row in frac)
         inv_trans = tuple(-x for x in _mat_vec(inv_mat, a.trans))
-        return GroupElement(self, inv_mat, inv_trans)
+        return self.from_matrix(inv_mat, inv_trans)
 
     def simple_affine_root(self, letter: int) -> AffineRoot:
         """The affine simple root attached to a generator letter."""
         if letter == 0:
             return AffineRoot(tuple(-c for c in self.system.highest_root), 1)
         return AffineRoot(self.system.positive_roots[letter - 1], 0)
+
+    # ------------------------------------------------------- the left kernel
+
+    def _reflection_data(self, root: tuple[int, ...]) -> tuple:
+        """Root data of the reflections with finite root ``root``.
+
+        Returns the signed permutation (j, s) with s_root(alpha_i) =
+        s * alpha_j, the level-zero offsets and their slope per delta
+        level.  At level zero, k(s_root, alpha) is floor of <b, s_root
+        alpha> for the barycenter b, which pairs inside (0, 1) with every
+        positive root: 0 or -1 by the sign of the image.  A level-m
+        reflection adds the translation by -m coroot(root), which adds
+        -m <coroot(root), alpha> to each offset.
+        """
+        system = self.system
+        norm = system.norm(root)
+        pairs, base, slope = [], [], []
+        for alpha in system.positive_roots:
+            pairing = 2 * system.inner(root, alpha) // norm  # <coroot(root), alpha>
+            image = tuple(a - pairing * r for a, r in zip(alpha, root))
+            j = system.root_index.get(image)
+            if j is None:
+                j = system.root_index[tuple(-c for c in image)]
+                pairs.append((j, -1))
+                base.append(-1)
+            else:
+                pairs.append((j, 1))
+                base.append(0)
+            slope.append(pairing)
+        return tuple(pairs), tuple(base), tuple(slope)
+
+    def reflection_table(self, beta: AffineRoot) -> tuple:
+        """The left table of the reflection in the affine root ``beta``."""
+        finite = tuple(beta.finite)
+        index = self.system.root_index.get(finite)
+        if index is not None:
+            shift = beta.delta
+        else:
+            index = self.system.root_index.get(tuple(-c for c in finite))
+            if index is None:
+                raise ValueError(f"finite part {beta.finite} is not a root")
+            shift = -beta.delta
+        pairs, base, slope = self._reflections[index]
+        return tuple((j, s, o - shift * m)
+                     for (j, s), o, m in zip(pairs, base, slope))
+
+    def check_left_table(self, t: GroupElement, table) -> None:
+        """Raise ``KernelError`` unless ``table`` is the left table of ``t``
+        under the matrix action: entry i must name the root s * alpha_j
+        that t's finite part sends to alpha_i, and the offset k(t, alpha_i)
+        read from the matrix action."""
+        roots = self.system.positive_roots
+        if len(table) != len(roots):
+            raise KernelError(f"left table of {t!r} has {len(table)} entries, "
+                              f"not one per positive root ({len(roots)})")
+        for i, (j, s, o) in enumerate(table):
+            if s not in (1, -1) or not 0 <= j < len(roots):
+                raise KernelError(f"left table of {t!r}, root {i}: image "
+                                  f"{s} * root {j} is not a root")
+            if _mat_vec(t.mat, tuple(s * c for c in roots[j])) != roots[i]:
+                raise KernelError(f"left table of {t!r}, root {i}: image "
+                                  f"{s} * root {j} disagrees with the matrix action")
+            if o != t.shi[i]:
+                raise KernelError(f"left table of {t!r}, root {i}: offset {o}, "
+                                  f"matrix action {t.shi[i]}")
+
+    def left_multiply(self, letter: int, w: GroupElement) -> GroupElement:
+        """s_letter * w, by the generator's left table."""
+        return GroupElement(self, _left_apply(self.left_tables[letter], w.shi))
+
+    def reflect_left(self, beta: AffineRoot, w: GroupElement) -> GroupElement:
+        """s_beta * w, by the reflection table of ``beta``."""
+        return GroupElement(self, _left_apply(self.reflection_table(beta), w.shi))
+
+    def _word_shi(self, word, shi: tuple[int, ...]) -> tuple[int, ...]:
+        """The vector of s_word * v for the element v with vector ``shi``."""
+        tables = self.left_tables
+        for g in reversed(word):
+            shi = _left_apply(tables[g], shi)
+        return shi
+
+    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        """a*b: the letters of a's reduced word applied on the left of b."""
+        if a.group.system.cartan_type != b.group.system.cartan_type:
+            raise ValueError("elements belong to different groups")
+        return GroupElement(self, self._word_shi(self.word_from_element(a), b.shi))
+
+    def shells(self):
+        """Yield the shells of the ball around the identity, by length.
+
+        Shell d lists the elements of length d: each element of shell d-1
+        extended on the left by each letter that is not a left descent
+        (which adds one to the length), first visits kept.
+        """
+        steps = tuple((index, sign, self.left_tables[g])
+                      for g, index, sign in self._descent_tests)
+        shell = [self.identity]
+        while True:
+            yield shell
+            found: dict[tuple[int, ...], None] = {}
+            for w in shell:
+                shi = w.shi
+                for index, sign, table in steps:
+                    if sign * shi[index] >= 0:
+                        found[_left_apply(table, shi)] = None
+            shell = [GroupElement(self, shi) for shi in found]
 
     # ------------------------------------------------------- alcove algebra
 
@@ -234,41 +381,42 @@ class AffineWeylGroup:
             raise ValueError(f"{root} is not a root of {self.system.cartan_type.name}")
         return -w.shi[idx]
 
+    def _descents(self, shi: tuple[int, ...]) -> frozenset[int]:
+        return frozenset(g for g, index, sign in self._descent_tests
+                         if sign * shi[index] <= -1)
+
     def left_descents(self, w: GroupElement) -> frozenset[int]:
-        out = set()
-        if w.shi[self.system.highest_index] >= 1:
-            out.add(0)
-        for i in range(self.system.rank):
-            if w.shi[i] <= -1:
-                out.add(i + 1)
-        return frozenset(out)
+        return self._descents(w.shi)
 
     def right_descents(self, w: GroupElement) -> frozenset[int]:
-        length = w.length
-        return frozenset(g for g in self.letters
-                         if self.multiply(w, self.generators[g]).length < length)
+        """The left descents of w^-1, whose vector is the letters of w's
+        reduced word applied on the left in turn."""
+        return self._descents(self._word_shi(self.word_from_element(w)[::-1],
+                                             self.identity.shi))
 
     def word_from_element(self, w: GroupElement) -> tuple[int, ...]:
         """Reduced word, always stripping the least left descent first."""
         word = []
-        current = w
-        while current != self.identity:
-            descents = self.left_descents(current)
-            assert descents, "non-identity element must have a left descent"
+        shi, length = w.shi, w.length
+        while length:
+            descents = self._descents(shi)
+            if not descents:
+                raise KernelError(f"coefficients {w.shi}: a vector of length "
+                                  f"{length} on the way has no left descent")
             g = min(descents)
-            shorter = self.multiply(self.generators[g], current)
-            assert shorter.length == current.length - 1
+            shi = _left_apply(self.left_tables[g], shi)
+            length -= 1
+            if sum(map(abs, shi)) != length:
+                raise KernelError(f"coefficients {w.shi}: stripping s{g} does "
+                                  "not shorten by one")
             word.append(g)
-            current = shorter
         return tuple(word)
 
     def element_from_word(self, word) -> GroupElement:
-        out = self.identity
         for g in word:
             if g not in self.letters:
                 raise ValueError(f"letter {g!r} outside the generator range 0..{len(self.letters) - 1}")
-            out = self.multiply(out, self.generators[g])
-        return out
+        return GroupElement(self, self._word_shi(tuple(word), self.identity.shi))
 
     # ------------------------------------------------------- affine action
 
@@ -279,7 +427,8 @@ class AffineWeylGroup:
         return AffineRoot(finite, beta.delta - pairing // self.scale)
 
     def reflection_of_affine_root(self, beta: AffineRoot) -> GroupElement:
-        """The group element reflecting in the hyperplane of ``beta``."""
+        """The group element reflecting in the hyperplane of ``beta``,
+        built from the matrix action."""
         if all(c >= 0 for c in beta.finite):
             base, sign = beta.finite, 1
         else:
@@ -288,7 +437,7 @@ class AffineWeylGroup:
             raise ValueError(f"finite part {beta.finite} is not a root")
         coroot = self.coroot_scaled(base)
         trans = tuple(-beta.delta * sign * c for c in coroot)
-        return GroupElement(self, self.system.reflection_matrix(base), trans)
+        return self.from_matrix(self.system.reflection_matrix(base), trans)
 
     # ------------------------------------------------------ inversion sets
 
@@ -335,7 +484,7 @@ class AffineWeylGroup:
         length = w.length
         return frozenset(
             beta for beta in self.inversion_set(w)
-            if self.multiply(self.reflection_of_affine_root(beta), w).length == length - 1)
+            if self.reflect_left(beta, w).length == length - 1)
 
     def left_descent_roots(self, w: GroupElement) -> frozenset[AffineRoot]:
         return frozenset(self.simple_affine_root(g) for g in self.left_descents(w))
@@ -353,16 +502,17 @@ class AffineWeylGroup:
         """All elements of the finite Weyl group (translation part zero)."""
         seen = {self.identity}
         frontier = [self.identity]
-        while frontier:
+        while frontier and len(seen) <= self.system.weyl_order:
             current = frontier.pop()
             for g in self.letters[1:]:
-                nxt = self.multiply(self.generators[g], current)
+                nxt = self.left_multiply(g, current)
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        out = sorted(seen, key=GroupElement.sort_key)
-        assert len(out) == self.system.weyl_order
-        return out
+        if len(seen) != self.system.weyl_order:
+            raise KernelError(f"the finite walk reached {len(seen)} elements, "
+                              f"not the Weyl group order {self.system.weyl_order}")
+        return sorted(seen, key=GroupElement.sort_key)
 
     def finite_inversion_set(self, w: GroupElement) -> frozenset[tuple[int, ...]]:
         """For finite w: the positive finite roots sent negative by the inverse."""

@@ -7,11 +7,13 @@ type or coefficient vector picks the root itself at '-' and delta minus
 the root at '+'.  An element is low when its inversion set is the
 root-cone generated by its small inversions; the production test uses
 the equivalent basis criterion (every length-decreasing inversion is
-small), the cone test backs it as an independent oracle.
+small, with lengths read from the kernel's reflection tables), the cone
+test backs it as an independent oracle.
 
 ``certified_scan`` reads the shells of ``AffineWeylGroup.shells()`` until
 every sign type holds a certified shortest element; ``enumerate_low``
-grows the low set upward through left descents instead.
+grows the low set upward by left multiplication instead.  Both run on
+the Shi-vector kernel of ``elements``, without matrices.
 
 Soundness of the cone test's finite window: every nonzero nonnegative
 combination of positive affine roots pairs strictly positively with the
@@ -117,10 +119,7 @@ def is_low(group: AffineWeylGroup, small: SmallRoots, w: GroupElement) -> bool:
     """Basis criterion: every length-decreasing inversion is a small root."""
     length = w.length
     for beta in group.inversion_set(w):
-        if beta in small:
-            continue
-        reflection = group.reflection_of_affine_root(beta)
-        if group.multiply(reflection, w).length == length - 1:
+        if beta not in small and group.reflect_left(beta, w).length == length - 1:
             return False
     return True
 
@@ -239,9 +238,12 @@ def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
     while frontier:
         next_frontier = []
         for w in frontier:
+            descents = group.left_descents(w)
             for g in group.letters:
-                candidate = group.multiply(group.generators[g], w)
-                if candidate.length != length + 1 or candidate in low:
+                if g in descents:
+                    continue
+                candidate = group.left_multiply(g, w)
+                if candidate in low:
                     continue
                 if len(low) >= budget:
                     raise BudgetExceededError(

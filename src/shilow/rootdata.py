@@ -322,6 +322,19 @@ class RootSystem:
         return tuple(sorted(sum(1 for lam in layers if lam >= j)
                             for j in range(1, self.rank + 1)))
 
+    def affine_length_counts(self, max_length: int) -> list[int]:
+        """Elements of each length 0..max_length in the affine Weyl group.
+
+        The coefficients of Bott's series: the product over the exponents
+        e of (1 + t + ... + t^e) / (1 - t^e).
+        """
+        counts = [1] + [0] * max_length
+        for e in self.exponents:
+            counts = [sum(counts[max(0, d - e):d + 1]) for d in range(max_length + 1)]
+            for d in range(e, max_length + 1):
+                counts[d] += counts[d - e]
+        return counts
+
     # ------------------------------------------------------------ root poset
 
     def poset_leq(self, i: int, j: int) -> bool:

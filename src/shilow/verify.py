@@ -9,12 +9,14 @@ Five suites, each returning a structured pass/fail report:
 * ``descent-walls``  -- the descent-wall equality ND_R(min) = descent
   roots of the region, wall-crossing transforms, and the minimality
   characterisation by descent walls.
-* ``recurrences``    -- exhaustive sweeps of the coefficient recurrences,
-  inversion-set transition rules, and the two lowness oracles.
+* ``recurrences``    -- exhaustive sweeps of the coefficient recurrences
+  (the kernel's vectors against products taken through the matrix
+  action), inversion-set transition rules, and the two lowness oracles.
 * ``automaton``      -- state counts, exhaustive reduced-word verdicts
-  against the length oracle (walked over (element, state) pairs, which
-  decide every word's verdict), growth counts, and serialization round
-  trips.
+  against the length oracle (walked over (element, state) pairs through
+  the matrix action; the pairs decide every word's verdict), growth
+  counts against the kernel's shells and Bott's series, and
+  serialization round trips.
 * ``tables``         -- conformance fixtures: transcribed wall-crossing
   row catalogs for the two smallest affine types (root-position layout
   inferred by the harness and recorded in the report), worked single
@@ -27,7 +29,8 @@ All suites of one type share a ``DeskContext``, cached per type and
 budget; its scan, low set, region table and automaton are built on first
 read, and its ball is sliced from one walk of ``AffineWeylGroup.shells()``.
 A check over many items goes through ``_check_each``, which records the
-first failing item as the counterexample.  Sign-type reflection, the
+first failing item as the counterexample; a ``KernelError`` raised on an
+item fails the check too.  Sign-type reflection, the
 small-root codec and the shell walk are the library's own
 (``signtypes.reflect_sign_type``, ``SmallRoots``, ``AffineWeylGroup.shells``);
 the suites do not re-derive them.
@@ -42,7 +45,8 @@ from functools import cached_property, partial
 from . import automaton as automata
 from . import regions as regionlib
 from . import signtypes
-from .elements import AffineRoot, AffineWeylGroup, GroupElement, word_text
+from .elements import (AffineRoot, AffineWeylGroup, GroupElement, KernelError,
+                       word_text)
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, ScanResult,
                       SmallRoots, certified_scan,
                       cone_window_members, enumerate_low, is_low,
@@ -83,7 +87,7 @@ class DeskContext:
         self.system = system
         self.budget = budget
         self.group = AffineWeylGroup(system)
-        self._walk = self.group.shells()
+        self._walk = None
         self._shells: list[list[GroupElement]] = []
 
     @cached_property
@@ -109,6 +113,8 @@ class DeskContext:
     def shells(self, bound: int) -> list[list[GroupElement]]:
         """Shells 0..bound of the group ball, read once from ``group.shells()``
         and held to the element budget."""
+        if self._walk is None:
+            self._walk = self.group.shells()
         while len(self._shells) <= bound and sum(map(len, self._shells)) <= self.budget:
             self._shells.append(next(self._walk))
         shells = self._shells[:bound + 1]
@@ -152,13 +158,18 @@ def _check_each(report: Report, name: str, items, probe, where=None,
 
     ``probe(item)`` returns ``None`` for a passing item, else a dict of
     facts about the failure; the counterexample is ``where(item)`` (what
-    the item is) followed by those facts.
+    the item is) followed by those facts.  An item on which the kernel
+    disagrees with the matrix action (``KernelError``) fails too, with
+    the error as its counterexample.
     """
     for item in items:
-        failure = probe(item)
-        if failure is not None:
-            if where is not None:
+        try:
+            failure = probe(item)
+            if failure is not None and where is not None:
                 failure = {**where(item), **failure}
+        except KernelError as exc:
+            failure = {"kernel_error": str(exc)}
+        if failure is not None:
             report.add(name, False, counterexample=failure, detail=detail)
             return
     report.add(name, True, detail=detail)
@@ -217,7 +228,7 @@ def verify_main_theorem(family: str, rank: int, bound: int | None = None,
 
     _check_each(report, "low_set_suffix_closed", ctx.low,
                 lambda w: None if all(
-                    group.multiply(group.generators[g], w) in low_set
+                    group.left_multiply(g, w) in low_set
                     for g in group.left_descents(w)) else {},
                 where=at)
 
@@ -313,7 +324,7 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
         for g in group.left_descents(w):
             if not 1 <= g <= rank:
                 continue
-            sw = group.multiply(group.generators[g], w)
+            sw = group.left_multiply(g, w)
             other = table.region_of(sw)
             if other.minimal != sw:
                 return {"letter": g, "issue": "left quotient is not minimal"}
@@ -337,7 +348,7 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
             if g not in group.left_descents(w):
                 return {"simple": system.root_name(s),
                         "issue": "minus sign without left descent"}
-            sw = group.multiply(group.generators[g], w)
+            sw = group.left_multiply(g, w)
             other = table.region_of(sw).sign_type
             image = signtypes.reflect_sign_type(system, trits, s, other[s])
             if other != image:
@@ -354,7 +365,7 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
                 return {"simple": system.root_name(s),
                         "issue": "zero variant admissibility"}
             for u in table.by_sign[other].samples:
-                if sign_of_shi(group.multiply(group.generators[g], u).shi) != trits:
+                if sign_of_shi(group.left_multiply(g, u).shi) != trits:
                     return {"simple": system.root_name(s),
                             "issue": "sample leaves the region"}
         return None
@@ -432,19 +443,20 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
     signed_roots += [[-c for c in r] for r in system.positive_roots]
 
     # (counterexample facts, reflection t, its root): k(tw, a) must equal
-    # k(w, t(a)) + k(t, a) for every root a.
+    # k(w, t(a)) + k(t, a) for every root a.  tw comes from the matrix
+    # action and w's vector from the kernel, so the recurrence the kernel
+    # is built on is checked against the oracle.
     simple = [({"letter": s}, group.generators[s], system.positive_roots[s - 1])
               for s in range(1, rank + 1)]
     reflections = [
         ({"reflection": system.root_name(i)},
-         GroupElement(group, system.reflection_matrix(root), tuple(0 for _ in root)),
-         root)
+         group.reflection_of_affine_root(AffineRoot(root, 0)), root)
         for i, root in enumerate(system.positive_roots)]
 
     def recurrence(triples):
         def probe(w):
             for facts, t, wall in triples:
-                tw = group.multiply(t, w)
+                tw = group.matrix_multiply(t, w)
                 if any(group.shi_coefficient(tw, alpha)
                        != group.shi_coefficient(w, system.reflect(wall, alpha))
                        + group.shi_coefficient(t, alpha) for alpha in signed_roots):
@@ -479,7 +491,7 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
 
     def shortening(w):
         for facts, t, root in reflections:
-            if (group.multiply(t, w).length < w.length) \
+            if (group.matrix_multiply(t, w).length < w.length) \
                     != (group.shi_coefficient(w, root) <= -1):
                 return facts
         return None
@@ -489,7 +501,7 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
     def sigma_transition(w):
         sigma = small.sigma(w)
         for g in group.left_descents(w):
-            sw = group.multiply(group.generators[g], w)
+            sw = group.left_multiply(g, w)
             image = {group.act_on_affine_root(group.generators[g], b)
                      for b in small.sigma(sw)}
             if sigma != {group.simple_affine_root(g)} | {b for b in image if b in small}:
@@ -500,7 +512,7 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
     def descent_roots_transition(w):
         nd = group.right_descent_roots(w)
         for g in group.left_descents(w):
-            sw = group.multiply(group.generators[g], w)
+            sw = group.left_multiply(g, w)
             alpha = group.simple_affine_root(g)
             expect = frozenset(group.act_on_affine_root(group.generators[g], b)
                                for b in nd - {alpha})
@@ -580,7 +592,8 @@ def verify_automaton(family: str, rank: int, bound: int | None = None,
     # length d to the number of such words.  A word's verdict on a letter
     # depends only on its pair (the state's transition, the length of the
     # element times the letter), so checking every pair of every level
-    # checks every word of length <= word_bound.
+    # checks every word of length <= word_bound.  The walk multiplies
+    # through the matrix action, independently of the kernel's shells.
     level = {(group.identity, 0): 1}
     word_counts, walk_elements = [1], [1]
     mismatch = None
@@ -588,7 +601,7 @@ def verify_automaton(family: str, rank: int, bound: int | None = None,
         reached: dict[tuple[GroupElement, int], int] = {}
         for (w, state), ways in level.items():
             for g, target in enumerate(machine.transitions[state]):
-                u = group.multiply(w, group.generators[g])
+                u = group.matrix_multiply(w, group.generators[g])
                 if (target is not None) != (u.length == depth + 1):
                     mismatch = mismatch or {
                         "prefix": word_text(group.word_from_element(w)), "letter": g}
@@ -601,13 +614,14 @@ def verify_automaton(family: str, rank: int, bound: int | None = None,
                counterexample=mismatch,
                detail=f"exhaustive over all words of length <= {word_bound}")
 
-    dp_words, bfs_elements = automata.count_by_length(machine, word_bound)
+    dp_words = machine.word_counts_by_length(word_bound)
     report.add("word_counts_match_exhaustive_walk", dp_words == word_counts,
                detail=f"counts {dp_words}")
-    report.add("element_counts_match_bfs", bfs_elements == walk_elements,
-               detail=f"counts {bfs_elements}")
     shell_counts = [len(s) for s in ctx.shells(word_bound)]
-    report.add("element_counts_match_shells", bfs_elements == shell_counts)
+    report.add("element_counts_match_bfs", shell_counts == walk_elements,
+               detail=f"counts {shell_counts}")
+    report.add("element_counts_match_shells",
+               shell_counts == system.affine_length_counts(word_bound))
 
     rng = random.Random(seed)
     _check_each(report, "random_long_word_verdicts",

@@ -86,6 +86,43 @@ def test_automaton_suite_catches_a_redirected_transition(a2, monkeypatch):
     assert check.counterexample == {"prefix": word_text((0,)), "letter": 0}
 
 
+def test_recurrence_check_catches_a_corrupted_left_table(monkeypatch):
+    """One wrong offset in the left table of s0 gives shells whose vectors
+    disagree with the matrix action; the recurrence check computes t*w
+    through the matrix action and so reports it."""
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    group = verify.desk_context("A", 2).group
+    tables = [list(table) for table in group.left_tables]
+    j, s, o = tables[0][0]
+    tables[0][0] = (j, s, o + 1)
+    monkeypatch.setattr(group, "left_tables", tuple(map(tuple, tables)))
+    check = {c.name: c for c in run_suite("recurrences", "A", 2).checks}[
+        "coefficient_recurrence_simple"]
+    assert not check.passed
+    assert check.counterexample is not None
+
+
+def test_automaton_suite_walks_the_ball_once(monkeypatch):
+    """Word counts come from the machine and element counts from the
+    context's shells, so the suite walks the ball once.  A walk counts
+    when it takes its first step; the certified scan behind the low set
+    walks on its own, before the count starts."""
+    shells = AffineWeylGroup.shells
+    walks = []
+
+    def counted(group):
+        def walk():
+            walks.append(group)
+            yield from shells(group)
+        return walk()
+    monkeypatch.setattr(AffineWeylGroup, "shells", counted)
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    verify.desk_context("A", 2).low
+    walks.clear()
+    assert run_suite("automaton", "A", 2).passed
+    assert len(walks) == 1
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("everything", "A", 2)
