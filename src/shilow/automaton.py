@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import islice
 
 from .elements import AffineWeylGroup
-from .lowness import SmallRoots
+from .lowness import DEFAULT_BUDGET, BudgetExceededError, SmallRoots
 from .signtypes import sign_string
 
 
@@ -74,8 +74,10 @@ class Automaton:
         return counts
 
 
-def build_automaton(group: AffineWeylGroup,
-                    small: SmallRoots | None = None) -> Automaton:
+def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
+                    budget: int = DEFAULT_BUDGET) -> Automaton:
+    """The automaton of the reachable small inversion sets, found breadth
+    first; raises ``BudgetExceededError`` once the states exceed ``budget``."""
     system = group.system
     if small is None:
         small = SmallRoots(group)
@@ -111,6 +113,9 @@ def build_automaton(group: AffineWeylGroup,
                         new_mask |= 1 << image
                     rest ^= low
                 if new_mask not in index:
+                    if len(states) >= budget:
+                        raise BudgetExceededError(
+                            budget, "automaton states exceeded the budget")
                     index[new_mask] = len(states)
                     states.append(new_mask)
                     next_frontier.append(new_mask)

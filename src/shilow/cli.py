@@ -7,8 +7,9 @@ enumerate   list low elements, Shi regions, dominant regions, or poset ideals
 verify      run a verification suite and report pass/fail with counterexamples
 automaton   export the reduced-word automaton (DOT, JSON, or a text summary)
 
-Exit codes: 0 success (all selected checks passed), 1 verification failure,
-2 usage error, 3 enumeration budget or length cap exceeded.
+Exit codes: 0 success (all selected checks passed), 1 verification failure
+(or a kernel fault outside any check), 2 usage error, 3 enumeration budget
+or length cap exceeded.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import sys
 from . import automaton as automaton_mod
 from . import regions as regions_mod
 from . import signtypes, verify
-from .elements import AffineWeylGroup, word_text
+from .elements import AffineWeylGroup, KernelError, word_text
 from .lowness import BudgetExceededError, certified_scan, enumerate_low, sign_of_shi
 from .rootdata import root_system
 from .signtypes import sign_string
@@ -272,8 +273,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_automaton(args: argparse.Namespace) -> int:
     system = _system(args)
     group = AffineWeylGroup(system)
-    _budget(args)
-    machine = automaton_mod.build_automaton(group)
+    machine = automaton_mod.build_automaton(group, budget=_budget(args))
     if args.format == "dot":
         _emit(automaton_mod.export_dot(machine), args.output)
         return EXIT_PASS
@@ -319,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except KernelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except ValueError as exc:
         return _usage_error(str(exc))
 

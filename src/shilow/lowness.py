@@ -160,6 +160,25 @@ def sign_of_shi(shi: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((k > 0) - (k < 0) for k in shi)
 
 
+def right_descent_within_sign_type(group: AffineWeylGroup,
+                                   w: GroupElement) -> int | None:
+    """The least right descent g of w with w * s_g in w's sign type, or
+    ``None`` when every right descent leaves it, as it must at the
+    shortest element of a sign type.
+
+    Derives w's reduced word once, then applies it on the left of the
+    identity (for w^-1, whose left descents are w's right descents) and
+    of each s_g (for w * s_g).
+    """
+    word = group.word_from_element(w)
+    zeta = sign_of_shi(w.shi)
+    inverse = group._word_shi(word[::-1], group.identity.shi)
+    for g in sorted(group._descents(inverse)):
+        if sign_of_shi(group._word_shi(word, group.generators[g].shi)) == zeta:
+            return g
+    return None
+
+
 def certified_scan(group: AffineWeylGroup, target_count: int,
                    budget: int = DEFAULT_BUDGET, max_length: int | None = None,
                    sample_size: int = 8) -> ScanResult:
@@ -259,9 +278,6 @@ def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
         assert all(w.length <= certificate_scan.stop_length for w in result), \
             "a low element escaped the certified scan range"
         for w in result:
-            zeta = sign_of_shi(w.shi)
-            for g in group.right_descents(w):
-                shorter = group.multiply(w, group.generators[g])
-                assert sign_of_shi(shorter.shi) != zeta, \
-                    "a low element must be shortest within its sign type"
+            assert right_descent_within_sign_type(group, w) is None, \
+                "a low element must be shortest within its sign type"
     return result

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import signtypes
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, word_text
 from .lowness import (DEFAULT_BUDGET, ScanResult, SmallRoots, certified_scan,
-                      sign_of_shi)
+                      right_descent_within_sign_type, sign_of_shi)
 from .rootdata import PosetIdeal, RootSystem
 
 
@@ -84,8 +84,7 @@ def enumerate_regions(group: AffineWeylGroup,
         assert signtypes.is_admissible(system, zeta)
         mask = signtypes.separation_mask(system, small, zeta)
         assert mask == small.sigma_mask(minimal)
-        for g in group.right_descents(minimal):
-            assert sign_of_shi(group.multiply(minimal, group.generators[g]).shi) != zeta
+        assert right_descent_within_sign_type(group, minimal) is None
         regions.append(ShiRegion(
             sign_type=zeta,
             separation_mask=mask,

@@ -6,11 +6,13 @@ index the regions of the Shi arrangement.  Admissibility is local: a sign
 type is admissible iff its restriction to every irreducible rank-2
 subsystem is, and the rank-2 tables are generated from certified scans of
 the three rank-2 affine groups rather than transcribed from pictures.
+``admissible_sign_types`` enumerates by backtracking on that criterion,
+testing each restriction as soon as its last position is assigned.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from operator import itemgetter
 
 from .elements import AffineWeylGroup
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, SmallRoots,
@@ -82,13 +84,41 @@ def _require_admissible(system: RootSystem, trits: tuple[int, ...]) -> None:
 
 def admissible_sign_types(system: RootSystem,
                           budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """Brute-force enumeration over all 3^N candidates, rank-2 filtered."""
-    candidates = 3 ** system.nroots
-    if candidates > budget:
-        raise BudgetExceededError(
-            budget, f"{candidates} sign-type candidates exceed the budget")
-    return [trits for trits in product((-1, 0, 1), repeat=system.nroots)
-            if violating_subsystem(system, trits) is None]
+    """All admissible sign types, in the order of ``product((-1, 0, 1), repeat=N)``.
+
+    A depth-first assignment of positions 0..N-1, each trying -1, 0, +1 in
+    turn.  Every rank-2 subsystem is tested against its table as soon as
+    its largest position is assigned, so a branch dies at the first
+    inadmissible restriction instead of being filtered after all N
+    positions are set.  ``budget`` bounds the number of partial sign types
+    examined (one per value tried at a position).
+    """
+    n = system.nroots
+    closing: list[list[tuple[itemgetter, frozenset[tuple[int, ...]]]]] = [
+        [] for _ in range(n)]
+    for sub in system.rank2_subsystems():
+        closing[max(sub.positions)].append(
+            (itemgetter(*sub.positions), rank2_admissible_table(sub.kind)))
+    trits = [0] * n
+    found: list[tuple[int, ...]] = []
+    examined = 0
+
+    def extend(p: int) -> None:
+        nonlocal examined
+        for value in (-1, 0, 1):
+            examined += 1
+            if examined > budget:
+                raise BudgetExceededError(
+                    budget, "sign-type enumeration examined more partial "
+                            "sign types than the budget")
+            trits[p] = value
+            if all(restrict(trits) in table for restrict, table in closing[p]):
+                if p + 1 < n:
+                    extend(p + 1)
+                else:
+                    found.append(tuple(trits))
+    extend(0)
+    return found
 
 
 def separation_mask(system: RootSystem, small: SmallRoots,

@@ -30,8 +30,8 @@ budget; its scan, low set, region table and automaton are built on first
 read, and its ball is sliced from one walk of ``AffineWeylGroup.shells()``.
 A check over many items goes through ``_check_each``, which records the
 first failing item as the counterexample; a ``KernelError`` raised on an
-item fails the check too.  Sign-type reflection, the
-small-root codec and the shell walk are the library's own
+item, or while the items are built, fails the check too.  Sign-type
+reflection, the small-root codec and the shell walk are the library's own
 (``signtypes.reflect_sign_type``, ``SmallRoots``, ``AffineWeylGroup.shells``);
 the suites do not re-derive them.
 """
@@ -50,7 +50,8 @@ from .elements import (AffineRoot, AffineWeylGroup, GroupElement, KernelError,
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, ScanResult,
                       SmallRoots, certified_scan,
                       cone_window_members, enumerate_low, is_low,
-                      is_low_by_cone, sign_of_shi)
+                      is_low_by_cone, right_descent_within_sign_type,
+                      sign_of_shi)
 from .report import Report
 from .rootdata import RootSystem, root_system
 
@@ -108,7 +109,7 @@ class DeskContext:
 
     @cached_property
     def machine(self) -> automata.Automaton:
-        return automata.build_automaton(self.group, self.small)
+        return automata.build_automaton(self.group, self.small, self.budget)
 
     def shells(self, bound: int) -> list[list[GroupElement]]:
         """Shells 0..bound of the group ball, read once from ``group.shells()``
@@ -158,21 +159,27 @@ def _check_each(report: Report, name: str, items, probe, where=None,
 
     ``probe(item)`` returns ``None`` for a passing item, else a dict of
     facts about the failure; the counterexample is ``where(item)`` (what
-    the item is) followed by those facts.  An item on which the kernel
-    disagrees with the matrix action (``KernelError``) fails too, with
-    the error as its counterexample.
+    the item is) followed by those facts.  A kernel disagreement with the
+    matrix action (``KernelError``), raised by a probe or while the items
+    are read, fails the check too, with the error as its counterexample.
     """
-    for item in items:
-        try:
+    failure = None
+    try:
+        for item in items:
             failure = probe(item)
-            if failure is not None and where is not None:
-                failure = {**where(item), **failure}
-        except KernelError as exc:
-            failure = {"kernel_error": str(exc)}
-        if failure is not None:
-            report.add(name, False, counterexample=failure, detail=detail)
-            return
-    report.add(name, True, detail=detail)
+            if failure is not None:
+                if where is not None:
+                    failure = {**where(item), **failure}
+                break
+    except KernelError as exc:
+        failure = {"kernel_error": str(exc)}
+    report.add(name, failure is None, counterexample=failure, detail=detail)
+
+
+def _later(build):
+    """The items of ``build()``, built on first iteration: inside the
+    check that reads them, so a kernel fault while building fails it."""
+    yield from build()
 
 
 # --------------------------------------------------------------------------
@@ -385,12 +392,8 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
                 basis_descents, where=_at_region)
 
     def eq_star(region):
-        w = region.minimal
-        for g in group.right_descents(w):
-            if sign_of_shi(group.multiply(w, group.generators[g]).shi) \
-                    == region.sign_type:
-                return {"letter": g}
-        return None
+        g = right_descent_within_sign_type(group, region.minimal)
+        return None if g is None else {"letter": g}
     _check_each(report, "right_descents_change_region", table, eq_star, where=_at_region)
 
     def minstar(region):
@@ -486,7 +489,8 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
             if group.shi_coefficient(w, root) != (-1 if root in finite_inv else 0):
                 return {"root": system.root_name(i)}
         return None
-    _check_each(report, "finite_subgroup_coefficients", group.finite_elements(),
+    _check_each(report, "finite_subgroup_coefficients",
+                _later(group.finite_elements),
                 finite_coefficients, where=at)
 
     def shortening(w):

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from shilow import cli, report, verify
+from shilow.elements import KernelError
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -195,6 +196,26 @@ def test_automaton_text_counts(capsys):
     assert code == 0
     assert "16 states" in out
     assert "1, 3, 6, 12, 18" in out
+
+
+def test_automaton_budget_exceeded(capsys):
+    code, out, err = run_cli(capsys, "automaton", "--type", "A", "--rank", "3",
+                             "--budget", "10")
+    assert code == 3
+    assert not out
+    assert "automaton states exceeded the budget (bound: 10)" in err
+
+
+def test_kernel_error_is_a_failure_without_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KernelError("the finite walk reached 7 elements")
+
+    monkeypatch.setattr(verify, "run_suite", broken)
+    code, out, err = run_cli(capsys, "verify", "recurrences",
+                             "--type", "A", "--rank", "2")
+    assert code == cli.EXIT_FAIL
+    assert not out
+    assert err == "error: the finite walk reached 7 elements\n"
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Sign types: parsing, rank-2 tables, admissibility, walls and descents."""
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shilow import (BudgetExceededError, admissible_sign_types, condition_star,
                     descent_mask, is_admissible, parse_sign_string,
@@ -85,6 +88,66 @@ def test_admissibility_is_local_to_rank2_restrictions(a3):
             in rank2_admissible_table(sub.kind)
             for sub in subs)
         assert is_admissible(system, trits) == expected
+
+
+def brute_force_admissible(system):
+    """The reference enumeration: every one of the 3^N products, filtered."""
+    return [trits for trits in itertools.product((-1, 0, 1), repeat=system.nroots)
+            if is_admissible(system, trits)]
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "A4"])
+def test_backtracking_equals_brute_force(name):
+    system = root_system(name[0], int(name[1:]))
+    assert admissible_sign_types(system) == brute_force_admissible(system)
+
+
+@pytest.mark.parametrize("name", ["D4", "B4", "C4", "A5"])
+def test_admissible_count_at_rank_four_and_five(name):
+    """3^N exceeds the default budget on each of these types."""
+    system = root_system(name[0], int(name[1:]))
+    admissible = admissible_sign_types(system)
+    assert len(admissible) == system.region_count
+    assert len(set(admissible)) == len(admissible)
+
+
+_LOCALITY_SYSTEMS = {name: root_system(name[0], int(name[1:]))
+                     for name in ("B3", "A4", "D4")}
+
+
+@functools.cache
+def _admissible_set(name):
+    return frozenset(admissible_sign_types(_LOCALITY_SYSTEMS[name]))
+
+
+@st.composite
+def typed_sign_types(draw):
+    """A type among B3, A4, D4 and a sign type over its positive roots,
+    drawn half the time from the admissible set."""
+    name = draw(st.sampled_from(sorted(_LOCALITY_SYSTEMS)))
+    if draw(st.booleans()):
+        return name, draw(st.sampled_from(sorted(_admissible_set(name))))
+    size = _LOCALITY_SYSTEMS[name].nroots
+    return name, tuple(draw(st.lists(st.sampled_from((-1, 0, 1)),
+                                     min_size=size, max_size=size)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(typed_sign_types())
+def test_rank2_locality_matches_the_enumeration(drawn):
+    """The per-type filter (``violating_subsystem``) and the backtracker
+    agree: a sign type is admissible iff it is enumerated."""
+    name, trits = drawn
+    assert is_admissible(_LOCALITY_SYSTEMS[name], trits) == (
+        trits in _admissible_set(name))
+
+
+def test_budget_bounds_the_partial_sign_types_examined():
+    """A4 is enumerated after 7,944 partial sign types, not 3^10 products."""
+    system = root_system("A", 4)
+    assert len(admissible_sign_types(system, budget=7944)) == 1296
+    with pytest.raises(BudgetExceededError):
+        admissible_sign_types(system, budget=7943)
 
 
 def test_admissible_budget_guard():

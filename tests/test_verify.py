@@ -102,6 +102,22 @@ def test_recurrence_check_catches_a_corrupted_left_table(monkeypatch):
     assert check.counterexample is not None
 
 
+def test_recurrence_suite_survives_a_corrupted_finite_table(monkeypatch):
+    """One wrong offset in the left table of s1 breaks the finite walk;
+    the suite still reports, and the finite-subgroup check names the
+    kernel fault as its counterexample."""
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    group = verify.desk_context("A", 2).group
+    tables = [list(table) for table in group.left_tables]
+    j, s, o = tables[1][0]
+    tables[1][0] = (j, s, o + 1)
+    monkeypatch.setattr(group, "left_tables", tuple(map(tuple, tables)))
+    check = {c.name: c for c in run_suite("recurrences", "A", 2).checks}[
+        "finite_subgroup_coefficients"]
+    assert not check.passed
+    assert "finite walk" in check.counterexample["kernel_error"]
+
+
 def test_automaton_suite_walks_the_ball_once(monkeypatch):
     """Word counts come from the machine and element counts from the
     context's shells, so the suite walks the ball once.  A walk counts
