@@ -130,13 +130,6 @@ def _system(args: argparse.Namespace):
     return root_system(args.family, args.rank)
 
 
-def _budget(args: argparse.Namespace) -> int:
-    budget = verify.resolve_budget(args.budget)
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    return budget
-
-
 def cmd_roots(args: argparse.Namespace) -> int:
     system = _system(args)
     if args.format == "json":
@@ -170,12 +163,11 @@ def cmd_roots(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     system = _system(args)
     group = AffineWeylGroup(system)
-    budget = _budget(args)
-    scan = certified_scan(group, system.region_count, budget=budget,
-                          max_length=args.bound)
+    budget = verify.resolve_budget(args.budget)
+    scan = certified_scan(group, budget=budget, max_length=args.bound)
     if args.what == "low":
         return _enumerate_low(args, group, budget, scan)
-    table = regions_mod.enumerate_regions(group, budget=budget, scan=scan)
+    table = regions_mod.enumerate_regions(group, scan=scan)
     if args.what == "regions":
         return _enumerate_regions(args, table, table.regions, "regions")
     if args.what == "dominant":
@@ -260,9 +252,8 @@ def _enumerate_ideals(args: argparse.Namespace, system, table) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _system(args)  # validate type/rank before spending time
-    budget = _budget(args)
     report = verify.run_suite(args.suite, args.family, args.rank,
-                              bound=args.bound, budget=budget, seed=args.seed)
+                              bound=args.bound, budget=args.budget, seed=args.seed)
     if args.format == "json":
         _emit(report.to_json(), args.output)
     else:
@@ -273,7 +264,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_automaton(args: argparse.Namespace) -> int:
     system = _system(args)
     group = AffineWeylGroup(system)
-    machine = automaton_mod.build_automaton(group, budget=_budget(args))
+    machine = automaton_mod.build_automaton(
+        group, budget=verify.resolve_budget(args.budget))
     if args.format == "dot":
         _emit(automaton_mod.export_dot(machine), args.output)
         return EXIT_PASS

@@ -24,6 +24,10 @@ denominator, so everything stays integral) is kept as the oracle:
 ``from_matrix`` builds an element from it, ``matrix_multiply`` multiplies
 through it, and an element's ``mat`` and ``trans`` are derived from its
 reduced word on first read.
+
+``AffineWeylGroup.shells`` is the one walk of the group through the left
+tables; its ``keep`` predicate prunes it to a subset closed under left
+quotients, such as the finite Weyl group or the low elements.
 """
 
 from __future__ import annotations
@@ -343,17 +347,19 @@ class AffineWeylGroup:
             raise ValueError("elements belong to different groups")
         return GroupElement(self, self._word_shi(self.word_from_element(a), b.shi))
 
-    def shells(self):
+    def shells(self, keep=None):
         """Yield the shells of the ball around the identity, by length.
 
         Shell d lists the elements of length d: each element of shell d-1
         extended on the left by each letter that is not a left descent
-        (which adds one to the length), first visits kept.
+        (which adds one to the length), first visits kept.  With ``keep``,
+        a shell holds only the extensions that ``keep`` accepts, and only
+        those are extended; the walk ends after its last non-empty shell.
         """
         steps = tuple((index, sign, self.left_tables[g])
                       for g, index, sign in self._descent_tests)
         shell = [self.identity]
-        while True:
+        while shell:
             yield shell
             found: dict[tuple[int, ...], None] = {}
             for w in shell:
@@ -362,6 +368,8 @@ class AffineWeylGroup:
                     if sign * shi[index] >= 0:
                         found[_left_apply(table, shi)] = None
             shell = [GroupElement(self, shi) for shi in found]
+            if keep is not None:
+                shell = [w for w in shell if keep(w)]
 
     # ------------------------------------------------------- alcove algebra
 
@@ -499,20 +507,21 @@ class AffineWeylGroup:
     # -------------------------------------------------------- finite part
 
     def finite_elements(self) -> list[GroupElement]:
-        """All elements of the finite Weyl group (translation part zero)."""
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier and len(seen) <= self.system.weyl_order:
-            current = frontier.pop()
-            for g in self.letters[1:]:
-                nxt = self.left_multiply(g, current)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if len(seen) != self.system.weyl_order:
-            raise KernelError(f"the finite walk reached {len(seen)} elements, "
-                              f"not the Weyl group order {self.system.weyl_order}")
-        return sorted(seen, key=GroupElement.sort_key)
+        """All elements of the finite Weyl group (translation part zero).
+
+        s0 is never a left descent in W0 and always one of s0 * w, so the
+        walk pruned to elements without it is W0; only a faulty table can
+        take it past the Weyl group order, where it is cut."""
+        order = self.system.weyl_order
+        found: list[GroupElement] = []
+        for shell in self.shells(keep=lambda w: 0 not in self.left_descents(w)):
+            found.extend(shell)
+            if len(found) > order:
+                break
+        if len(found) != order:
+            raise KernelError(f"the finite walk reached {len(found)} elements, "
+                              f"not the Weyl group order {order}")
+        return sorted(found, key=GroupElement.sort_key)
 
     def finite_inversion_set(self, w: GroupElement) -> frozenset[tuple[int, ...]]:
         """For finite w: the positive finite roots sent negative by the inverse."""

@@ -10,10 +10,12 @@ the equivalent basis criterion (every length-decreasing inversion is
 small, with lengths read from the kernel's reflection tables), the cone
 test backs it as an independent oracle.
 
-``certified_scan`` reads the shells of ``AffineWeylGroup.shells()`` until
-every sign type holds a certified shortest element; ``enumerate_low``
-grows the low set upward by left multiplication instead.  Both run on
-the Shi-vector kernel of ``elements``, without matrices.
+Both enumerations read the one walk ``AffineWeylGroup.shells()`` on the
+Shi-vector kernel of ``elements``, without matrices.  ``certified_scan``
+reads the whole ball until every sign type holds a certified shortest
+element.  ``enumerate_low`` reads the walk pruned to low elements: every
+left quotient of a low element is low (the low set is a Garside shadow,
+after Dyer and Hohlweg), so each low element extends a shorter one.
 
 Soundness of the cone test's finite window: every nonzero nonnegative
 combination of positive affine roots pairs strictly positively with the
@@ -33,6 +35,7 @@ from .elements import AffineRoot, AffineWeylGroup, GroupElement
 from .ratlp import in_cone
 
 DEFAULT_BUDGET = 500_000
+SAMPLE_SIZE = 8  # visited members kept per sign type by ``certified_scan``
 
 
 class BudgetExceededError(RuntimeError):
@@ -179,18 +182,18 @@ def right_descent_within_sign_type(group: AffineWeylGroup,
     return None
 
 
-def certified_scan(group: AffineWeylGroup, target_count: int,
-                   budget: int = DEFAULT_BUDGET, max_length: int | None = None,
-                   sample_size: int = 8) -> ScanResult:
+def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
+                   max_length: int | None = None) -> ScanResult:
     """Breadth-first scan by length shells until every sign type has a
     certified minimal element.
 
-    Reads ``group.shells()`` one shell at a time and stops once
-    ``target_count`` distinct sign types each hold their first-visited
-    (hence shortest) element and the current shell exceeds all recorded
-    minima.  Shell order makes first visits minimal; the uniqueness of
-    each per-sign-type minimum is asserted along the way.
+    Reads ``group.shells()`` one shell at a time and stops once all
+    (h+1)^n sign types each hold their first-visited (hence shortest)
+    element and the current shell exceeds all recorded minima.  Shell
+    order makes first visits minimal; the uniqueness of each
+    per-sign-type minimum is asserted along the way.
     """
+    target_count = group.system.region_count
     minima: dict[tuple[int, ...], GroupElement] = {}
     min_length: dict[tuple[int, ...], int] = {}
     min_abs: dict[tuple[int, ...], list[int]] = {}
@@ -216,16 +219,16 @@ def certified_scan(group: AffineWeylGroup, target_count: int,
             for i, k in enumerate(w.shi):
                 if abs(k) < current[i]:
                     current[i] = abs(k)
-            if len(samples[zeta]) < sample_size:
+            if len(samples[zeta]) < SAMPLE_SIZE:
                 samples[zeta].append(w)
         if len(minima) == target_count and length >= max(min_length.values()):
             break
-        if not shell:
-            raise BudgetExceededError(
-                target_count, "scan frontier emptied before reaching the sign-type target")
         if max_length is not None and length >= max_length:
             raise BudgetExceededError(
                 max_length, "scan exceeded the length cap before certification")
+    else:
+        raise BudgetExceededError(
+            target_count, "scan frontier emptied before reaching the sign-type target")
     assert len(minima) == target_count
     return ScanResult(
         group=group,
@@ -239,39 +242,25 @@ def certified_scan(group: AffineWeylGroup, target_count: int,
 
 def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
                   certificate_scan: ScanResult | None = None) -> list[GroupElement]:
-    """All low elements, by closure under left extension.
+    """All low elements: the shells of ``group.shells()`` pruned to low
+    elements, which the suffix-closure of the low set makes complete.
 
-    The traversal grows low elements upward through their left descents,
-    relying on the suffix-closure of the low set for completeness, and
-    terminates when no extension of a known low element is low.  When a
-    certified scan is supplied, the traversal's completeness is
-    cross-validated: every low element must fall inside the certified
-    range, and each must be shortest in its own sign type (no right
-    extension stays in the type).  Whether the low set *equals* the set
-    of per-type minima is left to the verification suites.
+    The walk ends at the first length with no low element.  The budget
+    bounds the low elements found: a shell that takes their count past
+    it raises ``BudgetExceededError``.  When a certified scan is
+    supplied, the traversal's completeness is cross-validated: every low
+    element must fall inside the certified range, and each must be
+    shortest in its own sign type (no right extension stays in the
+    type).  Whether the low set *equals* the set of per-type minima is
+    left to the verification suites.
     """
-    low: dict[GroupElement, int] = {group.identity: 0}
-    frontier = [group.identity]
     small = SmallRoots(group)
-    length = 0
-    while frontier:
-        next_frontier = []
-        for w in frontier:
-            descents = group.left_descents(w)
-            for g in group.letters:
-                if g in descents:
-                    continue
-                candidate = group.left_multiply(g, w)
-                if candidate in low:
-                    continue
-                if len(low) >= budget:
-                    raise BudgetExceededError(
-                        budget, "low-element enumeration exceeded its budget")
-                if is_low(group, small, candidate):
-                    low[candidate] = length + 1
-                    next_frontier.append(candidate)
-        frontier = next_frontier
-        length += 1
+    low: list[GroupElement] = []
+    for shell in group.shells(keep=lambda w: is_low(group, small, w)):
+        low.extend(shell)
+        if len(low) > budget:
+            raise BudgetExceededError(
+                budget, "low-element enumeration exceeded its budget")
 
     result = sorted(low, key=GroupElement.sort_key)
     if certificate_scan is not None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import signtypes
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, word_text
-from .lowness import (DEFAULT_BUDGET, ScanResult, SmallRoots, certified_scan,
+from .lowness import (ScanResult, SmallRoots, certified_scan,
                       right_descent_within_sign_type, sign_of_shi)
 from .rootdata import PosetIdeal, RootSystem
 
@@ -73,11 +73,10 @@ class RegionTable:
 
 
 def enumerate_regions(group: AffineWeylGroup,
-                      budget: int = DEFAULT_BUDGET,
                       scan: ScanResult | None = None) -> RegionTable:
     system = group.system
     if scan is None:
-        scan = certified_scan(group, system.region_count, budget=budget)
+        scan = certified_scan(group)
     small = SmallRoots(group)
     regions = []
     for zeta, minimal in scan.minima.items():

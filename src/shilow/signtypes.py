@@ -50,7 +50,7 @@ def rank2_admissible_table(kind: str) -> frozenset[tuple[int, ...]]:
             raise ValueError(f"not an irreducible rank-2 kind: {kind!r}")
         system = root_system(kind[0], 2)
         group = AffineWeylGroup(system)
-        scan = certified_scan(group, system.region_count)
+        scan = certified_scan(group)
         table = frozenset(scan.minima)
         assert len(table) == system.region_count
         _RANK2_TABLE_CACHE[kind] = table

@@ -30,10 +30,11 @@ budget; its scan, low set, region table and automaton are built on first
 read, and its ball is sliced from one walk of ``AffineWeylGroup.shells()``.
 A check over many items goes through ``_check_each``, which records the
 first failing item as the counterexample; a ``KernelError`` raised on an
-item, or while the items are built, fails the check too.  Sign-type
-reflection, the small-root codec and the shell walk are the library's own
-(``signtypes.reflect_sign_type``, ``SmallRoots``, ``AffineWeylGroup.shells``);
-the suites do not re-derive them.
+item, or while the items are built, fails the check too, and so does a
+check that examined no item.  Sign-type reflection, the small-root codec
+and the shell walk are the library's own (``signtypes.reflect_sign_type``,
+``SmallRoots``, ``AffineWeylGroup.shells``); the suites do not re-derive
+them.
 """
 
 from __future__ import annotations
@@ -65,8 +66,11 @@ BUDGET_ENV_VAR = "SHILOW_BUDGET"
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Explicit argument, then the environment override, then the default."""
+    """Explicit argument, then the environment override, then the default;
+    a budget below 1 from either source raises ``ValueError``."""
     if budget is not None:
+        if budget <= 0:
+            raise ValueError(f"budget must be positive, got {budget}")
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
     if env:
@@ -97,7 +101,7 @@ class DeskContext:
 
     @cached_property
     def scan(self) -> ScanResult:
-        return certified_scan(self.group, self.system.region_count, budget=self.budget)
+        return certified_scan(self.group, budget=self.budget)
 
     @cached_property
     def low(self) -> list[GroupElement]:
@@ -162,8 +166,9 @@ def _check_each(report: Report, name: str, items, probe, where=None,
     the item is) followed by those facts.  A kernel disagreement with the
     matrix action (``KernelError``), raised by a probe or while the items
     are read, fails the check too, with the error as its counterexample.
+    A check that examined no item fails with ``{"examined": 0}``.
     """
-    failure = None
+    failure = {"examined": 0}
     try:
         for item in items:
             failure = probe(item)

@@ -1,9 +1,19 @@
-"""Shared fixtures: one lazily built exact context per desk-scale type."""
+"""Shared fixtures: one lazily built exact context per desk-scale type,
+and one default-argument report per suite and type."""
 from __future__ import annotations
+
+from functools import cache
 
 import pytest
 
 from shilow import verify
+
+
+@cache
+def suite_report(suite: str, family: str, rank: int):
+    """``verify.run_suite`` with default arguments, run once per process.
+    Tests that inject faults call ``verify.run_suite`` themselves."""
+    return verify.run_suite(suite, family, rank)
 
 
 @pytest.fixture(scope="session", params=verify.DESK_TYPES,

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import time
 
-from shilow import Report, root_system, verify
+from conftest import suite_report
+
+from shilow import root_system, verify
 
 _EXPECTED_REGIONS = {("A", 2): 16, ("B", 2): 25, ("G", 2): 49, ("A", 3): 125}
 _EXPECTED_CATALAN = {("A", 2): 5, ("B", 2): 6, ("G", 2): 8, ("A", 3): 14}
@@ -24,19 +26,8 @@ def _conclude(number: int, slug: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-_REPORTS: dict[tuple[str, str, int], Report] = {}
-
-
-def _report(suite: str, family: str, rank: int) -> Report:
-    """One run of each (suite, type) per test module, shared by the criteria."""
-    key = (suite, family, rank)
-    if key not in _REPORTS:
-        _REPORTS[key] = verify.run_suite(suite, family, rank)
-    return _REPORTS[key]
-
-
 def _suite_checks(suite: str, family: str, rank: int):
-    return {check.name: check for check in _report(suite, family, rank).checks}
+    return {check.name: check for check in suite_report(suite, family, rank).checks}
 
 
 def test_c01_fourfold_region_counts():
@@ -120,7 +111,7 @@ def test_c06_recurrence_identities_exhaustive():
     ok = True
     pieces = []
     for family, rank in _EXPECTED_REGIONS:
-        report = _report("recurrences", family, rank)
+        report = suite_report("recurrences", family, rank)
         ok = ok and report.passed
         ok = ok and report.bound == required_bounds[rank]
         pieces.append(f"{family}{rank}:len<={report.bound}"
@@ -136,7 +127,7 @@ def test_c07_oracle_equivalences():
     ok = True
     pieces = []
     for family, rank in _EXPECTED_REGIONS:
-        report = _report("recurrences", family, rank)
+        report = suite_report("recurrences", family, rank)
         checks = _suite_checks("recurrences", family, rank)
         inversion = checks["inversion_oracle_agreement"]
         lowness = checks["lowness_oracle_agreement"]
@@ -157,7 +148,7 @@ def test_c08_automaton_counts_and_verdicts():
     ok = True
     pieces = []
     for (family, rank), expected in _EXPECTED_REGIONS.items():
-        report = _report("automaton", family, rank)
+        report = suite_report("automaton", family, rank)
         checks = _suite_checks("automaton", family, rank)
         ok = ok and report.passed and report.bound == required_bounds[rank]
         ok = ok and "reduced_word_verdicts_match_length_oracle" in checks

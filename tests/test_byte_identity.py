@@ -18,6 +18,7 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import suite_report
 
 from shilow import cli, verify
 
@@ -42,8 +43,7 @@ def output_digest(name: str, command: str, fmt: str) -> str:
 
 
 def check_names(name: str, suite: str) -> list[str]:
-    report = verify.run_suite(suite, name[0], int(name[1:]))
-    return [check.name for check in report.checks]
+    return [check.name for check in suite_report(suite, name[0], int(name[1:])).checks]
 
 
 def record() -> dict:

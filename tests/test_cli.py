@@ -128,6 +128,13 @@ def test_budget_env_invalid(capsys, monkeypatch):
     assert verify.BUDGET_ENV_VAR in err
 
 
+def test_budget_below_one_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "low", "--budget", "0")
+    assert code == 2
+    assert not out
+    assert "budget must be positive" in err
+
+
 def test_verify_pass_text(capsys):
     code, out, _ = run_cli(capsys, "verify", "main-theorem",
                            "--type", "B", "--rank", "2")

@@ -1,6 +1,8 @@
 """Small roots, certified scans, and the low-element enumeration."""
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from shilow import (AffineRoot, AffineWeylGroup, BudgetExceededError,
@@ -72,11 +74,47 @@ def test_certified_scan_counts(desk):
 def test_certified_scan_budget_errors():
     group = AffineWeylGroup(root_system("A", 2))
     with pytest.raises(BudgetExceededError) as info:
-        certified_scan(group, 16, budget=5)
+        certified_scan(group, budget=5)
     assert info.value.bound == 5
     with pytest.raises(BudgetExceededError) as info:
-        certified_scan(group, 16, max_length=2)
+        certified_scan(group, max_length=2)
     assert info.value.bound == 2
+
+
+def test_certified_scan_raises_when_the_walk_ends(monkeypatch):
+    """A walk that ends before every sign type has its minimum (A2 needs
+    shells 0..4) raises instead of reaching the count assertion."""
+    shells = AffineWeylGroup.shells
+    monkeypatch.setattr(AffineWeylGroup, "shells",
+                        lambda group, *args, **kwargs:
+                        islice(shells(group, *args, **kwargs), 3))
+    with pytest.raises(BudgetExceededError, match="frontier emptied"):
+        certified_scan(AffineWeylGroup(root_system("A", 2)))
+
+
+def test_low_and_finite_enumerations_read_the_one_walk(monkeypatch):
+    """``enumerate_low`` and ``finite_elements`` each read
+    ``AffineWeylGroup.shells`` once, pruned by their own predicate."""
+    shells = AffineWeylGroup.shells
+    walks = []
+
+    def counted(group, *args, **kwargs):
+        walks.append(kwargs.get("keep"))
+        return shells(group, *args, **kwargs)
+    monkeypatch.setattr(AffineWeylGroup, "shells", counted)
+    group = AffineWeylGroup(root_system("A", 2))
+    assert len(enumerate_low(group)) == 16
+    assert len(walks) == 1 and walks[0] is not None
+    assert len(group.finite_elements()) == 6
+    assert len(walks) == 2 and walks[1] is not None
+
+
+def test_enumerate_low_budget_bounds_the_low_elements():
+    group = AffineWeylGroup(root_system("A", 2))
+    assert len(enumerate_low(group, budget=16)) == 16
+    with pytest.raises(BudgetExceededError) as info:
+        enumerate_low(group, budget=15)
+    assert info.value.bound == 15
 
 
 def test_enumerate_low_counts(desk):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 
 import pytest
+from conftest import suite_report
 
 from shilow import (AffineWeylGroup, BudgetExceededError, Report, regions,
                     run_suite, verify)
@@ -14,14 +15,14 @@ from shilow.elements import word_text
 @pytest.mark.parametrize("suite", verify.SUITES)
 def test_suite_passes(desk, suite):
     family = desk.system.cartan_type.family
-    report = run_suite(suite, family, desk.system.rank)
+    report = suite_report(suite, family, desk.system.rank)
     assert report.passed, report.to_text()
     assert report.suite == suite
     assert all(check.passed for check in report.checks)
 
 
 def test_tables_suite_covers_rank4_pair():
-    report = run_suite("tables", "A", 4)
+    report = suite_report("tables", "A", 4)
     assert report.passed, report.to_text()
     names = {check.name for check in report.checks}
     assert "rank4_pair_admissible" in names
@@ -126,10 +127,10 @@ def test_automaton_suite_walks_the_ball_once(monkeypatch):
     shells = AffineWeylGroup.shells
     walks = []
 
-    def counted(group):
+    def counted(group, *args, **kwargs):
         def walk():
             walks.append(group)
-            yield from shells(group)
+            yield from shells(group, *args, **kwargs)
         return walk()
     monkeypatch.setattr(AffineWeylGroup, "shells", counted)
     monkeypatch.setattr(verify, "_CONTEXTS", {})
@@ -139,13 +140,20 @@ def test_automaton_suite_walks_the_ball_once(monkeypatch):
     assert len(walks) == 1
 
 
+def test_check_over_no_items_fails():
+    report = Report(suite="demo", family="A", rank=2)
+    verify._check_each(report, "empty", [], lambda item: None)
+    assert not report.passed
+    assert report.checks[0].counterexample == {"examined": 0}
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("everything", "A", 2)
 
 
 def test_report_serialization_round_trip(a2):
-    report = run_suite("main-theorem", "A", 2)
+    report = suite_report("main-theorem", "A", 2)
     data = json.loads(report.to_json())
     assert data["suite"] == "main-theorem"
     assert data["type"] == "A"
