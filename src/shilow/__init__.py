@@ -22,6 +22,7 @@ from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, ScanResult,
                       SmallRoots, certified_scan, enumerate_low, is_low,
                       is_low_by_cone, sign_of_shi)
+from .ratlp import CertificateError
 from .regions import (RegionTable, ShiRegion, descent_root_set,
                       dominant_pairs, enumerate_regions,
                       ideal_closed_form_inversions, ideal_sign_type,
@@ -42,6 +43,7 @@ __all__ = [
     "Automaton",
     "BudgetExceededError",
     "CartanType",
+    "CertificateError",
     "Check",
     "DEFAULT_BUDGET",
     "DESK_TYPES",

@@ -8,8 +8,8 @@ verify      run a verification suite and report pass/fail with counterexamples
 automaton   export the reduced-word automaton (DOT, JSON, or a text summary)
 
 Exit codes: 0 success (all selected checks passed), 1 verification failure
-(or a kernel fault outside any check), 2 usage error, 3 enumeration budget
-or length cap exceeded.
+(or a kernel fault or a failed cone certificate outside any check), 2 usage
+error, 3 enumeration budget or length cap exceeded.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from . import regions as regions_mod
 from . import signtypes, verify
 from .elements import AffineWeylGroup, KernelError, word_text
 from .lowness import BudgetExceededError, certified_scan, enumerate_low, sign_of_shi
+from .ratlp import CertificateError
 from .rootdata import root_system
 from .signtypes import sign_string
 
@@ -178,8 +179,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _enumerate_low(args: argparse.Namespace, group: AffineWeylGroup,
                    budget: int, scan) -> int:
-    low = sorted(enumerate_low(group, budget=budget, certificate_scan=scan),
-                 key=lambda w: w.sort_key())
+    low = enumerate_low(group, budget=budget, certificate_scan=scan)
     name = group.system.cartan_type.name
     if args.format == "json":
         entries = []
@@ -311,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except KernelError as exc:
+    except (KernelError, CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:

@@ -38,7 +38,8 @@ from .rootdata import RootSystem, barycenter_denominator, invert_fraction_matrix
 
 
 class KernelError(RuntimeError):
-    """The Shi-vector kernel disagrees with the matrix action."""
+    """The Shi-vector kernel disagrees with the matrix action, or the
+    small roots read off its signs are not inversions."""
 
 
 def _mat_mul(a: tuple[tuple[int, ...], ...],

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import AffineRoot, AffineWeylGroup, GroupElement
+from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError
 from .ratlp import in_cone
 
 DEFAULT_BUDGET = 500_000
@@ -135,7 +135,9 @@ def is_low_by_cone(group: AffineWeylGroup, small: SmallRoots, w: GroupElement) -
     """
     inversions = group.inversion_set(w)
     sigma = small.sigma(w)
-    assert sigma <= inversions
+    if not sigma <= inversions:
+        raise KernelError(f"coefficients {w.shi}: the small roots read off the "
+                          f"signs are not all inversions")
     window = max((beta.delta for beta in inversions), default=0) + 1
     return cone_window_members(group, sigma, window) == inversions
 

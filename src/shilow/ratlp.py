@@ -1,83 +1,131 @@
-"""Exact rational feasibility for nonnegative linear combinations.
+"""Exact cone membership by a fraction-free phase-1 simplex.
 
-Phase-1 simplex over ``fractions.Fraction`` with Bland's pivoting rule,
-which guarantees termination; no floating point, so membership answers
-are exact and usable as a two-sided oracle.
+The tableau holds integers over one common denominator ``d``: each pivot
+keeps its own row, replaces every other row ``x`` (and the reduced-cost
+row) by ``(x * piv - f * y) // d`` and sets ``d = piv``, the integer
+pivoting of Edmonds and Bareiss (Math. Comp. 1968), whose divisions are
+exact.  Bland's rule picks the pivots, so the method terminates, and the
+ratio test compares by cross-multiplication.
+
+Every answer is certified with integer dot products before it is
+returned, so its correctness does not rest on the pivoting code:
+
+* a member comes with numerators ``num >= 0`` and the denominator ``d``
+  with ``sum(num[j] * columns[j]) == d * target``;
+* a non-member comes with a Farkas vector ``y``, read off the artificial
+  columns of the final reduced-cost row, with ``y . g >= 0`` for every
+  generator ``g`` and ``y . target < 0``.
+
+A certificate that fails its check raises ``CertificateError``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 
-def nonnegative_combination(columns: Sequence[Sequence[int | Fraction]],
-                            target: Sequence[int | Fraction]) -> list[Fraction] | None:
+class CertificateError(RuntimeError):
+    """A cone-membership answer whose certificate fails its integer check,
+    or a tableau that no correct pivoting can reach."""
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _check_member(columns: Sequence[Sequence[int]], target: Sequence[int],
+                  numerators: Sequence[int], d: int) -> None:
+    """Raise unless ``numerators / d`` is a nonnegative combination of
+    ``columns`` equal to ``target``."""
+    if d <= 0 or len(numerators) != len(columns) or any(x < 0 for x in numerators):
+        raise CertificateError(f"member certificate {list(numerators)}/{d} "
+                               f"is not a nonnegative combination")
+    for r, t in enumerate(target):
+        if _dot(numerators, [col[r] for col in columns]) != d * t:
+            raise CertificateError(f"member certificate {list(numerators)}/{d} "
+                                   f"misses the target {list(target)} at row {r}")
+
+
+def _check_farkas(columns: Sequence[Sequence[int]], target: Sequence[int],
+                  y: Sequence[int]) -> None:
+    """Raise unless ``y`` separates ``target`` from the cone of ``columns``."""
+    if _dot(y, target) >= 0:
+        raise CertificateError(f"Farkas vector {list(y)} does not pair negatively "
+                               f"with the target {list(target)}")
+    for col in columns:
+        if _dot(y, col) < 0:
+            raise CertificateError(f"Farkas vector {list(y)} pairs negatively "
+                                   f"with the generator {list(col)}")
+
+
+def nonnegative_combination(columns: Sequence[Sequence[int]],
+                            target: Sequence[int]) -> tuple[list[int], int] | None:
     """Solve ``sum(lambda_j * columns[j]) == target`` with all lambda_j >= 0.
 
-    Returns one exact solution as a list of Fractions, or None when the
-    system is infeasible.
+    Returns one exact solution as integer numerators over a common
+    positive denominator, ``(numerators, d)``, or ``None`` when the
+    system is infeasible.  Either answer has passed its certificate check.
     """
     m = len(target)
     k = len(columns)
-    if k == 0:
-        return [] if all(x == 0 for x in target) else None
-    a = [[Fraction(columns[j][r]) for j in range(k)] for r in range(m)]
-    b = [Fraction(target[r]) for r in range(m)]
-    for r in range(m):
-        if b[r] < 0:
-            b[r] = -b[r]
-            a[r] = [-x for x in a[r]]
-
-    # Tableau: k structural columns, m artificial columns, rhs last.
-    rows = [a[r] + [Fraction(int(i == r)) for i in range(m)] + [b[r]] for r in range(m)]
-    basis = [k + r for r in range(m)]
     width = k + m
+    # Rows with a negative target entry are negated so the artificial basis
+    # starts feasible; ``signs`` remembers the flips for the Farkas vector.
+    signs = [-1 if t < 0 else 1 for t in target]
+    # Tableau: k structural columns, m artificial columns, rhs last.
+    rows = [[s * col[r] for col in columns] + [int(i == r) for i in range(m)]
+            + [s * target[r]] for r, s in enumerate(signs)]
+    basis = list(range(k, width))
+    d = 1
     # Reduced-cost row for minimizing the artificial sum: z[j] > 0 marks an
-    # improving column; z[-1] is the current objective value.
-    z = [sum(rows[r][j] for r in range(m)) for j in range(width + 1)]
-    for r in range(m):
-        z[k + r] -= 1  # artificial columns carry unit cost
+    # improving column; z[-1] is the current objective value.  It starts as
+    # the column sums of the rows, less the unit cost of each artificial
+    # column, and every entry is scaled by d, like the rows.
+    z = [_dot(signs, col) for col in columns] + [0] * m + [sum(map(abs, target))]
 
-    while True:
+    while z[width] > 0:
         enter = next((j for j in range(width) if z[j] > 0), None)
         if enter is None:
             break
-        best_row = None
-        best_ratio = None
+        best = None
         for r in range(m):
             coeff = rows[r][enter]
             if coeff > 0:
-                ratio = rows[r][width] / coeff
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[r] < basis[best_row])):
-                    best_ratio = ratio
-                    best_row = r
-        assert best_row is not None, "phase-1 objective is bounded below by zero"
-        pivot = rows[best_row][enter]
-        rows[best_row] = [x / pivot for x in rows[best_row]]
+                if best is None:
+                    best = r
+                    continue
+                # rows[r][width] / coeff against the best ratio so far.
+                lhs = rows[r][width] * rows[best][enter]
+                rhs = rows[best][width] * coeff
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[best]):
+                    best = r
+        if best is None:
+            raise CertificateError(f"no pivot row for the improving column {enter} "
+                                   f"of an objective bounded below by zero")
+        pivot_row = rows[best]
+        piv = pivot_row[enter]
         for r in range(m):
-            if r != best_row and rows[r][enter]:
-                factor = rows[r][enter]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[best_row])]
-        factor = z[enter]
-        z = [x - factor * y for x, y in zip(z, rows[best_row])]
-        basis[best_row] = enter
+            if r != best:
+                f = rows[r][enter]
+                rows[r] = [(x * piv - f * y) // d for x, y in zip(rows[r], pivot_row)]
+        f = z[enter]
+        z = [(x * piv - f * y) // d for x, y in zip(z, pivot_row)]
+        d = piv
+        basis[best] = enter
 
-    if z[width] != 0:
-        return None
-    solution = [Fraction(0)] * k
-    for r, j in enumerate(basis):
-        if j < k:
-            solution[j] = rows[r][width]
-    assert all(x >= 0 for x in solution)
-    for r in range(m):
-        total = sum(solution[j] * Fraction(columns[j][r]) for j in range(k))
-        assert total == Fraction(target[r])
-    return solution
+    if z[width] == 0:
+        numerators = [0] * k
+        for r, j in enumerate(basis):
+            if j < k:
+                numerators[j] = rows[r][width]
+        _check_member(columns, target, numerators, d)
+        return numerators, d
+    farkas = [-s * (z[k + r] + d) for r, s in enumerate(signs)]
+    _check_farkas(columns, target, farkas)
+    return None
 
 
-def in_cone(generators: Iterable[Sequence[int | Fraction]],
-            target: Sequence[int | Fraction]) -> bool:
+def in_cone(generators: Iterable[Sequence[int]], target: Sequence[int]) -> bool:
     """True iff ``target`` is a nonnegative rational combination of ``generators``."""
     return nonnegative_combination(list(generators), target) is not None

@@ -29,12 +29,12 @@ All suites of one type share a ``DeskContext``, cached per type and
 budget; its scan, low set, region table and automaton are built on first
 read, and its ball is sliced from one walk of ``AffineWeylGroup.shells()``.
 A check over many items goes through ``_check_each``, which records the
-first failing item as the counterexample; a ``KernelError`` raised on an
-item, or while the items are built, fails the check too, and so does a
-check that examined no item.  Sign-type reflection, the small-root codec
-and the shell walk are the library's own (``signtypes.reflect_sign_type``,
-``SmallRoots``, ``AffineWeylGroup.shells``); the suites do not re-derive
-them.
+first failing item as the counterexample; a ``KernelError`` or a cone
+``CertificateError`` raised on an item, or while the items are built,
+fails the check too, and so does a check that examined no item.
+Sign-type reflection, the small-root codec and the shell walk are the
+library's own (``signtypes.reflect_sign_type``, ``SmallRoots``,
+``AffineWeylGroup.shells``); the suites do not re-derive them.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .lowness import (DEFAULT_BUDGET, BudgetExceededError, ScanResult,
                       cone_window_members, enumerate_low, is_low,
                       is_low_by_cone, right_descent_within_sign_type,
                       sign_of_shi)
+from .ratlp import CertificateError
 from .report import Report
 from .rootdata import RootSystem, root_system
 
@@ -164,8 +165,10 @@ def _check_each(report: Report, name: str, items, probe, where=None,
     ``probe(item)`` returns ``None`` for a passing item, else a dict of
     facts about the failure; the counterexample is ``where(item)`` (what
     the item is) followed by those facts.  A kernel disagreement with the
-    matrix action (``KernelError``), raised by a probe or while the items
-    are read, fails the check too, with the error as its counterexample.
+    matrix action (``KernelError``) or a cone answer whose certificate
+    fails (``ratlp.CertificateError``), raised by a probe or while the
+    items are read, fails the check too, with the error as its
+    counterexample.
     A check that examined no item fails with ``{"examined": 0}``.
     """
     failure = {"examined": 0}
@@ -178,6 +181,8 @@ def _check_each(report: Report, name: str, items, probe, where=None,
                 break
     except KernelError as exc:
         failure = {"kernel_error": str(exc)}
+    except CertificateError as exc:
+        failure = {"certificate_error": str(exc)}
     report.add(name, failure is None, counterexample=failure, detail=detail)
 
 

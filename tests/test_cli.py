@@ -10,6 +10,7 @@ import pytest
 
 from shilow import cli, report, verify
 from shilow.elements import KernelError
+from shilow.ratlp import CertificateError
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -223,6 +224,18 @@ def test_kernel_error_is_a_failure_without_traceback(capsys, monkeypatch):
     assert code == cli.EXIT_FAIL
     assert not out
     assert err == "error: the finite walk reached 7 elements\n"
+
+
+def test_certificate_error_is_a_failure_without_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise CertificateError("Farkas vector [1, 0] does not pair negatively")
+
+    monkeypatch.setattr(verify, "run_suite", broken)
+    code, out, err = run_cli(capsys, "verify", "main-theorem",
+                             "--type", "A", "--rank", "2")
+    assert code == cli.EXIT_FAIL
+    assert not out
+    assert err == "error: Farkas vector [1, 0] does not pair negatively\n"
 
 
 def test_output_file(tmp_path, capsys):

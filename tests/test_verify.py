@@ -7,8 +7,8 @@ import json
 import pytest
 from conftest import suite_report
 
-from shilow import (AffineWeylGroup, BudgetExceededError, Report, regions,
-                    run_suite, verify)
+from shilow import (AffineWeylGroup, BudgetExceededError, Report, SmallRoots,
+                    ratlp, regions, run_suite, verify)
 from shilow.elements import word_text
 
 
@@ -117,6 +117,33 @@ def test_recurrence_suite_survives_a_corrupted_finite_table(monkeypatch):
         "finite_subgroup_coefficients"]
     assert not check.passed
     assert "finite walk" in check.counterexample["kernel_error"]
+
+
+def test_lowness_oracle_fails_on_a_swapped_codec(monkeypatch):
+    """A codec that reads the coefficient signs the wrong way round gives
+    small inversions outside N(w); the cone oracle raises ``KernelError``
+    (also under ``-O``), and the agreement check reports it."""
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    mask_from_shi = SmallRoots.mask_from_shi
+    monkeypatch.setattr(SmallRoots, "mask_from_shi",
+                        lambda self, shi: mask_from_shi(self, tuple(-k for k in shi)))
+    check = {c.name: c for c in run_suite("recurrences", "A", 2).checks}[
+        "lowness_oracle_agreement"]
+    assert not check.passed
+    assert "not all inversions" in check.counterexample["kernel_error"]
+
+
+def test_cone_oracle_fails_on_a_tampered_certificate(monkeypatch):
+    """A Farkas vector turned the wrong way round fails its integer check,
+    and the ideal cone oracle reports the ``CertificateError``."""
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    check_farkas = ratlp._check_farkas
+    monkeypatch.setattr(ratlp, "_check_farkas", lambda columns, target, y:
+                        check_farkas(columns, target, [-v for v in y]))
+    check = {c.name: c for c in run_suite("main-theorem", "A", 2).checks}[
+        "ideal_cone_oracle"]
+    assert not check.passed
+    assert "Farkas vector" in check.counterexample["certificate_error"]
 
 
 def test_automaton_suite_walks_the_ball_once(monkeypatch):
