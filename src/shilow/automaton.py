@@ -8,6 +8,14 @@ iff the simple affine root of g lies outside T, and then leads to
 A word is reduced iff every prefix transition is defined, so the
 automaton accepts exactly the reduced words, and its reachable states
 are exactly the small inversion sets of group elements.
+
+The construction and the labels read masks eight bits at a time.
+``build_automaton`` tabulates, for every 8-bit chunk of a state mask,
+its images under all the letters side by side in one integer, so the
+transitions of a state cost one lookup per chunk; the labels decode
+eight sign positions per lookup, from a table filled as pieces occur.
+``Automaton.order`` sorts the states by label once, and both exports
+(DOT and the JSON transition table) walk that order.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ from itertools import islice
 from .elements import AffineWeylGroup
 from .lowness import DEFAULT_BUDGET, BudgetExceededError, SmallRoots
 from .signtypes import sign_string
+
+_CHUNK = 8  # bits per table lookup in transitions and labels
 
 
 @dataclass(frozen=True)
@@ -35,9 +45,36 @@ class Automaton:
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        """Sign-type-style encoding of each state's small root set."""
-        return tuple(sign_string(self.small.signs_from_mask(mask))
-                     for mask in self.states)
+        """Sign-type-style encoding of each state's small root set.
+
+        A label is decoded eight positions at a time: the bits of those
+        positions in both halves of the mask key that span's piece of
+        text, decoded by the ``SmallRoots`` codec the first time it
+        occurs."""
+        n = self.small.count
+        spans = []
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            bits = (1 << stop) - (1 << start)
+            spans.append((start, stop, bits | bits << n, {}))
+        labels = []
+        for mask in self.states:
+            label = ""
+            for start, stop, bits, pieces in spans:
+                key = mask & bits
+                piece = pieces.get(key)
+                if piece is None:
+                    signs = self.small.signs_from_mask(key)[start:stop]
+                    piece = pieces[key] = sign_string(signs)
+                label += piece
+            labels.append(label)
+        return tuple(labels)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """The state indices sorted by label: the order of both exports."""
+        labels = self.labels
+        return tuple(sorted(range(len(labels)), key=labels.__getitem__))
 
     def state_label(self, state: int) -> str:
         """The label of one state; see ``labels``."""
@@ -77,20 +114,39 @@ class Automaton:
 def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
                     budget: int = DEFAULT_BUDGET) -> Automaton:
     """The automaton of the reachable small inversion sets, found breadth
-    first; raises ``BudgetExceededError`` once the states exceed ``budget``."""
+    first; raises ``BudgetExceededError`` once the states exceed ``budget``.
+
+    The images of a state mask under all the letters are read eight bits
+    at a time from one set of chunk tables.  Field ``g`` (``width`` bits
+    wide) of entry ``b`` holds the mask of the small images, under the
+    generator of letter ``g``, of the small roots whose bits are set in
+    ``b``; each entry is filled from the one with its lowest bit cleared.
+    A state thus costs one lookup per chunk for all its transitions."""
     system = group.system
     if small is None:
         small = SmallRoots(group)
-    letters = list(range(system.rank + 1))
-    letter_bit = [small.index[group.simple_affine_root(g)] for g in letters]
-    letter_image: list[list[int | None]] = []
+    width = 2 * small.count
+    shifts = range(0, width, _CHUNK)
+    chunk = (1 << _CHUNK) - 1
+    field = (1 << width) - 1
+    letters = range(system.rank + 1)
+    images = [0] * width
     for g in letters:
         gen = group.generators[g]
-        images: list[int | None] = []
-        for beta in small.roots:
-            moved = group.act_on_affine_root(gen, beta)
-            images.append(small.index.get(moved))
-        letter_image.append(images)
+        for i, beta in enumerate(small.roots):
+            moved = small.index.get(group.act_on_affine_root(gen, beta))
+            if moved is not None:
+                images[i] |= 1 << (g * width + moved)
+    tables = []
+    for shift in shifts:
+        table = [0] * (1 << min(_CHUNK, width - shift))
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = table[b ^ low] | images[shift + low.bit_length() - 1]
+        tables.append(table)
+    # (bit of the letter's simple root, offset of the letter's field)
+    moves = [(1 << small.index[group.simple_affine_root(g)], g * width)
+             for g in letters]
 
     index = {0: 0}
     states = [0]
@@ -99,30 +155,26 @@ def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
     while frontier:
         next_frontier = []
         for mask in frontier:
+            packed = 0
+            for table, shift in zip(tables, shifts):
+                packed |= table[mask >> shift & chunk]
             row: list[int | None] = []
-            for g in letters:
-                if mask >> letter_bit[g] & 1:
+            for bit, offset in moves:
+                if mask & bit:
                     row.append(None)
                     continue
-                new_mask = 1 << letter_bit[g]
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    image = letter_image[g][low.bit_length() - 1]
-                    if image is not None:
-                        new_mask |= 1 << image
-                    rest ^= low
-                if new_mask not in index:
+                new_mask = packed >> offset & field | bit
+                target = index.get(new_mask)
+                if target is None:
                     if len(states) >= budget:
                         raise BudgetExceededError(
                             budget, "automaton states exceeded the budget")
-                    index[new_mask] = len(states)
+                    target = index[new_mask] = len(states)
                     states.append(new_mask)
                     next_frontier.append(new_mask)
-                row.append(index[new_mask])
+                row.append(target)
             transitions.append(row)
         frontier = next_frontier
-    assert len(transitions) == len(states)
     return Automaton(group=group, small=small, states=tuple(states),
                      transitions=tuple(transitions))
 
@@ -148,56 +200,57 @@ def export_dot(automaton: Automaton) -> str:
     """Deterministic DOT rendering: nodes sorted by label, edges by
     (source label, letter)."""
     labels = automaton.labels
+    order = automaton.order
     lines = ["digraph reduced_words {", "  rankdir=LR;",
              "  node [shape=circle];"]
-    for label in sorted(labels):
-        shape = ' [shape=doublecircle]' if set(label) == {"0"} else ""
-        lines.append(f'  "{label}"{shape};')
-    edges = []
-    for state, row in enumerate(automaton.transitions):
-        for g, target in enumerate(row):
+    for state in order:
+        shape = ' [shape=doublecircle]' if state == 0 else ""
+        lines.append(f'  "{labels[state]}"{shape};')
+    for state in order:
+        source = labels[state]
+        for g, target in enumerate(automaton.transitions[state]):
             if target is not None:
-                edges.append((labels[state], g, labels[target]))
-    edges.sort(key=lambda e: (e[0], e[1]))
-    for source, g, target in edges:
-        lines.append(f'  "{source}" -> "{target}" [label="s{g}"];')
+                lines.append(f'  "{source}" -> "{labels[target]}" [label="s{g}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-_DOT_EDGE = re.compile(r'"([-0+]+)"\s*->\s*"([-0+]+)"\s*\[label="s(\d+)"\]')
-_DOT_NODE = re.compile(r'^\s*"([-0+]+)"(?:\s*\[[^]]*\])?;')
+_DOT_EDGE = re.compile(
+    r'"([-0+]+)"[ \t]*->[ \t]*"([-0+]+)"[ \t]*\[label="s(\d+)"\]')
+# A node is a line of its own.  The pattern starts at the newline before
+# it, not at ``^``: a literal first character lets the search skip ahead.
+_DOT_NODE = re.compile(r'\n[ \t]*"([-0+]+)"(?:[ \t]*\[[^]\n]*\])?;')
 
 
 def parse_dot(text: str) -> tuple[list[str], dict[tuple[str, int], str]]:
-    """Recover node labels and the labelled edge map from export_dot output."""
-    labels = []
+    """Recover node labels and the labelled edge map from export_dot output;
+    raises ``ValueError`` on a second edge with the same source and letter.
+
+    Edges are read one match at a time and every label is kept as one
+    string object, shared by its node and all its edges, so the result
+    holds one copy of each label rather than one per edge end."""
+    names: dict[str, str] = {}
     edges: dict[tuple[str, int], str] = {}
-    for line in text.splitlines():
-        edge = _DOT_EDGE.search(line)
-        if edge:
-            source, target, letter = edge.group(1), edge.group(2), int(edge.group(3))
-            key = (source, letter)
-            assert key not in edges
-            edges[key] = target
-            continue
-        node = _DOT_NODE.match(line)
-        if node:
-            labels.append(node.group(1))
+    for edge in _DOT_EDGE.finditer(text):
+        source, target, letter = edge.groups()
+        key = (names.setdefault(source, source), int(letter))
+        if key in edges:
+            raise ValueError(f"duplicate edge from {source!r} on s{letter}")
+        edges[key] = names.setdefault(target, target)
+    labels = [names.setdefault(label, label)
+              for label in _DOT_NODE.findall("\n" + text)]
     return labels, edges
 
 
 def transition_table_json(automaton: Automaton) -> dict:
     system = automaton.group.system
     labels = automaton.labels
-    order = sorted(range(len(labels)), key=lambda i: labels[i])
+    letters = [f"s{g}" for g in range(automaton.letter_count)]
     table = {}
-    for i in order:
-        row = {}
-        for g, target in enumerate(automaton.transitions[i]):
-            if target is not None:
-                row[f"s{g}"] = labels[target]
-        table[labels[i]] = row
+    for i in automaton.order:
+        table[labels[i]] = {letter: labels[target] for letter, target
+                            in zip(letters, automaton.transitions[i])
+                            if target is not None}
     return {
         "type": system.cartan_type.family,
         "rank": system.cartan_type.rank,

@@ -467,12 +467,18 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
         for i, root in enumerate(system.positive_roots)]
 
     def recurrence(triples):
+        # t(a) and k(t, a) do not depend on w: one (a, t(a), k(t, a)) per root.
+        terms = [(facts, t, [(alpha, system.reflect(wall, alpha),
+                              group.shi_coefficient(t, alpha))
+                             for alpha in signed_roots])
+                 for facts, t, wall in triples]
+
         def probe(w):
-            for facts, t, wall in triples:
+            for facts, t, rows in terms:
                 tw = group.matrix_multiply(t, w)
                 if any(group.shi_coefficient(tw, alpha)
-                       != group.shi_coefficient(w, system.reflect(wall, alpha))
-                       + group.shi_coefficient(t, alpha) for alpha in signed_roots):
+                       != group.shi_coefficient(w, image) + k_t
+                       for alpha, image, k_t in rows):
                     return facts
             return None
         return probe

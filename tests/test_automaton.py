@@ -1,13 +1,22 @@
 """Reduced-word automaton: construction, recognition, counting, export."""
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+from functools import cache
+from pathlib import Path
 
 import pytest
 
-from shilow import (build_automaton, count_by_length,
+from shilow import (AffineWeylGroup, SmallRoots, build_automaton, count_by_length,
                     element_counts_by_length, export_dot, parse_dot,
-                    transition_table_json)
+                    parse_sign_string, root_system, transition_table_json)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_state_count_matches_regions(desk):
@@ -150,3 +159,96 @@ def test_transition_table_json(desk):
     for g in range(machine.letter_count):
         target = machine.transitions[0][g]
         assert start_row[f"s{g}"] == machine.state_label(target)
+
+
+def reference_automaton(group, small):
+    """The reference construction: the image of a state under a letter is
+    built one set bit at a time, states numbered in breadth-first order."""
+    letters = range(group.system.rank + 1)
+    letter_bit = [small.index[group.simple_affine_root(g)] for g in letters]
+    images = [[small.index.get(group.act_on_affine_root(group.generators[g], beta))
+               for beta in small.roots] for g in letters]
+    index = {0: 0}
+    states = [0]
+    transitions = []
+    for mask in states:
+        row = []
+        for g in letters:
+            if mask >> letter_bit[g] & 1:
+                row.append(None)
+                continue
+            new_mask = 1 << letter_bit[g]
+            for i, image in enumerate(images[g]):
+                if mask >> i & 1 and image is not None:
+                    new_mask |= 1 << image
+            if new_mask not in index:
+                index[new_mask] = len(states)
+                states.append(new_mask)
+            row.append(index[new_mask])
+        transitions.append(tuple(row))
+    return tuple(states), tuple(transitions)
+
+
+@cache
+def _machine(name):
+    group = AffineWeylGroup(root_system(name[0], int(name[1:])))
+    return build_automaton(group, SmallRoots(group))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B3", "C3",
+                                  "B4", "C4", "D4"])
+def test_chunk_tables_equal_reference_builder(name):
+    machine = _machine(name)
+    states, transitions = reference_automaton(machine.group, machine.small)
+    assert machine.states == states
+    assert tuple(map(tuple, machine.transitions)) == transitions
+
+
+@pytest.mark.parametrize("name", ["B4", "D4"])
+def test_every_label_round_trips_to_its_state(name):
+    machine = _machine(name)
+    for state, label in zip(machine.states, machine.labels):
+        assert machine.small.mask_from_shi(parse_sign_string(label)) == state
+
+
+def test_order_sorts_states_by_label(desk):
+    machine = desk.machine
+    assert [machine.labels[i] for i in machine.order] == sorted(machine.labels)
+
+
+@pytest.mark.parametrize("name", ["B4", "C4", "D4"])
+def test_rank_four_exports_match_recorded_digests(name):
+    """The digests the benchmark checks, recorded at the seed commit."""
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    machine = _machine(name)
+    table = json.dumps(transition_table_json(machine), indent=2)
+    digests = {"dot_sha256": export_dot(machine), "json_sha256": table}
+    for key, text in digests.items():
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
+            == expected["exports"][name][key]
+
+
+_DUPLICATE_EDGE = (
+    'digraph reduced_words {\n  "0";\n  "+";\n'
+    '  "0" -> "+" [label="s0"];\n  "0" -> "-" [label="s0"];\n}\n')
+
+
+def test_parse_dot_rejects_a_duplicate_edge():
+    with pytest.raises(ValueError, match="duplicate edge"):
+        parse_dot(_DUPLICATE_EDGE)
+
+
+def test_parse_dot_rejects_a_duplicate_edge_under_python_o():
+    """The duplicate check is an explicit raise, so ``-O`` keeps it."""
+    program = ("from shilow import parse_dot\n"
+               "try:\n"
+               f"    parse_dot({_DUPLICATE_EDGE!r})\n"
+               "except ValueError as exc:\n"
+               "    print('ValueError:', exc)\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-O", "-c", program],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ValueError: duplicate edge")
