@@ -19,9 +19,9 @@ from .automaton import (Automaton, build_automaton, count_by_length,
                         element_counts_by_length, export_dot, parse_dot,
                         transition_table_json)
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError
-from .lowness import (DEFAULT_BUDGET, BudgetExceededError, ScanResult,
-                      SmallRoots, certified_scan, enumerate_low, is_low,
-                      is_low_by_cone, sign_of_shi)
+from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
+                      ScanResult, SmallRoots, certified_scan, enumerate_low,
+                      is_low, is_low_by_cone, sign_of_shi)
 from .ratlp import CertificateError
 from .regions import (RegionTable, ShiRegion, descent_root_set,
                       dominant_pairs, enumerate_regions,
@@ -44,6 +44,7 @@ __all__ = [
     "BudgetExceededError",
     "CartanType",
     "CertificateError",
+    "CertificationError",
     "Check",
     "DEFAULT_BUDGET",
     "DESK_TYPES",

@@ -173,7 +173,7 @@ def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
                     states.append(new_mask)
                     next_frontier.append(new_mask)
                 row.append(target)
-            transitions.append(row)
+            transitions.append(tuple(row))
         frontier = next_frontier
     return Automaton(group=group, small=small, states=tuple(states),
                      transitions=tuple(transitions))

@@ -9,7 +9,8 @@ automaton   export the reduced-word automaton (DOT, JSON, or a text summary)
 
 Exit codes: 0 success (all selected checks passed), 1 verification failure
 (or a kernel fault or a failed cone certificate outside any check), 2 usage
-error, 3 enumeration budget or length cap exceeded.
+error, 3 enumeration budget or length cap exceeded, 4 a certified
+enumeration failed its own cross-check (``CertificationError``).
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from . import automaton as automaton_mod
 from . import regions as regions_mod
 from . import signtypes, verify
 from .elements import AffineWeylGroup, KernelError, word_text
-from .lowness import BudgetExceededError, certified_scan, enumerate_low, sign_of_shi
+from .lowness import (BudgetExceededError, CertificationError, certified_scan,
+                      enumerate_low, sign_of_shi)
 from .ratlp import CertificateError
 from .rootdata import root_system
 from .signtypes import sign_string
@@ -32,6 +34,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_CERTIFICATION = 4
 
 _ENUM_TARGETS = ("low", "regions", "dominant", "ideals")
 
@@ -314,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except (KernelError, CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except CertificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATION
     except ValueError as exc:
         return _usage_error(str(exc))
 

@@ -28,6 +28,15 @@ reduced word on first read.
 ``AffineWeylGroup.shells`` is the one walk of the group through the left
 tables; its ``keep`` predicate prunes it to a subset closed under left
 quotients, such as the finite Weyl group or the low elements.
+
+Right descents are read off the alcove walls.  ``walls(w)`` composes the
+signed permutations of the left tables along w's reduced word and names,
+for each letter g, the root ``side * alpha_i`` that the finite part of w
+sends the finite part of g's simple affine root to.  That wall of the
+w-alcove lies on the hyperplane of alpha_i at level ``k(w, alpha_i)``
+(side +1) or one above it (side -1), so g is a right descent exactly when
+``side * k(w, alpha_i) >= 1``, and w * s_g differs from w only in
+coordinate i, by one step towards zero.
 """
 
 from __future__ import annotations
@@ -187,7 +196,10 @@ class AffineWeylGroup:
         self.identity = GroupElement(self, (0,) * system.nroots)
         self.identity._action = (_identity_matrix(n), (0,) * n)
         self.letters = tuple(range(n + 1))
-        self._reflections = tuple(self._reflection_data(r) for r in system.positive_roots)
+        self.negative_roots = tuple(tuple(-c for c in r) for r in system.positive_roots)
+        # (pairs, base, slope) per positive root: see ``_reflection_data``.
+        self.reflection_data = tuple(self._reflection_data(r)
+                                     for r in system.positive_roots)
 
         simple = [self.simple_affine_root(g) for g in self.letters]
         self.generators = tuple(self.reflection_of_affine_root(b) for b in simple)
@@ -205,6 +217,9 @@ class AffineWeylGroup:
         # sign * w.shi[position] <= -1.
         self._descent_tests = ((0, system.highest_index, -1),) + tuple(
             (i + 1, i, 1) for i in range(n))
+        # (position, sign) per letter g: the finite part of g's simple
+        # affine root is sign * alpha_position (-theta for g = 0).
+        self._letter_roots = tuple((index, sign) for _, index, sign in self._descent_tests)
 
     # ------------------------------------------------------------ structure
 
@@ -303,7 +318,7 @@ class AffineWeylGroup:
             if index is None:
                 raise ValueError(f"finite part {beta.finite} is not a root")
             shift = -beta.delta
-        pairs, base, slope = self._reflections[index]
+        pairs, base, slope = self.reflection_data[index]
         return tuple((j, s, o - shift * m)
                      for (j, s), o, m in zip(pairs, base, slope))
 
@@ -335,6 +350,12 @@ class AffineWeylGroup:
         """s_beta * w, by the reflection table of ``beta``."""
         return GroupElement(self, _left_apply(self.reflection_table(beta), w.shi))
 
+    def _steps(self) -> tuple:
+        """(letter, position, sign, left table) per letter, in letter order:
+        g is a left descent of w exactly when sign * w.shi[position] <= -1."""
+        tables = self.left_tables
+        return tuple((g, index, sign, tables[g]) for g, index, sign in self._descent_tests)
+
     def _word_shi(self, word, shi: tuple[int, ...]) -> tuple[int, ...]:
         """The vector of s_word * v for the element v with vector ``shi``."""
         tables = self.left_tables
@@ -357,15 +378,14 @@ class AffineWeylGroup:
         a shell holds only the extensions that ``keep`` accepts, and only
         those are extended; the walk ends after its last non-empty shell.
         """
-        steps = tuple((index, sign, self.left_tables[g])
-                      for g, index, sign in self._descent_tests)
+        steps = self._steps()
         shell = [self.identity]
         while shell:
             yield shell
             found: dict[tuple[int, ...], None] = {}
             for w in shell:
                 shi = w.shi
-                for index, sign, table in steps:
+                for _, index, sign, table in steps:
                     if sign * shi[index] >= 0:
                         found[_left_apply(table, shi)] = None
             shell = [GroupElement(self, shi) for shi in found]
@@ -397,23 +417,37 @@ class AffineWeylGroup:
     def left_descents(self, w: GroupElement) -> frozenset[int]:
         return self._descents(w.shi)
 
+    def walls(self, w: GroupElement) -> tuple[tuple[int, int, int], ...]:
+        """One ``(g, i, side)`` per letter g, in letter order, with the
+        finite part of w sending the finite part of g's simple affine root
+        to ``side * alpha_i``: the signed permutations of the left tables
+        composed along w's reduced word, read right to left."""
+        tables = self.left_tables
+        walls = self._letter_roots
+        for a in reversed(self.word_from_element(w)):
+            table = tables[a]
+            walls = [(table[i][0], side * table[i][1]) for i, side in walls]
+        return tuple((g, i, side) for g, (i, side) in enumerate(walls))
+
     def right_descents(self, w: GroupElement) -> frozenset[int]:
-        """The left descents of w^-1, whose vector is the letters of w's
-        reduced word applied on the left in turn."""
-        return self._descents(self._word_shi(self.word_from_element(w)[::-1],
-                                             self.identity.shi))
+        """The letters whose wall of the w-alcove separates it from the
+        fundamental alcove: side * k(w, alpha_i) >= 1."""
+        shi = w.shi
+        return frozenset(g for g, i, side in self.walls(w) if side * shi[i] >= 1)
 
     def word_from_element(self, w: GroupElement) -> tuple[int, ...]:
         """Reduced word, always stripping the least left descent first."""
+        steps = self._steps()
         word = []
         shi, length = w.shi, w.length
         while length:
-            descents = self._descents(shi)
-            if not descents:
+            for g, index, sign, table in steps:
+                if sign * shi[index] <= -1:
+                    break
+            else:
                 raise KernelError(f"coefficients {w.shi}: a vector of length "
                                   f"{length} on the way has no left descent")
-            g = min(descents)
-            shi = _left_apply(self.left_tables[g], shi)
+            shi = _left_apply(table, shi)
             length -= 1
             if sum(map(abs, shi)) != length:
                 raise KernelError(f"coefficients {w.shi}: stripping s{g} does "
@@ -499,11 +533,24 @@ class AffineWeylGroup:
         return frozenset(self.simple_affine_root(g) for g in self.left_descents(w))
 
     def right_descent_roots(self, w: GroupElement) -> frozenset[AffineRoot]:
+        """-w(alpha_g) for each right descent g, read off the walls: the
+        root (-alpha_i, k) when side is +1, (alpha_i, -k-1) when it is -1,
+        for k = k(w, alpha_i)."""
         out = []
-        for g in self.right_descents(w):
-            image = self.act_on_affine_root(w, self.simple_affine_root(g))
-            out.append(-image)
+        for g, i, side in self.walls(w):
+            k = w.shi[i]
+            if side * k >= 1:
+                out.append(AffineRoot(self.negative_roots[i], k) if side > 0
+                           else AffineRoot(self.system.positive_roots[i], -k - 1))
         return frozenset(out)
+
+    def right_descent_roots_by_action(self, w: GroupElement) -> frozenset[AffineRoot]:
+        """The oracle for ``right_descent_roots``: the right descents as the
+        left descents of w^-1 (w's reduced word applied on the left of the
+        identity), each root -w(alpha_g) through the matrix action."""
+        inverse = self._word_shi(self.word_from_element(w)[::-1], self.identity.shi)
+        return frozenset(-self.act_on_affine_root(w, self.simple_affine_root(g))
+                         for g in self._descents(inverse))
 
     # -------------------------------------------------------- finite part
 

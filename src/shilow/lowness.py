@@ -7,8 +7,10 @@ type or coefficient vector picks the root itself at '-' and delta minus
 the root at '+'.  An element is low when its inversion set is the
 root-cone generated by its small inversions; the production test uses
 the equivalent basis criterion (every length-decreasing inversion is
-small, with lengths read from the kernel's reflection tables), the cone
-test backs it as an independent oracle.
+small, with lengths read from the kernel's reflection data), the cone
+test backs it as an independent oracle.  The non-small inversions sit
+only at coefficients ``m`` with ``|m| >= 2``: (-alpha, j) for
+``2 <= j <= m`` and (alpha, j) for ``1 <= j <= -m-1``.
 
 Both enumerations read the one walk ``AffineWeylGroup.shells()`` on the
 Shi-vector kernel of ``elements``, without matrices.  ``certified_scan``
@@ -24,7 +26,11 @@ root; and every combination of members of N(w) pairs strictly negatively
 with the w-alcove representative, so any root among them already lies in
 N(w).  Hence cone(X) capped to roots is contained in N(w) whenever
 X is a subset of N(w), and the substantive direction — each member of
-N(w) is generated — is a finite list of exact LP calls.
+N(w) is generated — is a finite list of exact cone tests, one
+``ratlp.cone_members`` call per window.
+
+The enumerations cross-check themselves, and a failed cross-check raises
+``CertificationError`` (an explicit raise, so ``python -O`` keeps it).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError
-from .ratlp import in_cone
+from .ratlp import cone_members
 
 DEFAULT_BUDGET = 500_000
 SAMPLE_SIZE = 8  # visited members kept per sign type by ``certified_scan``
@@ -44,6 +50,13 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, bound: int, message: str):
         super().__init__(f"{message} (bound: {bound})")
         self.bound = bound
+
+
+class CertificationError(RuntimeError):
+    """A certified enumeration failed one of its own cross-checks: a sign
+    type with two shortest elements, a count off (h+1)^n, a low element
+    outside the certified range or not shortest in its sign type, or a
+    region table whose scan disagrees with the sign-type combinatorics."""
 
 
 class SmallRoots:
@@ -113,17 +126,32 @@ def positive_roots_window(group: AffineWeylGroup, max_delta: int) -> list[Affine
 def cone_window_members(group: AffineWeylGroup, generators,
                         max_delta: int) -> frozenset[AffineRoot]:
     """Positive affine roots within the delta window that the cone generates."""
-    columns = [affine_root_vector(g) for g in generators]
-    return frozenset(beta for beta in positive_roots_window(group, max_delta)
-                     if in_cone(columns, affine_root_vector(beta)))
+    window = positive_roots_window(group, max_delta)
+    inside = cone_members([affine_root_vector(g) for g in generators],
+                          [affine_root_vector(beta) for beta in window])
+    return frozenset(beta for beta, member in zip(window, inside) if member)
 
 
 def is_low(group: AffineWeylGroup, small: SmallRoots, w: GroupElement) -> bool:
-    """Basis criterion: every length-decreasing inversion is a small root."""
-    length = w.length
-    for beta in group.inversion_set(w):
-        if beta not in small and group.reflect_left(beta, w).length == length - 1:
-            return False
+    """Basis criterion: every length-decreasing inversion is a small root.
+
+    Reads only the coefficients m with |m| >= 2, which hold the non-small
+    inversions, and takes the length of s_beta * w for each from the
+    reflection data of its finite root: sum |s k_j + o - shift * slope|.
+    ``small`` is not read: the coefficients already tell which
+    inversions are small."""
+    shi = w.shi
+    target = w.length - 1
+    for i, m in enumerate(shi):
+        if -2 < m < 2:
+            continue
+        pairs, base, slope = group.reflection_data[i]
+        # (-alpha_i, j) reflects with shift -j, (alpha_i, j) with shift j.
+        shifts = range(-m, -1) if m > 0 else range(1, -m)
+        moved = [s * shi[j] + o for (j, s), o in zip(pairs, base)]
+        for shift in shifts:
+            if sum(abs(x - shift * c) for x, c in zip(moved, slope)) == target:
+                return False
     return True
 
 
@@ -171,15 +199,12 @@ def right_descent_within_sign_type(group: AffineWeylGroup,
     ``None`` when every right descent leaves it, as it must at the
     shortest element of a sign type.
 
-    Derives w's reduced word once, then applies it on the left of the
-    identity (for w^-1, whose left descents are w's right descents) and
-    of each s_g (for w * s_g).
+    w * s_g moves coefficient i of g's wall one step towards zero, so it
+    keeps the sign type exactly when side * k(w, alpha_i) >= 2.
     """
-    word = group.word_from_element(w)
-    zeta = sign_of_shi(w.shi)
-    inverse = group._word_shi(word[::-1], group.identity.shi)
-    for g in sorted(group._descents(inverse)):
-        if sign_of_shi(group._word_shi(word, group.generators[g].shi)) == zeta:
+    shi = w.shi
+    for g, i, side in group.walls(w):
+        if side * shi[i] >= 2:
             return g
     return None
 
@@ -192,8 +217,9 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
     Reads ``group.shells()`` one shell at a time and stops once all
     (h+1)^n sign types each hold their first-visited (hence shortest)
     element and the current shell exceeds all recorded minima.  Shell
-    order makes first visits minimal; the uniqueness of each
-    per-sign-type minimum is asserted along the way.
+    order makes first visits minimal.  A second element of a sign type
+    in the shell of its minimum, or more sign types than (h+1)^n, raises
+    ``CertificationError``.
     """
     target_count = group.system.region_count
     minima: dict[tuple[int, ...], GroupElement] = {}
@@ -215,15 +241,16 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
                 min_abs[zeta] = [abs(k) for k in w.shi]
                 samples[zeta] = [w]
                 continue
-            assert min_length[zeta] < length, \
-                "each region must hold a unique shortest element"
+            if min_length[zeta] == length:
+                raise CertificationError(
+                    f"sign type {zeta} has two shortest elements, of length {length}")
             current = min_abs[zeta]
             for i, k in enumerate(w.shi):
                 if abs(k) < current[i]:
                     current[i] = abs(k)
             if len(samples[zeta]) < SAMPLE_SIZE:
                 samples[zeta].append(w)
-        if len(minima) == target_count and length >= max(min_length.values()):
+        if len(minima) >= target_count and length >= max(min_length.values()):
             break
         if max_length is not None and length >= max_length:
             raise BudgetExceededError(
@@ -231,7 +258,9 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
     else:
         raise BudgetExceededError(
             target_count, "scan frontier emptied before reaching the sign-type target")
-    assert len(minima) == target_count
+    if len(minima) != target_count:
+        raise CertificationError(f"the scan found {len(minima)} sign types, "
+                                 f"not (h+1)^n = {target_count}")
     return ScanResult(
         group=group,
         stop_length=length,
@@ -253,8 +282,9 @@ def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
     supplied, the traversal's completeness is cross-validated: every low
     element must fall inside the certified range, and each must be
     shortest in its own sign type (no right extension stays in the
-    type).  Whether the low set *equals* the set of per-type minima is
-    left to the verification suites.
+    type); either failure raises ``CertificationError``.  Whether the low
+    set *equals* the set of per-type minima is left to the verification
+    suites.
     """
     small = SmallRoots(group)
     low: list[GroupElement] = []
@@ -266,9 +296,14 @@ def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
 
     result = sorted(low, key=GroupElement.sort_key)
     if certificate_scan is not None:
-        assert all(w.length <= certificate_scan.stop_length for w in result), \
-            "a low element escaped the certified scan range"
         for w in result:
-            assert right_descent_within_sign_type(group, w) is None, \
-                "a low element must be shortest within its sign type"
+            if w.length > certificate_scan.stop_length:
+                raise CertificationError(
+                    f"low element {w.shi} of length {w.length} lies past the "
+                    f"certified scan range {certificate_scan.stop_length}")
+            g = right_descent_within_sign_type(group, w)
+            if g is not None:
+                raise CertificationError(
+                    f"low element {w.shi} is not shortest in its sign type: "
+                    f"s{g} is a right descent inside it")
     return result

@@ -17,6 +17,11 @@ returned, so its correctness does not rest on the pivoting code:
   generator ``g`` and ``y . target < 0``.
 
 A certificate that fails its check raises ``CertificateError``.
+
+``cone_members`` tests many targets against one generator set.  A Farkas
+vector found for one target often separates later ones too, so each
+vector found is kept and tried, one dot product per target, before the
+next LP is solved; an answer it gives passes the same Farkas check.
 """
 
 from __future__ import annotations
@@ -67,6 +72,13 @@ def nonnegative_combination(columns: Sequence[Sequence[int]],
     positive denominator, ``(numerators, d)``, or ``None`` when the
     system is infeasible.  Either answer has passed its certificate check.
     """
+    return _solve(columns, target)[0]
+
+
+def _solve(columns: Sequence[Sequence[int]], target: Sequence[int]) \
+        -> tuple[tuple[list[int], int] | None, list[int] | None]:
+    """``((numerators, d), None)`` for a member, ``(None, farkas)`` for a
+    non-member; either certificate has passed its check."""
     m = len(target)
     k = len(columns)
     width = k + m
@@ -120,12 +132,40 @@ def nonnegative_combination(columns: Sequence[Sequence[int]],
             if j < k:
                 numerators[j] = rows[r][width]
         _check_member(columns, target, numerators, d)
-        return numerators, d
+        return (numerators, d), None
     farkas = [-s * (z[k + r] + d) for r, s in enumerate(signs)]
     _check_farkas(columns, target, farkas)
-    return None
+    return None, farkas
 
 
-def in_cone(generators: Iterable[Sequence[int]], target: Sequence[int]) -> bool:
-    """True iff ``target`` is a nonnegative rational combination of ``generators``."""
-    return nonnegative_combination(list(generators), target) is not None
+def in_cone(generators: Iterable[Sequence[int]], target: Sequence[int],
+            separators: list[list[int]] | None = None) -> bool:
+    """True iff ``target`` is a nonnegative rational combination of ``generators``.
+
+    When ``separators`` is a list, the checked Farkas vector of a
+    non-member is appended to it."""
+    combination, farkas = _solve(list(generators), target)
+    if farkas is not None and separators is not None:
+        separators.append(farkas)
+    return combination is not None
+
+
+def cone_members(generators: Iterable[Sequence[int]],
+                 targets: Iterable[Sequence[int]]) -> list[bool]:
+    """``in_cone(generators, t)`` for each target ``t``, in order.
+
+    The Farkas vectors found so far for these generators are tried first:
+    one that pairs negatively with the target settles it once it passes
+    ``_check_farkas``; otherwise ``in_cone`` solves an LP."""
+    columns = list(generators)
+    separators: list[list[int]] = []
+    out = []
+    for target in targets:
+        for y in separators:
+            if _dot(y, target) < 0:
+                _check_farkas(columns, target, y)
+                out.append(False)
+                break
+        else:
+            out.append(in_cone(columns, target, separators))
+    return out

@@ -7,7 +7,8 @@ sample elements, and cross-checks the scan against the sign-type
 combinatorics: every region's sign type must be admissible, its
 separation set must match the minimal element's small inversion set, and
 right-multiplying the minimal element by any descent generator must
-leave the region.
+leave the region.  A failed cross-check raises
+``lowness.CertificationError``.
 
 The dominant regions (no '-' signs) biject with the order ideals of the
 positive root poset; the inversion set of the minimal element of the
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import signtypes
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, word_text
-from .lowness import (ScanResult, SmallRoots, certified_scan,
+from .lowness import (CertificationError, ScanResult, SmallRoots, certified_scan,
                       right_descent_within_sign_type, sign_of_shi)
 from .rootdata import PosetIdeal, RootSystem
 
@@ -80,10 +81,15 @@ def enumerate_regions(group: AffineWeylGroup,
     small = SmallRoots(group)
     regions = []
     for zeta, minimal in scan.minima.items():
-        assert signtypes.is_admissible(system, zeta)
+        if not signtypes.is_admissible(system, zeta):
+            raise CertificationError(f"scanned sign type {zeta} is not admissible")
         mask = signtypes.separation_mask(system, small, zeta)
-        assert mask == small.sigma_mask(minimal)
-        assert right_descent_within_sign_type(group, minimal) is None
+        if mask != small.sigma_mask(minimal):
+            raise CertificationError(f"sign type {zeta}: its separation mask is not "
+                                     f"the small inversion set of its minimum")
+        if right_descent_within_sign_type(group, minimal) is not None:
+            raise CertificationError(f"sign type {zeta}: its minimum has a right "
+                                     f"descent inside the sign type")
         regions.append(ShiRegion(
             sign_type=zeta,
             separation_mask=mask,

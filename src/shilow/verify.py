@@ -29,9 +29,10 @@ All suites of one type share a ``DeskContext``, cached per type and
 budget; its scan, low set, region table and automaton are built on first
 read, and its ball is sliced from one walk of ``AffineWeylGroup.shells()``.
 A check over many items goes through ``_check_each``, which records the
-first failing item as the counterexample; a ``KernelError`` or a cone
-``CertificateError`` raised on an item, or while the items are built,
-fails the check too, and so does a check that examined no item.
+first failing item as the counterexample; a ``KernelError``, a cone
+``CertificateError`` or an enumeration's ``CertificationError`` raised on
+an item, or while the items are built, fails the check too, and so does
+a check that examined no item.
 Sign-type reflection, the small-root codec and the shell walk are the
 library's own (``signtypes.reflect_sign_type``, ``SmallRoots``,
 ``AffineWeylGroup.shells``); the suites do not re-derive them.
@@ -48,8 +49,8 @@ from . import regions as regionlib
 from . import signtypes
 from .elements import (AffineRoot, AffineWeylGroup, GroupElement, KernelError,
                        word_text)
-from .lowness import (DEFAULT_BUDGET, BudgetExceededError, ScanResult,
-                      SmallRoots, certified_scan,
+from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
+                      ScanResult, SmallRoots, certified_scan,
                       cone_window_members, enumerate_low, is_low,
                       is_low_by_cone, right_descent_within_sign_type,
                       sign_of_shi)
@@ -165,9 +166,10 @@ def _check_each(report: Report, name: str, items, probe, where=None,
     ``probe(item)`` returns ``None`` for a passing item, else a dict of
     facts about the failure; the counterexample is ``where(item)`` (what
     the item is) followed by those facts.  A kernel disagreement with the
-    matrix action (``KernelError``) or a cone answer whose certificate
-    fails (``ratlp.CertificateError``), raised by a probe or while the
-    items are read, fails the check too, with the error as its
+    matrix action (``KernelError``), a cone answer whose certificate
+    fails (``ratlp.CertificateError``) or a failed enumeration
+    cross-check (``lowness.CertificationError``), raised by a probe or
+    while the items are read, fails the check too, with the error as its
     counterexample.
     A check that examined no item fails with ``{"examined": 0}``.
     """
@@ -183,6 +185,8 @@ def _check_each(report: Report, name: str, items, probe, where=None,
         failure = {"kernel_error": str(exc)}
     except CertificateError as exc:
         failure = {"certificate_error": str(exc)}
+    except CertificationError as exc:
+        failure = {"certification_error": str(exc)}
     report.add(name, failure is None, counterexample=failure, detail=detail)
 
 
@@ -531,6 +535,10 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
 
     def descent_roots_transition(w):
         nd = group.right_descent_roots(w)
+        oracle = group.right_descent_roots_by_action(w)
+        if nd != oracle:
+            return {"walls": _root_names(group, nd),
+                    "matrix_action": _root_names(group, oracle)}
         for g in group.left_descents(w):
             sw = group.left_multiply(g, w)
             alpha = group.simple_affine_root(g)

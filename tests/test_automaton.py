@@ -48,8 +48,10 @@ def test_state_labels_distinct(desk):
 
 def test_transition_shape(desk):
     machine = desk.machine
+    assert isinstance(machine.transitions, tuple)
     assert len(machine.transitions) == len(machine.states)
     for row in machine.transitions:
+        assert isinstance(row, tuple)
         assert len(row) == machine.letter_count
         for target in row:
             assert target is None or 0 <= target < len(machine.states)
@@ -201,7 +203,7 @@ def test_chunk_tables_equal_reference_builder(name):
     machine = _machine(name)
     states, transitions = reference_automaton(machine.group, machine.small)
     assert machine.states == states
-    assert tuple(map(tuple, machine.transitions)) == transitions
+    assert machine.transitions == transitions
 
 
 @pytest.mark.parametrize("name", ["B4", "D4"])

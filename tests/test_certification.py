@@ -1,0 +1,140 @@
+"""The enumerations' own cross-checks raise ``CertificationError``.
+
+Each certifying check of ``certified_scan``, ``enumerate_low`` and
+``enumerate_regions`` is an explicit raise, so an injected fault still
+surfaces under ``python -O``; the CLI exits 4 on it and a suite check
+fails on it.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from shilow import (AffineWeylGroup, CertificationError, certified_scan, cli,
+                    enumerate_low, enumerate_regions, lowness, regions,
+                    root_system, signtypes, verify)
+from shilow.report import Report
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _group(family: str = "A", rank: int = 2) -> AffineWeylGroup:
+    return AffineWeylGroup(root_system(family, rank))
+
+
+def test_a_repeated_element_breaks_the_scan_uniqueness(monkeypatch):
+    """A walk that lists an element twice in one shell gives its sign type
+    two shortest elements."""
+    shells = AffineWeylGroup.shells
+
+    def doubled(group, *args, **kwargs):
+        for shell in shells(group, *args, **kwargs):
+            yield shell + shell[-1:] if len(shell) > 1 else shell
+    monkeypatch.setattr(AffineWeylGroup, "shells", doubled)
+    with pytest.raises(CertificationError, match="two shortest elements"):
+        certified_scan(_group())
+
+
+def test_more_sign_types_than_the_count_breaks_the_scan(monkeypatch):
+    """With the target count lowered below the 16 sign types of A2, the
+    last shell of minima overshoots it."""
+    group = _group()
+    monkeypatch.setattr(group.system, "region_count", 14)
+    with pytest.raises(CertificationError, match="found 16 sign types"):
+        certified_scan(group)
+
+
+def test_a_low_element_with_a_descent_in_its_sign_type_is_caught(monkeypatch):
+    group = _group()
+    scan = certified_scan(group)
+    monkeypatch.setattr(lowness, "right_descent_within_sign_type", lambda group, w: 0)
+    with pytest.raises(CertificationError, match="not shortest in its sign type"):
+        enumerate_low(group, certificate_scan=scan)
+
+
+def test_a_low_element_past_the_scan_range_is_caught():
+    group = _group()
+    scan = certified_scan(group)
+    short = lowness.ScanResult(group=group, stop_length=3, minima=scan.minima,
+                               min_abs=scan.min_abs, samples=scan.samples,
+                               visited=scan.visited)
+    with pytest.raises(CertificationError, match="past the certified scan range 3"):
+        enumerate_low(group, certificate_scan=short)
+
+
+@pytest.mark.parametrize("module, name, fault, message", [
+    (signtypes, "is_admissible", lambda system, zeta: False, "is not admissible"),
+    (signtypes, "separation_mask", lambda system, small, zeta: 0, "separation mask"),
+    (regions, "right_descent_within_sign_type", lambda group, w: 0,
+     "right descent inside the sign type"),
+])
+def test_each_region_table_cross_check_raises(monkeypatch, module, name, fault, message):
+    group = _group()
+    scan = certified_scan(group)
+    monkeypatch.setattr(module, name, fault)
+    with pytest.raises(CertificationError, match=message):
+        enumerate_regions(group, scan=scan)
+
+
+def test_check_each_fails_a_check_on_a_certification_error():
+    def probe(item):
+        raise CertificationError("sign type (0,) has two shortest elements")
+    report = Report(suite="main-theorem", family="A", rank=2)
+    verify._check_each(report, "probe", [1], probe)
+    check = report.checks[0]
+    assert not check.passed
+    assert check.counterexample == {
+        "certification_error": "sign type (0,) has two shortest elements"}
+
+
+_INJECTED = """
+from shilow import (AffineWeylGroup, CertificationError, certified_scan, cli,
+                    enumerate_low, enumerate_regions, lowness, regions, root_system)
+
+lowness.right_descent_within_sign_type = lambda group, w: 0
+regions.right_descent_within_sign_type = lambda group, w: 0
+group = AffineWeylGroup(root_system("A", 2))
+scan = certified_scan(group)
+for enumeration in (lambda: enumerate_low(group, certificate_scan=scan),
+                    lambda: enumerate_regions(group, scan=scan)):
+    try:
+        enumeration()
+    except CertificationError as exc:
+        print("CertificationError:", exc)
+print("exit", cli.main(["enumerate", "low", "--type", "A", "--rank", "2"]))
+"""
+
+
+def test_an_injected_fault_raises_under_python_o():
+    """With ``right_descent_within_sign_type`` answering s0 for every
+    element, both enumerations raise and the CLI exits 4, also under
+    ``-O``, which strips asserts."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC),
+                                                       os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-O", "-c", _INJECTED], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert "not shortest in its sign type" in lines[0]
+    assert "right descent inside the sign type" in lines[1]
+    assert lines[2] == f"exit {cli.EXIT_CERTIFICATION}"
+    assert proc.stderr.startswith("error: low element")
+    assert "Traceback" not in proc.stderr
+
+
+def test_the_cli_exits_4_on_a_certification_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise CertificationError("the scan found 17 sign types, not (h+1)^n = 16")
+    monkeypatch.setattr(verify, "run_suite", broken)
+    code = cli.main(["verify", "main-theorem", "--type", "A", "--rank", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CERTIFICATION == 4
+    assert not captured.out
+    assert captured.err == "error: the scan found 17 sign types, not (h+1)^n = 16\n"
+

@@ -1,8 +1,9 @@
 """The Shi-vector kernel against the matrix-action oracle.
 
-Property tests over random words on the desk types and B3, plus the
-named error raised by a left table that disagrees with the matrix
-action, which must survive ``python -O``.
+Property tests over random words on the desk types and B3 (including
+the word <-> element round trip), plus the named error raised by a left
+table that disagrees with the matrix action, which must survive
+``python -O``.
 """
 from __future__ import annotations
 
@@ -65,6 +66,19 @@ def test_right_descents_match_the_matrix_length_test(case):
                           if group.matrix_multiply(w, group.generators[g]).length
                           < w.length)
     assert group.right_descents(w) == by_length
+
+
+@kernel_settings
+@given(typed_words())
+def test_reduced_word_round_trips_to_the_element(case):
+    """``word_from_element`` gives a word of length ``w.length`` whose
+    product is w again."""
+    name, word = case
+    group = _group(name)
+    w = group.element_from_word(word)
+    reduced = group.word_from_element(w)
+    assert len(reduced) == w.length
+    assert group.element_from_word(reduced) == w
 
 
 @kernel_settings

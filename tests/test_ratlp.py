@@ -3,7 +3,8 @@
 Members are built as explicit nonnegative combinations and non-members
 from a chosen separating vector, so every case has a known answer.  A
 tampered certificate must raise ``CertificateError``, also under
-``python -O``.
+``python -O``.  ``cone_members`` must give the per-target answers of
+``in_cone`` while reusing the Farkas vectors it finds.
 """
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shilow import CertificateError
-from shilow.ratlp import _check_farkas, _check_member, in_cone, nonnegative_combination
+from shilow import CertificateError, ratlp
+from shilow.ratlp import (_check_farkas, _check_member, cone_members, in_cone,
+                          nonnegative_combination)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -86,6 +88,57 @@ def test_separated_targets_are_not_members(case):
     columns, target = case
     assert nonnegative_combination(columns, target) is None
     assert not in_cone(iter(columns), target)
+
+
+@st.composite
+def cone_windows(draw):
+    """Generators and a list of targets in one dimension: random targets
+    and nonnegative combinations of the generators, shuffled together."""
+    dim = draw(st.integers(1, 5))
+    columns = draw(_vectors(dim))
+    targets = draw(st.lists(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim),
+                            max_size=10))
+    for weights in draw(st.lists(st.lists(st.integers(0, 2), min_size=len(columns),
+                                          max_size=len(columns)), max_size=4)):
+        targets.append([sum(x * col[r] for x, col in zip(weights, columns))
+                        for r in range(dim)])
+    return columns, draw(st.permutations(targets))
+
+
+@lp_settings
+@given(cone_windows())
+def test_cone_members_equal_in_cone_per_target(case):
+    columns, targets = case
+    assert cone_members(columns, targets) == [in_cone(columns, t) for t in targets]
+
+
+def test_a_stored_farkas_vector_saves_the_next_lp(monkeypatch):
+    solved = []
+    real = ratlp.in_cone
+
+    def counting(generators, target, separators=None):
+        solved.append(target)
+        return real(generators, target, separators)
+    monkeypatch.setattr(ratlp, "in_cone", counting)
+    targets = [[-1, 0], [-2, 0], [-1, -1], [1, 1]]
+    assert cone_members([[1, 0], [0, 1]], targets) == [False, False, False, True]
+    assert solved == [[-1, 0], [1, 1]]
+
+
+def test_a_tampered_stored_farkas_vector_raises(monkeypatch):
+    """A stored vector that pairs negatively with a generator is caught by
+    the Farkas check when it is reused, not trusted for having passed
+    once."""
+    real = ratlp.in_cone
+
+    def tampering(generators, target, separators=None):
+        answer = real(generators, target, separators)
+        if separators:
+            separators[-1] = [-5, 1]
+        return answer
+    monkeypatch.setattr(ratlp, "in_cone", tampering)
+    with pytest.raises(CertificateError, match="pairs negatively with the generator"):
+        cone_members([[1, 0], [0, 1]], [[-1, 0], [1, 0]])
 
 
 def test_no_generators():
