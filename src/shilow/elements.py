@@ -217,9 +217,6 @@ class AffineWeylGroup:
         # sign * w.shi[position] <= -1.
         self._descent_tests = ((0, system.highest_index, -1),) + tuple(
             (i + 1, i, 1) for i in range(n))
-        # (position, sign) per letter g: the finite part of g's simple
-        # affine root is sign * alpha_position (-theta for g = 0).
-        self._letter_roots = tuple((index, sign) for _, index, sign in self._descent_tests)
 
     # ------------------------------------------------------------ structure
 
@@ -423,7 +420,8 @@ class AffineWeylGroup:
         to ``side * alpha_i``: the signed permutations of the left tables
         composed along w's reduced word, read right to left."""
         tables = self.left_tables
-        walls = self._letter_roots
+        # (position, sign) per letter: its simple root's finite part is sign * alpha_position.
+        walls = [(index, sign) for _, index, sign in self._descent_tests]
         for a in reversed(self.word_from_element(w)):
             table = tables[a]
             walls = [(table[i][0], side * table[i][1]) for i, side in walls]

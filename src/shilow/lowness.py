@@ -64,7 +64,6 @@ class SmallRoots:
     positive roots, positions N..2N-1 hold delta minus those roots."""
 
     def __init__(self, group: AffineWeylGroup):
-        self.group = group
         system = group.system
         self.count = system.nroots
         level_zero = [AffineRoot(r, 0) for r in system.positive_roots]
@@ -132,14 +131,12 @@ def cone_window_members(group: AffineWeylGroup, generators,
     return frozenset(beta for beta, member in zip(window, inside) if member)
 
 
-def is_low(group: AffineWeylGroup, small: SmallRoots, w: GroupElement) -> bool:
+def is_low(group: AffineWeylGroup, w: GroupElement) -> bool:
     """Basis criterion: every length-decreasing inversion is a small root.
 
     Reads only the coefficients m with |m| >= 2, which hold the non-small
     inversions, and takes the length of s_beta * w for each from the
-    reflection data of its finite root: sum |s k_j + o - shift * slope|.
-    ``small`` is not read: the coefficients already tell which
-    inversions are small."""
+    reflection data of its finite root: sum |s k_j + o - shift * slope|."""
     shi = w.shi
     target = w.length - 1
     for i, m in enumerate(shi):
@@ -214,21 +211,21 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
     """Breadth-first scan by length shells until every sign type has a
     certified minimal element.
 
-    Reads ``group.shells()`` one shell at a time and stops once all
-    (h+1)^n sign types each hold their first-visited (hence shortest)
-    element and the current shell exceeds all recorded minima.  Shell
-    order makes first visits minimal.  A second element of a sign type
-    in the shell of its minimum, or more sign types than (h+1)^n, raises
-    ``CertificationError``.
+    Reads ``group.shells()`` one shell at a time and stops at the end of
+    the first shell after which all (h+1)^n sign types each hold their
+    first-visited (hence shortest) element; every minimum then lies in a
+    fully read shell.  Shell order makes first visits minimal.  A second
+    element of a sign type in the shell of its minimum, or more sign
+    types than (h+1)^n, raises ``CertificationError``.
     """
     target_count = group.system.region_count
     minima: dict[tuple[int, ...], GroupElement] = {}
-    min_length: dict[tuple[int, ...], int] = {}
     min_abs: dict[tuple[int, ...], list[int]] = {}
     samples: dict[tuple[int, ...], list[GroupElement]] = {}
     visited = 0
 
     for length, shell in enumerate(group.shells()):
+        fresh = set()  # the sign types whose minimum lies in this shell
         for w in shell:
             if visited >= budget:
                 raise BudgetExceededError(
@@ -237,11 +234,11 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
             zeta = sign_of_shi(w.shi)
             if zeta not in minima:
                 minima[zeta] = w
-                min_length[zeta] = length
+                fresh.add(zeta)
                 min_abs[zeta] = [abs(k) for k in w.shi]
                 samples[zeta] = [w]
                 continue
-            if min_length[zeta] == length:
+            if zeta in fresh:
                 raise CertificationError(
                     f"sign type {zeta} has two shortest elements, of length {length}")
             current = min_abs[zeta]
@@ -250,7 +247,7 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
                     current[i] = abs(k)
             if len(samples[zeta]) < SAMPLE_SIZE:
                 samples[zeta].append(w)
-        if len(minima) >= target_count and length >= max(min_length.values()):
+        if len(minima) >= target_count:
             break
         if max_length is not None and length >= max_length:
             raise BudgetExceededError(
@@ -286,9 +283,8 @@ def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
     set *equals* the set of per-type minima is left to the verification
     suites.
     """
-    small = SmallRoots(group)
     low: list[GroupElement] = []
-    for shell in group.shells(keep=lambda w: is_low(group, small, w)):
+    for shell in group.shells(keep=lambda w: is_low(group, w)):
         low.extend(shell)
         if len(low) > budget:
             raise BudgetExceededError(

@@ -1,4 +1,4 @@
-"""Shi regions: minimal elements, separation sets, and the dominant case.
+"""Shi regions: minimal elements, separation sets, descent walls, the dominant case.
 
 A region is determined by its sign type.  The table builder takes a
 certified scan, attaches the shortest element of each region together
@@ -9,6 +9,11 @@ separation set must match the minimal element's small inversion set, and
 right-multiplying the minimal element by any descent generator must
 leave the region.  A failed cross-check raises
 ``lowness.CertificationError``.
+
+Each region then records its descent walls, read off its neighbours:
+the bits of its separation mask whose removal gives another region's
+mask.  ``signtypes.descent_mask`` derives them from admissibility alone,
+and the verification suites compare the two routes.
 
 The dominant regions (no '-' signs) biject with the order ideals of the
 positive root poset; the inversion set of the minimal element of the
@@ -34,6 +39,7 @@ class ShiRegion:
 
     sign_type: tuple[int, ...]
     separation_mask: int
+    descent_mask: int
     minimal: GroupElement
     min_abs: tuple[int, ...]
     samples: tuple[GroupElement, ...]
@@ -58,7 +64,8 @@ class RegionTable:
 
     def __post_init__(self) -> None:
         self.by_sign = {r.sign_type: r for r in self.regions}
-        assert len(self.by_sign) == len(self.regions)
+        if len(self.by_sign) != len(self.regions):
+            raise CertificationError("two regions of the table share a sign type")
 
     def __iter__(self):
         return iter(self.regions)
@@ -79,7 +86,7 @@ def enumerate_regions(group: AffineWeylGroup,
     if scan is None:
         scan = certified_scan(group)
     small = SmallRoots(group)
-    regions = []
+    found = []
     for zeta, minimal in scan.minima.items():
         if not signtypes.is_admissible(system, zeta):
             raise CertificationError(f"scanned sign type {zeta} is not admissible")
@@ -90,20 +97,21 @@ def enumerate_regions(group: AffineWeylGroup,
         if right_descent_within_sign_type(group, minimal) is not None:
             raise CertificationError(f"sign type {zeta}: its minimum has a right "
                                      f"descent inside the sign type")
-        regions.append(ShiRegion(
-            sign_type=zeta,
-            separation_mask=mask,
-            minimal=minimal,
-            min_abs=scan.min_abs[zeta],
-            samples=scan.samples[zeta],
-        ))
+        found.append((zeta, mask, minimal))
+    realized = {mask for _, mask, _ in found}
+    bits = [1 << i for i in range(2 * small.count)]
+    regions = [ShiRegion(sign_type=zeta, separation_mask=mask,
+                         descent_mask=sum(b for b in bits if mask & b
+                                          and (mask ^ b) in realized),
+                         minimal=minimal, min_abs=scan.min_abs[zeta],
+                         samples=scan.samples[zeta])
+               for zeta, mask, minimal in found]
     regions.sort(key=lambda r: (r.minimal.length, r.sign_string))
     return RegionTable(group=group, small=small, regions=tuple(regions))
 
 
 def descent_root_set(table: RegionTable, region: ShiRegion) -> frozenset[AffineRoot]:
-    mask = signtypes.descent_mask(table.group.system, table.small, region.sign_type)
-    return table.small.set_from_mask(mask)
+    return table.small.set_from_mask(region.descent_mask)
 
 
 def separation_set(table: RegionTable, region: ShiRegion) -> frozenset[AffineRoot]:
@@ -111,10 +119,7 @@ def separation_set(table: RegionTable, region: ShiRegion) -> frozenset[AffineRoo
 
 
 def ideal_sign_type(system: RootSystem, ideal: PosetIdeal) -> tuple[int, ...]:
-    signs = [0] * system.nroots
-    for p in ideal.ideal:
-        signs[p] = 1
-    return tuple(signs)
+    return tuple(int(p in ideal.ideal) for p in range(system.nroots))
 
 
 def dominant_pairs(system: RootSystem,
@@ -124,11 +129,12 @@ def dominant_pairs(system: RootSystem,
     seen = set()
     for ideal in system.poset_ideals():
         region = table.by_sign[ideal_sign_type(system, ideal)]
-        assert region.is_dominant
+        if not region.is_dominant:
+            raise CertificationError(f"the region of ideal {ideal.ideal} is not dominant")
         seen.add(region.sign_type)
         pairs.append((ideal, region))
-    dominant = {r.sign_type for r in table.dominant_regions()}
-    assert seen == dominant
+    if seen != {r.sign_type for r in table.dominant_regions()}:
+        raise CertificationError("the ideals do not reach every dominant region")
     return pairs
 
 
@@ -156,8 +162,17 @@ def ideal_closed_form_inversions(group: AffineWeylGroup,
                     next_layer.add(total)
         layer = next_layer
         level += 1
-        assert level <= system.coxeter_number
+        if level > system.coxeter_number:
+            raise CertificationError(f"ideal {ideal.ideal}: the sums reach level {level} > h")
     return frozenset(inversions)
+
+
+def _named_walls(table: RegionTable, region: ShiRegion) -> tuple[list[str], ...]:
+    """The names of the region's separation roots and of its descent roots,
+    each sorted by delta level, then finite part."""
+    return tuple([table.group.affine_root_name(b) for b in sorted(
+        table.small.set_from_mask(mask), key=lambda b: (b.delta, b.finite))]
+        for mask in (region.separation_mask, region.descent_mask))
 
 
 def region_csv_rows(table: RegionTable) -> list[list[str]]:
@@ -166,14 +181,9 @@ def region_csv_rows(table: RegionTable) -> list[list[str]]:
     rows = [["sign_type", "separation", "descent_roots", "minimal_word",
              "length", "dominant"]]
     for region in table.regions:
-        sep = sorted(separation_set(table, region),
-                     key=lambda b: (b.delta, b.finite))
-        des = sorted(descent_root_set(table, region),
-                     key=lambda b: (b.delta, b.finite))
         rows.append([
             region.sign_string,
-            " ".join(group.affine_root_name(b) for b in sep),
-            " ".join(group.affine_root_name(b) for b in des),
+            *map(" ".join, _named_walls(table, region)),
             word_text(group.word_from_element(region.minimal)),
             str(region.minimal.length),
             "yes" if region.is_dominant else "no",
@@ -183,23 +193,21 @@ def region_csv_rows(table: RegionTable) -> list[list[str]]:
 
 def region_json_dict(table: RegionTable) -> dict:
     group = table.group
-    system = group.system
     entries = []
     for region in table.regions:
+        separation, descent = _named_walls(table, region)
         entries.append({
             "sign_type": region.sign_string,
-            "separation": [group.affine_root_name(b) for b in sorted(
-                separation_set(table, region), key=lambda b: (b.delta, b.finite))],
-            "descent_roots": [group.affine_root_name(b) for b in sorted(
-                descent_root_set(table, region), key=lambda b: (b.delta, b.finite))],
+            "separation": separation,
+            "descent_roots": descent,
             "minimal_word": list(group.word_from_element(region.minimal)),
             "minimal_coefficients": list(region.minimal.shi),
             "minimum_magnitudes": list(region.min_abs),
             "dominant": region.is_dominant,
         })
     return {
-        "type": system.cartan_type.family,
-        "rank": system.cartan_type.rank,
+        "type": group.system.cartan_type.family,
+        "rank": group.system.cartan_type.rank,
         "count": len(table.regions),
         "regions": entries,
     }

@@ -284,10 +284,6 @@ class RootSystem:
         n = self.rank
         return tuple(sum(root[i] * self.gram[i][j] for i in range(n)) for j in range(n))
 
-    def coroot(self, root: tuple[int, ...]) -> tuple[Fraction, ...]:
-        nrm = self.norm(root)
-        return tuple(Fraction(2 * c, nrm) for c in root)
-
     def reflect(self, root: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
         """Reflect the root ``x`` in the hyperplane of ``root``."""
         if not self.is_root(root):

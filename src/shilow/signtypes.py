@@ -4,20 +4,24 @@ A sign type assigns -/0/+ to every positive root; the admissible ones are
 exactly the componentwise sign patterns of alcove coefficient vectors and
 index the regions of the Shi arrangement.  Admissibility is local: a sign
 type is admissible iff its restriction to every irreducible rank-2
-subsystem is, and the rank-2 tables are generated from certified scans of
-the three rank-2 affine groups rather than transcribed from pictures.
-``admissible_sign_types`` enumerates by backtracking on that criterion,
-testing each restriction as soon as its last position is assigned.
+subsystem is (Shi 1987), and the rank-2 tables are generated from
+certified scans of the three rank-2 affine groups rather than transcribed
+from pictures.  ``_restrictions`` indexes those restrictions once per
+type; ``violating_subsystems`` and the backtracking enumeration
+``admissible_sign_types`` read it.  ``descent_mask`` derives a region's
+descent walls from admissibility alone, independently of the region table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from functools import cache
 from operator import itemgetter
 
 from .elements import AffineWeylGroup
-from .lowness import (DEFAULT_BUDGET, BudgetExceededError, SmallRoots,
-                      certified_scan)
-from .rootdata import Rank2Subsystem, RootSystem, root_system
+from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
+                      SmallRoots, certified_scan)
+from .rootdata import CartanType, Rank2Subsystem, RootSystem, root_system
 
 _SIGN_CHAR = {-1: "-", 0: "0", 1: "+"}
 _CHAR_SIGN = {"-": -1, "0": 0, "+": 1}
@@ -35,9 +39,7 @@ def parse_sign_string(text: str) -> tuple[int, ...]:
         raise ValueError(f"invalid sign character in {text!r}") from exc
 
 
-_RANK2_TABLE_CACHE: dict[str, frozenset[tuple[int, ...]]] = {}
-
-
+@cache
 def rank2_admissible_table(kind: str) -> frozenset[tuple[int, ...]]:
     """All admissible sign types of a standalone rank-2 system.
 
@@ -45,29 +47,41 @@ def rank2_admissible_table(kind: str) -> frozenset[tuple[int, ...]]:
     scan stops only after (h+1)^2 distinct sign patterns each hold a
     shortest element, so the table is complete by the region count.
     """
-    if kind not in _RANK2_TABLE_CACHE:
-        if kind not in ("A2", "B2", "G2"):
-            raise ValueError(f"not an irreducible rank-2 kind: {kind!r}")
-        system = root_system(kind[0], 2)
-        group = AffineWeylGroup(system)
-        scan = certified_scan(group)
-        table = frozenset(scan.minima)
-        assert len(table) == system.region_count
-        _RANK2_TABLE_CACHE[kind] = table
-    return _RANK2_TABLE_CACHE[kind]
+    if kind not in ("A2", "B2", "G2"):
+        raise ValueError(f"not an irreducible rank-2 kind: {kind!r}")
+    system = root_system(kind[0], 2)
+    table = frozenset(certified_scan(AffineWeylGroup(system)).minima)
+    if len(table) != system.region_count:
+        raise CertificationError(f"the {kind} table holds {len(table)} sign types, "
+                                 f"not (h+1)^2 = {system.region_count}")
+    return table
 
 
 def restrict_to_subsystem(sub: Rank2Subsystem, trits: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(trits[p] for p in sub.positions)
 
 
+@cache
+def _restrictions(cartan_type: CartanType) -> tuple[tuple, ...]:
+    """(subsystem, getter of its positions, its admissible table) per
+    irreducible rank-2 subsystem, in ``rank2_subsystems`` order."""
+    system = root_system(cartan_type.family, cartan_type.rank)
+    return tuple((sub, itemgetter(*sub.positions), rank2_admissible_table(sub.kind))
+                 for sub in system.rank2_subsystems())
+
+
+def violating_subsystems(system: RootSystem,
+                         trits: tuple[int, ...]) -> Iterator[Rank2Subsystem]:
+    """Each rank-2 subsystem whose restriction is inadmissible, in order."""
+    for sub, restrict, table in _restrictions(system.cartan_type):
+        if restrict(trits) not in table:
+            yield sub
+
+
 def violating_subsystem(system: RootSystem,
                         trits: tuple[int, ...]) -> Rank2Subsystem | None:
     """The first rank-2 subsystem whose restriction is inadmissible, if any."""
-    for sub in system.rank2_subsystems():
-        if restrict_to_subsystem(sub, trits) not in rank2_admissible_table(sub.kind):
-            return sub
-    return None
+    return next(violating_subsystems(system, trits), None)
 
 
 def is_admissible(system: RootSystem, trits: tuple[int, ...]) -> bool:
@@ -94,11 +108,9 @@ def admissible_sign_types(system: RootSystem,
     examined (one per value tried at a position).
     """
     n = system.nroots
-    closing: list[list[tuple[itemgetter, frozenset[tuple[int, ...]]]]] = [
-        [] for _ in range(n)]
-    for sub in system.rank2_subsystems():
-        closing[max(sub.positions)].append(
-            (itemgetter(*sub.positions), rank2_admissible_table(sub.kind)))
+    closing: list[list[tuple]] = [[] for _ in range(n)]  # (getter, table) by last position
+    for sub, restrict, table in _restrictions(system.cartan_type):
+        closing[max(sub.positions)].append((restrict, table))
     trits = [0] * n
     found: list[tuple[int, ...]] = []
     examined = 0
@@ -178,7 +190,8 @@ def condition_star(system: RootSystem, trits: tuple[int, ...],
     For a region with '+' at the simple root s: whenever s + beta is a
     positive root carrying '+', beta must carry 0 or +.
     """
-    assert simple_index < system.rank and trits[simple_index] > 0
+    if not (simple_index < system.rank and trits[simple_index] > 0):
+        raise ValueError(f"condition_star needs a '+' at a simple root, not at {simple_index}")
     simple = system.positive_roots[simple_index]
     for i, beta in enumerate(system.positive_roots):
         total = tuple(a + b for a, b in zip(simple, beta))

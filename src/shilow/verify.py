@@ -309,20 +309,11 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
                 & ~region.separation_mask == 0 else {},
                 where=_at_region)
 
-    realized = {r.separation_mask for r in table}
-
+    # The table read the descent walls off its neighbouring regions' masks.
     def geometric(region):
         computed = signtypes.descent_mask(system, small, region.sign_type)
-        oracle = 0
-        mask = region.separation_mask
-        rest = mask
-        while rest:
-            low_bit = rest & -rest
-            if (mask ^ low_bit) in realized:
-                oracle |= low_bit
-            rest ^= low_bit
-        if oracle != computed:
-            return {"oracle": _root_names(group, small.set_from_mask(oracle)),
+        if region.descent_mask != computed:
+            return {"oracle": _root_names(group, small.set_from_mask(region.descent_mask)),
                     "computed": _root_names(group, small.set_from_mask(computed))}
         return None
     _check_each(report, "geometric_wall_oracle", table, geometric, where=_at_region)
@@ -568,7 +559,7 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
     cone_cap = min(cone_cap, sweep_bound)
     _check_each(report, "lowness_oracle_agreement",
                 (u for shell in shells[:cone_cap + 1] for u in shell),
-                lambda w: None if is_low(group, small, w)
+                lambda w: None if is_low(group, w)
                 == is_low_by_cone(group, small, w) else {},
                 where=at, detail=f"exhaustive to length {cone_cap}")
 
@@ -1023,11 +1014,8 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
     if (family, rank) == ("A", 4):
         report.add("rank4_pair_admissible",
                    signtypes.is_admissible(system, _A4_ADMISSIBLE))
-        violating = {sub.positions: signtypes.restrict_to_subsystem(
-                         sub, _A4_INADMISSIBLE)
-                     for sub in system.rank2_subsystems()
-                     if signtypes.restrict_to_subsystem(sub, _A4_INADMISSIBLE)
-                     not in signtypes.rank2_admissible_table(sub.kind)}
+        violating = {sub.positions: signtypes.restrict_to_subsystem(sub, _A4_INADMISSIBLE)
+                     for sub in signtypes.violating_subsystems(system, _A4_INADMISSIBLE)}
         report.add("rank4_pair_inadmissible",
                    not signtypes.is_admissible(system, _A4_INADMISSIBLE)
                    and violating.get(_A4_VIOLATION_POSITIONS) == (-1, -1, 1),

@@ -7,16 +7,18 @@ fails on it.
 """
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 from shilow import (AffineWeylGroup, CertificationError, certified_scan, cli,
-                    enumerate_low, enumerate_regions, lowness, regions,
-                    root_system, signtypes, verify)
+                    condition_star, enumerate_low, enumerate_regions, lowness,
+                    regions, root_system, signtypes, verify)
 from shilow.report import Report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -113,11 +115,7 @@ def test_an_injected_fault_raises_under_python_o():
     """With ``right_descent_within_sign_type`` answering s0 for every
     element, both enumerations raise and the CLI exits 4, also under
     ``-O``, which strips asserts."""
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC),
-                                                       os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-O", "-c", _INJECTED], capture_output=True,
-                          text=True, timeout=120, env=env)
+    proc = _python_o(_INJECTED)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 3
@@ -126,6 +124,14 @@ def test_an_injected_fault_raises_under_python_o():
     assert lines[2] == f"exit {cli.EXIT_CERTIFICATION}"
     assert proc.stderr.startswith("error: low element")
     assert "Traceback" not in proc.stderr
+
+
+def _python_o(script: str) -> subprocess.CompletedProcess:
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC),
+                                                       os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
 
 
 def test_the_cli_exits_4_on_a_certification_error(capsys, monkeypatch):
@@ -138,3 +144,52 @@ def test_the_cli_exits_4_on_a_certification_error(capsys, monkeypatch):
     assert not captured.out
     assert captured.err == "error: the scan found 17 sign types, not (h+1)^n = 16\n"
 
+
+def test_a_non_dominant_ideal_region_exits_4_from_main_theorem(capsys, monkeypatch):
+    """``verify_main_theorem`` pairs the ideals with their regions before
+    its checks run; a failed pairing still exits 4 with a message."""
+    monkeypatch.setattr(regions, "ideal_sign_type",
+                        lambda system, ideal: (-1,) * system.nroots)
+    code = cli.main(["verify", "main-theorem", "--type", "A", "--rank", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CERTIFICATION
+    assert not captured.out
+    assert captured.err == "error: the region of ideal () is not dominant\n"
+
+
+def test_a_non_dominant_ideal_region_raises_under_python_o():
+    proc = _python_o(
+        "from shilow import cli, regions\n"
+        "regions.ideal_sign_type = lambda system, ideal: (-1,) * system.nroots\n"
+        "print('exit', cli.main(['enumerate', 'ideals', '--type', 'A', '--rank', '2']))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"exit {cli.EXIT_CERTIFICATION}\n"
+    assert proc.stderr == "error: the region of ideal () is not dominant\n"
+
+
+def test_the_region_layer_raises_named_errors(monkeypatch):
+    group = _group()
+    table = enumerate_regions(group)
+    with pytest.raises(CertificationError, match="share a sign type"):
+        regions.RegionTable(group=group, small=table.small,
+                            regions=table.regions + table.regions[:1])
+    whole = group.system.poset_ideals()[-1]
+    monkeypatch.setattr(group.system, "coxeter_number", 1)
+    with pytest.raises(CertificationError, match="the sums reach level 2 > h"):
+        regions.ideal_closed_form_inversions(group, whole)
+    with pytest.raises(ValueError, match="needs a '\\+' at a simple root"):
+        condition_star(group.system, (0, 0, 0), 0)
+    monkeypatch.setattr(signtypes, "certified_scan",
+                        lambda group: types.SimpleNamespace(minima={(0, 0, 0): None}))
+    with pytest.raises(CertificationError, match="A2 table holds 1 sign types"):
+        signtypes.rank2_admissible_table.__wrapped__("A2")
+
+
+@pytest.mark.parametrize("module", ["regions", "signtypes"])
+def test_no_assert_statement_in_the_region_layer(module):
+    """``python -O`` strips asserts, so the region layer certifies by
+    explicit raises only."""
+    path = SRC / "shilow" / f"{module}.py"
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert statements at lines {lines}"

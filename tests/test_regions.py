@@ -5,9 +5,11 @@ import csv
 import io
 import json
 
-from shilow import (descent_root_set, dominant_pairs, ideal_closed_form_inversions,
-                    enumerate_regions, ideal_sign_type, is_admissible,
-                    separation_set, sign_of_shi)
+import pytest
+
+from shilow import (AffineWeylGroup, descent_mask, descent_root_set, dominant_pairs,
+                    ideal_closed_form_inversions, enumerate_regions, ideal_sign_type,
+                    is_admissible, root_system, separation_set, sign_of_shi, verify)
 from shilow.regions import ideal_bijection_json, region_csv_rows, region_json_dict
 
 
@@ -54,6 +56,16 @@ def test_descent_roots_within_separation(desk):
     table = desk.table
     for region in table.regions:
         assert descent_root_set(table, region) <= separation_set(table, region)
+
+
+@pytest.mark.parametrize("family, rank", [*verify.DESK_TYPES, ("B", 3)])
+def test_recorded_descent_walls_equal_the_sign_type_route(family, rank):
+    """A region's descent walls, read off its neighbours' separation
+    masks, are the walls whose sign can be zeroed within admissibility."""
+    table = enumerate_regions(AffineWeylGroup(root_system(family, rank)))
+    for region in table:
+        assert region.descent_mask == descent_mask(table.group.system, table.small,
+                                                   region.sign_type), region.sign_string
 
 
 def test_dominant_characterization(desk):

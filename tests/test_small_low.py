@@ -134,16 +134,16 @@ def test_low_elements_have_distinct_sign_types(desk):
 
 
 def test_low_membership_predicate(desk):
-    group, small = desk.group, desk.small
+    group = desk.group
     low_set = set(desk.low)
     for w in desk.ball(4):
-        assert is_low(group, small, w) == (w in low_set)
+        assert is_low(group, w) == (w in low_set)
 
 
 def test_low_oracle_agreement_small_ball(a2):
     group, small = a2.group, a2.small
     for w in a2.ball(6):
-        assert is_low(group, small, w) == is_low_by_cone(group, small, w)
+        assert is_low(group, w) == is_low_by_cone(group, small, w)
 
 
 def test_enumerate_low_fresh_run_matches_cached(a2):

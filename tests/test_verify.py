@@ -8,7 +8,7 @@ import pytest
 from conftest import suite_report
 
 from shilow import (AffineWeylGroup, BudgetExceededError, Report, SmallRoots,
-                    ratlp, regions, run_suite, verify)
+                    ratlp, regions, run_suite, signtypes, verify)
 from shilow.elements import word_text
 
 
@@ -165,6 +165,22 @@ def test_automaton_suite_walks_the_ball_once(monkeypatch):
     walks.clear()
     assert run_suite("automaton", "A", 2).passed
     assert len(walks) == 1
+
+
+def test_descent_walls_suite_reads_the_recorded_walls(monkeypatch):
+    """The regions carry their descent walls, so only the two checks that
+    compare them with the sign-type route call ``descent_mask``: at most
+    two calls per region, on a context built inside the run."""
+    calls = []
+    route = signtypes.descent_mask
+
+    def counted(*args):
+        calls.append(args)
+        return route(*args)
+    monkeypatch.setattr(signtypes, "descent_mask", counted)
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    assert run_suite("descent-walls", "A", 3).passed
+    assert len(calls) <= 2 * len(verify.desk_context("A", 3).table)
 
 
 def test_check_over_no_items_fails():

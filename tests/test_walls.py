@@ -64,7 +64,7 @@ def test_walls_paths_equal_the_references(name, bound):
         assert group.right_descents(w) == reference_right_descents(group, w), w.shi
         assert right_descent_within_sign_type(group, w) \
             == reference_descent_within_sign_type(group, w), w.shi
-        assert is_low(group, small, w) == reference_is_low(group, small, w), w.shi
+        assert is_low(group, w) == reference_is_low(group, small, w), w.shi
 
 
 @pytest.mark.parametrize("name, bound", (("A2", 8), ("G2", 8), ("B3", 6), ("A4", 5),
