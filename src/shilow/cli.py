@@ -209,20 +209,12 @@ def _enumerate_low(args: argparse.Namespace, group: AffineWeylGroup,
 
 def _enumerate_regions(args: argparse.Namespace, table, regions,
                        label: str) -> int:
-    group = table.group
-    name = group.system.cartan_type.name
-    chosen = {region.sign_type for region in regions}
+    name = table.group.system.cartan_type.name
     if args.format == "json":
-        data = regions_mod.region_json_dict(table)
-        if label.startswith("dominant"):
-            data["regions"] = [e for e in data["regions"] if e["dominant"]]
-            data["count"] = len(data["regions"])
-        _emit(json.dumps(data, indent=2), args.output)
+        _emit(json.dumps(regions_mod.region_json_dict(table, regions), indent=2),
+              args.output)
         return EXIT_PASS
-    rows = regions_mod.region_csv_rows(table)
-    header, body = rows[0], rows[1:]
-    body = [row for row, region in zip(body, table.regions)
-            if region.sign_type in chosen]
+    header, *body = regions_mod.region_csv_rows(table, regions)
     if args.format == "csv":
         _emit(_csv_text([header, *body]), args.output)
         return EXIT_PASS

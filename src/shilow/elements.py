@@ -148,7 +148,7 @@ class GroupElement:
 
     @property
     def length(self) -> int:
-        return sum(abs(k) for k in self.shi)
+        return sum(map(abs, self.shi))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GroupElement) and self.shi == other.shi

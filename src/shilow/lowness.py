@@ -31,6 +31,8 @@ N(w) is generated — is a finite list of exact cone tests, one
 
 The enumerations cross-check themselves, and a failed cross-check raises
 ``CertificationError`` (an explicit raise, so ``python -O`` keeps it).
+The scan certifies each sign type's minimum once; ``enumerate_low``
+checks every low element against those minima by lookup.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class BudgetExceededError(RuntimeError):
 class CertificationError(RuntimeError):
     """A certified enumeration failed one of its own cross-checks: a sign
     type with two shortest elements, a count off (h+1)^n, a low element
-    outside the certified range or not shortest in its sign type, or a
+    that is not the scan's certified minimum of its sign type, or a
     region table whose scan disagrees with the sign-type combinatorics."""
 
 
@@ -276,12 +278,11 @@ def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
     The walk ends at the first length with no low element.  The budget
     bounds the low elements found: a shell that takes their count past
     it raises ``BudgetExceededError``.  When a certified scan is
-    supplied, the traversal's completeness is cross-validated: every low
-    element must fall inside the certified range, and each must be
-    shortest in its own sign type (no right extension stays in the
-    type); either failure raises ``CertificationError``.  Whether the low
-    set *equals* the set of per-type minima is left to the verification
-    suites.
+    supplied, each low element must be the scan's certified minimum of
+    its sign type, else ``CertificationError``; that minimum already lies
+    in the scan's range and has no right descent inside its type.
+    Whether the low set *equals* the set of per-type minima is left to
+    the verification suites.
     """
     low: list[GroupElement] = []
     for shell in group.shells(keep=lambda w: is_low(group, w)):
@@ -293,13 +294,8 @@ def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
     result = sorted(low, key=GroupElement.sort_key)
     if certificate_scan is not None:
         for w in result:
-            if w.length > certificate_scan.stop_length:
+            if certificate_scan.minima.get(sign_of_shi(w.shi)) != w:
                 raise CertificationError(
-                    f"low element {w.shi} of length {w.length} lies past the "
-                    f"certified scan range {certificate_scan.stop_length}")
-            g = right_descent_within_sign_type(group, w)
-            if g is not None:
-                raise CertificationError(
-                    f"low element {w.shi} is not shortest in its sign type: "
-                    f"s{g} is a right descent inside it")
+                    f"low element {w.shi} is not the certified minimum of its "
+                    f"sign type")
     return result

@@ -175,12 +175,12 @@ def _named_walls(table: RegionTable, region: ShiRegion) -> tuple[list[str], ...]
         for mask in (region.separation_mask, region.descent_mask))
 
 
-def region_csv_rows(table: RegionTable) -> list[list[str]]:
-    """Flat export: sign string, separation set, descent-roots, minimal word."""
+def region_csv_rows(table: RegionTable, regions) -> list[list[str]]:
+    """Flat export of ``regions``: sign, separation, descent roots, minimal word."""
     group = table.group
     rows = [["sign_type", "separation", "descent_roots", "minimal_word",
              "length", "dominant"]]
-    for region in table.regions:
+    for region in regions:
         rows.append([
             region.sign_string,
             *map(" ".join, _named_walls(table, region)),
@@ -191,10 +191,11 @@ def region_csv_rows(table: RegionTable) -> list[list[str]]:
     return rows
 
 
-def region_json_dict(table: RegionTable) -> dict:
+def region_json_dict(table: RegionTable, regions) -> dict:
+    """JSON export of ``regions``, each with its walls and minimal element."""
     group = table.group
     entries = []
-    for region in table.regions:
+    for region in regions:
         separation, descent = _named_walls(table, region)
         entries.append({
             "sign_type": region.sign_string,
@@ -208,7 +209,7 @@ def region_json_dict(table: RegionTable) -> dict:
     return {
         "type": group.system.cartan_type.family,
         "rank": group.system.cartan_type.rank,
-        "count": len(table.regions),
+        "count": len(entries),
         "regions": entries,
     }
 

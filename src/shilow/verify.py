@@ -96,6 +96,7 @@ class DeskContext:
         self.group = AffineWeylGroup(system)
         self._walk = None
         self._shells: list[list[GroupElement]] = []
+        self._scan_error: BudgetExceededError | CertificationError | None = None
 
     @cached_property
     def small(self) -> SmallRoots:
@@ -103,7 +104,14 @@ class DeskContext:
 
     @cached_property
     def scan(self) -> ScanResult:
-        return certified_scan(self.group, budget=self.budget)
+        """The certified scan; a failed scan raises its error again on
+        every read instead of running a second time."""
+        if self._scan_error is None:
+            try:
+                return certified_scan(self.group, budget=self.budget)
+            except (BudgetExceededError, CertificationError) as exc:
+                self._scan_error = exc
+        raise self._scan_error
 
     @cached_property
     def low(self) -> list[GroupElement]:

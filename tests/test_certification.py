@@ -50,22 +50,37 @@ def test_more_sign_types_than_the_count_breaks_the_scan(monkeypatch):
         certified_scan(group)
 
 
-def test_a_low_element_with_a_descent_in_its_sign_type_is_caught(monkeypatch):
+ZETA = (1, 0, 1)  # an A2 sign type with minimum (1, 0, 1) and more members
+
+
+def _scan_with_minima(scan: lowness.ScanResult, minima: dict) -> lowness.ScanResult:
+    return lowness.ScanResult(group=scan.group, stop_length=scan.stop_length,
+                              minima=minima, min_abs=scan.min_abs,
+                              samples=scan.samples, visited=scan.visited)
+
+
+def _swapped_minimum(scan: lowness.ScanResult) -> lowness.ScanResult:
+    """The scan with sign type ``ZETA`` given another of its elements as
+    its minimum: its second sample."""
+    return _scan_with_minima(scan, {**scan.minima, ZETA: scan.samples[ZETA][1]})
+
+
+def test_a_low_element_that_is_not_its_types_minimum_is_caught():
     group = _group()
-    scan = certified_scan(group)
-    monkeypatch.setattr(lowness, "right_descent_within_sign_type", lambda group, w: 0)
-    with pytest.raises(CertificationError, match="not shortest in its sign type"):
+    scan = _swapped_minimum(certified_scan(group))
+    with pytest.raises(CertificationError,
+                       match=r"low element \(1, 0, 1\) is not the certified minimum"):
         enumerate_low(group, certificate_scan=scan)
 
 
-def test_a_low_element_past_the_scan_range_is_caught():
+def test_a_low_element_of_a_type_missing_from_the_scan_is_caught():
     group = _group()
     scan = certified_scan(group)
-    short = lowness.ScanResult(group=group, stop_length=3, minima=scan.minima,
-                               min_abs=scan.min_abs, samples=scan.samples,
-                               visited=scan.visited)
-    with pytest.raises(CertificationError, match="past the certified scan range 3"):
-        enumerate_low(group, certificate_scan=short)
+    missing = _scan_with_minima(
+        scan, {z: w for z, w in scan.minima.items() if z != ZETA})
+    with pytest.raises(CertificationError,
+                       match=r"low element \(1, 0, 1\) is not the certified minimum"):
+        enumerate_low(group, certificate_scan=missing)
 
 
 @pytest.mark.parametrize("module, name, fault, message", [
@@ -97,33 +112,40 @@ _INJECTED = """
 from shilow import (AffineWeylGroup, CertificationError, certified_scan, cli,
                     enumerate_low, enumerate_regions, lowness, regions, root_system)
 
-lowness.right_descent_within_sign_type = lambda group, w: 0
 regions.right_descent_within_sign_type = lambda group, w: 0
 group = AffineWeylGroup(root_system("A", 2))
 scan = certified_scan(group)
-for enumeration in (lambda: enumerate_low(group, certificate_scan=scan),
+zeta = (1, 0, 1)
+swapped = lowness.ScanResult(group=group, stop_length=scan.stop_length,
+                             minima={**scan.minima, zeta: scan.samples[zeta][1]},
+                             min_abs=scan.min_abs, samples=scan.samples,
+                             visited=scan.visited)
+for enumeration in (lambda: enumerate_low(group, certificate_scan=swapped),
                     lambda: enumerate_regions(group, scan=scan)):
     try:
         enumeration()
     except CertificationError as exc:
         print("CertificationError:", exc)
+cli.certified_scan = lambda *args, **kwargs: swapped
 print("exit", cli.main(["enumerate", "low", "--type", "A", "--rank", "2"]))
 """
 
 
 def test_an_injected_fault_raises_under_python_o():
-    """With ``right_descent_within_sign_type`` answering s0 for every
-    element, both enumerations raise and the CLI exits 4, also under
-    ``-O``, which strips asserts."""
+    """With a scan whose minimum of one sign type is another element, the
+    low enumeration raises and ``enumerate low`` exits 4; with
+    ``right_descent_within_sign_type`` answering s0 for every element,
+    the region table raises.  Both hold under ``-O``, which strips
+    asserts."""
     proc = _python_o(_INJECTED)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 3
-    assert "not shortest in its sign type" in lines[0]
+    assert "not the certified minimum of its sign type" in lines[0]
     assert "right descent inside the sign type" in lines[1]
     assert lines[2] == f"exit {cli.EXIT_CERTIFICATION}"
-    assert proc.stderr.startswith("error: low element")
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("error: low element (1, 0, 1) is not the certified "
+                           "minimum of its sign type\n")
 
 
 def _python_o(script: str) -> subprocess.CompletedProcess:
@@ -185,10 +207,11 @@ def test_the_region_layer_raises_named_errors(monkeypatch):
         signtypes.rank2_admissible_table.__wrapped__("A2")
 
 
-@pytest.mark.parametrize("module", ["regions", "signtypes"])
+@pytest.mark.parametrize("module", ["automaton", "cli", "lowness", "ratlp", "regions",
+                                    "report", "signtypes", "verify"])
 def test_no_assert_statement_in_the_region_layer(module):
-    """``python -O`` strips asserts, so the region layer certifies by
-    explicit raises only."""
+    """``python -O`` strips asserts, so these modules certify and report
+    by explicit raises only."""
     path = SRC / "shilow" / f"{module}.py"
     lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]

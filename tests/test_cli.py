@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from shilow import cli, report, verify
+from shilow import (AffineWeylGroup, certified_scan, cli, enumerate_regions, regions,
+                    report, root_system, verify)
 from shilow.elements import KernelError
 from shilow.ratlp import CertificateError
 
@@ -63,6 +64,30 @@ def test_enumerate_dominant_summary(capsys):
                            "--type", "G", "--rank", "2")
     assert code == 0
     assert "dominant regions of affine G2: 8" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_the_dominant_export_builds_words_for_the_dominant_regions_only(
+        monkeypatch, capsys, fmt):
+    """``enumerate dominant`` on B3 prints its 20 regions and makes one
+    reduced word for each of them, not one for each of the 343 regions."""
+    group = AffineWeylGroup(root_system("B", 3))
+    scan = certified_scan(group)
+    table = enumerate_regions(group, scan=scan)
+    monkeypatch.setattr(cli, "certified_scan", lambda *args, **kwargs: scan)
+    monkeypatch.setattr(regions, "enumerate_regions", lambda group, scan: table)
+    calls = []
+    word = AffineWeylGroup.word_from_element
+
+    def counted(group, w):
+        calls.append(w)
+        return word(group, w)
+    monkeypatch.setattr(AffineWeylGroup, "word_from_element", counted)
+    code, out, _ = run_cli(capsys, "enumerate", "dominant", "--type", "B",
+                           "--rank", "3", "--format", fmt)
+    assert code == cli.EXIT_PASS
+    printed = json.loads(out)["count"] if fmt == "json" else len(out.splitlines()) - 1
+    assert printed == len(calls) == len(table.dominant_regions()) == 20
 
 
 def test_enumerate_regions_count(capsys):

@@ -111,7 +111,7 @@ def test_ideal_descent_walls_are_antichain_roots(desk):
 
 
 def test_csv_rows_shape(desk):
-    rows = region_csv_rows(desk.table)
+    rows = region_csv_rows(desk.table, desk.table.regions)
     assert rows[0] == ["sign_type", "separation", "descent_roots",
                        "minimal_word", "length", "dominant"]
     assert len(rows) == len(desk.table) + 1
@@ -125,7 +125,7 @@ def test_csv_rows_shape(desk):
 
 
 def test_region_json_dict(desk):
-    data = region_json_dict(desk.table)
+    data = region_json_dict(desk.table, desk.table.regions)
     assert data["count"] == len(desk.table)
     assert len(data["regions"]) == data["count"]
     json.dumps(data)  # serializable

@@ -8,7 +8,7 @@ import pytest
 from conftest import suite_report
 
 from shilow import (AffineWeylGroup, BudgetExceededError, Report, SmallRoots,
-                    ratlp, regions, run_suite, signtypes, verify)
+                    lowness, ratlp, regions, run_suite, signtypes, verify)
 from shilow.elements import word_text
 
 
@@ -181,6 +181,41 @@ def test_descent_walls_suite_reads_the_recorded_walls(monkeypatch):
     monkeypatch.setattr(verify, "_CONTEXTS", {})
     assert run_suite("descent-walls", "A", 3).passed
     assert len(calls) <= 2 * len(verify.desk_context("A", 3).table)
+
+
+def test_a_failed_scan_is_raised_again_without_a_rerun(monkeypatch):
+    """A context keeps its scan's error: a second suite that needs the
+    scan raises the same error without running the scan again."""
+    calls = []
+    scan = verify.certified_scan
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+    monkeypatch.setattr(verify, "certified_scan", counted)
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    with pytest.raises(BudgetExceededError) as first:
+        run_suite("main-theorem", "A", 3, budget=100)
+    with pytest.raises(BudgetExceededError) as second:
+        run_suite("descent-walls", "A", 3, budget=100)
+    assert second.value is first.value
+    assert len(calls) == 1
+
+
+def test_main_theorem_tests_descents_once_per_region(monkeypatch):
+    """Only the region table looks for a right descent inside a sign type;
+    the low set is checked against the scan's minima by lookup."""
+    calls = []
+    route = lowness.right_descent_within_sign_type
+
+    def counted(*args):
+        calls.append(args)
+        return route(*args)
+    for module in (lowness, regions, verify):
+        monkeypatch.setattr(module, "right_descent_within_sign_type", counted)
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    assert run_suite("main-theorem", "A", 3).passed
+    assert len(calls) == 125
 
 
 def test_check_over_no_items_fails():
