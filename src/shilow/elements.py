@@ -26,8 +26,10 @@ through it, and an element's ``mat`` and ``trans`` are derived from its
 reduced word on first read.
 
 ``AffineWeylGroup.shells`` is the one walk of the group through the left
-tables; its ``keep`` predicate prunes it to a subset closed under left
-quotients, such as the finite Weyl group or the low elements.
+tables.  It builds each element once, from its canonical parent: the
+left quotient that ``word_from_element`` strips first.  Its ``keep``
+predicate prunes it to a subset closed under left quotients, such as the
+finite Weyl group or the low elements.
 
 Right descents are read off the alcove walls.  ``walls(w)`` composes the
 signed permutations of the left tables along w's reduced word and names,
@@ -36,7 +38,9 @@ sends the finite part of g's simple affine root to.  That wall of the
 w-alcove lies on the hyperplane of alpha_i at level ``k(w, alpha_i)``
 (side +1) or one above it (side -1), so g is a right descent exactly when
 ``side * k(w, alpha_i) >= 1``, and w * s_g differs from w only in
-coordinate i, by one step towards zero.
+coordinate i, by one step towards zero.  The walls of s_a * w are a's
+left table applied to the walls of w (``left_walls``), so walls can also
+be carried from a left quotient instead of read off a word.
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ from .rootdata import RootSystem, barycenter_denominator, invert_fraction_matrix
 
 
 class KernelError(RuntimeError):
-    """The Shi-vector kernel disagrees with the matrix action, or the
-    small roots read off its signs are not inversions."""
+    """The Shi-vector kernel disagrees with the matrix action, the
+    integer data of the matrix action is not integral where it must be,
+    or the small roots read off its signs are not inversions."""
 
 
 def _mat_mul(a: tuple[tuple[int, ...], ...],
@@ -190,8 +195,10 @@ class AffineWeylGroup:
         n = system.rank
         self.scale = barycenter_denominator(system)
         self.barycenter_int = tuple(int(c * self.scale) for c in system.barycenter)
-        assert all(Fraction(b, self.scale) == c
-                   for b, c in zip(self.barycenter_int, system.barycenter))
+        if any(Fraction(b, self.scale) != c
+               for b, c in zip(self.barycenter_int, system.barycenter)):
+            raise KernelError(f"the barycenter {system.barycenter} is not integral "
+                              f"at the denominator {self.scale}")
         self.covectors = tuple(system.gram_image(r) for r in system.positive_roots)
         self.identity = GroupElement(self, (0,) * system.nroots)
         self.identity._action = (_identity_matrix(n), (0,) * n)
@@ -223,7 +230,9 @@ class AffineWeylGroup:
     def coroot_scaled(self, root: tuple[int, ...]) -> tuple[int, ...]:
         """Integer coordinates of the coroot of ``root``, scaled by the denominator."""
         nrm = self.system.norm(root)
-        assert (2 * self.scale) % nrm == 0
+        if (2 * self.scale) % nrm:
+            raise KernelError(f"the coroot of {root} is not integral at the "
+                              f"denominator {self.scale}")
         factor = 2 * self.scale // nrm
         return tuple(c * factor for c in root)
 
@@ -263,7 +272,8 @@ class AffineWeylGroup:
     def inverse(self, a: GroupElement) -> GroupElement:
         """The inverse through the matrix action (the oracle)."""
         frac = invert_fraction_matrix([[Fraction(x) for x in row] for row in a.mat])
-        assert all(x.denominator == 1 for row in frac for x in row)
+        if any(x.denominator != 1 for row in frac for x in row):
+            raise KernelError(f"the finite part of {a.shi} has a non-integral inverse")
         inv_mat = tuple(tuple(int(x) for x in row) for row in frac)
         inv_trans = tuple(-x for x in _mat_vec(inv_mat, a.trans))
         return self.from_matrix(inv_mat, inv_trans)
@@ -353,6 +363,18 @@ class AffineWeylGroup:
         tables = self.left_tables
         return tuple((g, index, sign, tables[g]) for g, index, sign in self._descent_tests)
 
+    def _extensions(self) -> tuple:
+        """(position, sign, left table, earlier) per letter g, in letter
+        order, for ``shells``: g is a left descent of w exactly when
+        sign * w.shi[position] <= -1, and entry (j, s, o) of earlier reads
+        the coordinate of s_g * w that tests an earlier letter h, so h is a
+        left descent of s_g * w exactly when s * w.shi[j] + o <= -1."""
+        tests = self._descent_tests
+        return tuple((index, sign, table,
+                      tuple((table[i][0], h_sign * table[i][1], h_sign * table[i][2])
+                            for _, i, h_sign in tests[:g]))
+                     for (g, index, sign), table in zip(tests, self.left_tables))
+
     def _word_shi(self, word, shi: tuple[int, ...]) -> tuple[int, ...]:
         """The vector of s_word * v for the element v with vector ``shi``."""
         tables = self.left_tables
@@ -369,25 +391,34 @@ class AffineWeylGroup:
     def shells(self, keep=None):
         """Yield the shells of the ball around the identity, by length.
 
-        Shell d lists the elements of length d: each element of shell d-1
-        extended on the left by each letter that is not a left descent
-        (which adds one to the length), first visits kept.  With ``keep``,
-        a shell holds only the extensions that ``keep`` accepts, and only
-        those are extended; the walk ends after its last non-empty shell.
+        Shell d lists the elements of length d, each built once, from its
+        canonical parent in shell d-1.  An element w of shell d-1 is
+        extended on the left by a letter g when g is not a left descent of
+        w, which adds one to the length, and no letter before g is a left
+        descent of s_g * w, read off g's left table before the vector is
+        built.  Then g is the least left descent of s_g * w, so w is the
+        left quotient that ``word_from_element`` strips first.  With
+        ``keep``, a shell holds only the extensions that ``keep`` accepts,
+        and only those are extended; a canonical parent is a left quotient,
+        so a kept set closed under left quotients is walked completely.
+        The walk ends after its last non-empty shell.
         """
-        steps = self._steps()
+        steps = self._extensions()
         shell = [self.identity]
         while shell:
             yield shell
-            found: dict[tuple[int, ...], None] = {}
+            children = []
             for w in shell:
                 shi = w.shi
-                for _, index, sign, table in steps:
-                    if sign * shi[index] >= 0:
-                        found[_left_apply(table, shi)] = None
-            shell = [GroupElement(self, shi) for shi in found]
-            if keep is not None:
-                shell = [w for w in shell if keep(w)]
+                for index, sign, table, earlier in steps:
+                    if sign * shi[index] < 0:
+                        continue
+                    for j, s, o in earlier:
+                        if s * shi[j] + o < 0:
+                            break
+                    else:
+                        children.append(GroupElement(self, _left_apply(table, shi)))
+            shell = children if keep is None else [w for w in children if keep(w)]
 
     # ------------------------------------------------------- alcove algebra
 
@@ -419,13 +450,18 @@ class AffineWeylGroup:
         finite part of w sending the finite part of g's simple affine root
         to ``side * alpha_i``: the signed permutations of the left tables
         composed along w's reduced word, read right to left."""
-        tables = self.left_tables
-        # (position, sign) per letter: its simple root's finite part is sign * alpha_position.
-        walls = [(index, sign) for _, index, sign in self._descent_tests]
+        # At the identity, letter g's simple root has finite part sign * alpha_position.
+        walls = self._descent_tests
         for a in reversed(self.word_from_element(w)):
-            table = tables[a]
-            walls = [(table[i][0], side * table[i][1]) for i, side in walls]
-        return tuple((g, i, side) for g, (i, side) in enumerate(walls))
+            walls = self.left_walls(a, walls)
+        return walls
+
+    def left_walls(self, letter: int, walls: tuple) -> tuple[tuple[int, int, int], ...]:
+        """The walls of s_letter * w, from the walls of w: the finite part
+        of s_letter sends side * alpha_i to side * s * alpha_j for the entry
+        (j, s, o) of its left table at i."""
+        table = self.left_tables[letter]
+        return tuple([(g, table[i][0], side * table[i][1]) for g, i, side in walls])
 
     def right_descents(self, w: GroupElement) -> frozenset[int]:
         """The letters whose wall of the w-alcove separates it from the
@@ -464,7 +500,9 @@ class AffineWeylGroup:
     def act_on_affine_root(self, w: GroupElement, beta: AffineRoot) -> AffineRoot:
         finite = _mat_vec(w.mat, beta.finite)
         pairing = sum(t * c for t, c in zip(w.trans, self.system.gram_image(finite)))
-        assert pairing % self.scale == 0
+        if pairing % self.scale:
+            raise KernelError(f"coefficients {w.shi}: the translation pairs with "
+                              f"{finite} off the delta lattice")
         return AffineRoot(finite, beta.delta - pairing // self.scale)
 
     def reflection_of_affine_root(self, beta: AffineRoot) -> GroupElement:
@@ -504,7 +542,9 @@ class AffineWeylGroup:
         shifts = []
         for cov in self.covectors:
             pairing = sum(t * c for t, c in zip(w_inv.trans, cov))
-            assert pairing % self.scale == 0
+            if pairing % self.scale:
+                raise KernelError(f"coefficients {w_inv.shi}: the translation pairs "
+                                  "with a positive root off the delta lattice")
             shifts.append(abs(pairing // self.scale))
         window = max(shifts, default=0)
         out = []
@@ -530,12 +570,14 @@ class AffineWeylGroup:
     def left_descent_roots(self, w: GroupElement) -> frozenset[AffineRoot]:
         return frozenset(self.simple_affine_root(g) for g in self.left_descents(w))
 
-    def right_descent_roots(self, w: GroupElement) -> frozenset[AffineRoot]:
+    def right_descent_roots(self, w: GroupElement,
+                            walls: tuple | None = None) -> frozenset[AffineRoot]:
         """-w(alpha_g) for each right descent g, read off the walls: the
         root (-alpha_i, k) when side is +1, (alpha_i, -k-1) when it is -1,
-        for k = k(w, alpha_i)."""
+        for k = k(w, alpha_i).  ``walls`` are w's walls when the caller
+        holds them, else ``walls(w)``."""
         out = []
-        for g, i, side in self.walls(w):
+        for g, i, side in self.walls(w) if walls is None else walls:
             k = w.shi[i]
             if side * k >= 1:
                 out.append(AffineRoot(self.negative_roots[i], k) if side > 0
@@ -571,7 +613,9 @@ class AffineWeylGroup:
 
     def finite_inversion_set(self, w: GroupElement) -> frozenset[tuple[int, ...]]:
         """For finite w: the positive finite roots sent negative by the inverse."""
-        assert w.trans == (0,) * self.system.rank
+        if any(w.trans):
+            raise ValueError(f"coefficients {w.shi}: not an element of the finite "
+                             "Weyl group")
         inv = self.inverse(w)
         out = []
         for root in self.system.positive_roots:

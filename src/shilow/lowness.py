@@ -13,11 +13,13 @@ only at coefficients ``m`` with ``|m| >= 2``: (-alpha, j) for
 ``2 <= j <= m`` and (alpha, j) for ``1 <= j <= -m-1``.
 
 Both enumerations read the one walk ``AffineWeylGroup.shells()`` on the
-Shi-vector kernel of ``elements``, without matrices.  ``certified_scan``
-reads the whole ball until every sign type holds a certified shortest
-element.  ``enumerate_low`` reads the walk pruned to low elements: every
-left quotient of a low element is low (the low set is a Garside shadow,
-after Dyer and Hohlweg), so each low element extends a shorter one.
+Shi-vector kernel of ``elements``, without matrices; the walk builds each
+element once, from its canonical parent.  ``certified_scan`` reads the
+whole ball until every sign type holds a certified shortest element,
+with one sign tuple and one dictionary probe per visited element.
+``enumerate_low`` reads the walk pruned to low elements: every left
+quotient of a low element is low (the low set is a Garside shadow, after
+Dyer and Hohlweg), so each low element extends its canonical parent.
 
 Soundness of the cone test's finite window: every nonzero nonnegative
 combination of positive affine roots pairs strictly positively with the
@@ -189,20 +191,21 @@ class ScanResult:
 
 
 def sign_of_shi(shi: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((k > 0) - (k < 0) for k in shi)
+    return tuple([(k > 0) - (k < 0) for k in shi])
 
 
-def right_descent_within_sign_type(group: AffineWeylGroup,
-                                   w: GroupElement) -> int | None:
+def right_descent_within_sign_type(group: AffineWeylGroup, w: GroupElement,
+                                   walls: tuple | None = None) -> int | None:
     """The least right descent g of w with w * s_g in w's sign type, or
     ``None`` when every right descent leaves it, as it must at the
     shortest element of a sign type.
 
     w * s_g moves coefficient i of g's wall one step towards zero, so it
-    keeps the sign type exactly when side * k(w, alpha_i) >= 2.
+    keeps the sign type exactly when side * k(w, alpha_i) >= 2.  ``walls``
+    are w's walls when the caller holds them, else ``group.walls(w)``.
     """
     shi = w.shi
-    for g, i, side in group.walls(w):
+    for g, i, side in group.walls(w) if walls is None else walls:
         if side * shi[i] >= 2:
             return g
     return None
@@ -233,18 +236,19 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
                 raise BudgetExceededError(
                     budget, "scan exceeded the element budget before certification")
             visited += 1
-            zeta = sign_of_shi(w.shi)
-            if zeta not in minima:
+            shi = w.shi
+            zeta = tuple([(k > 0) - (k < 0) for k in shi])  # sign_of_shi inlined: no call per visit
+            current = min_abs.get(zeta)
+            if current is None:
                 minima[zeta] = w
                 fresh.add(zeta)
-                min_abs[zeta] = [abs(k) for k in w.shi]
+                min_abs[zeta] = [abs(k) for k in shi]
                 samples[zeta] = [w]
                 continue
             if zeta in fresh:
                 raise CertificationError(
                     f"sign type {zeta} has two shortest elements, of length {length}")
-            current = min_abs[zeta]
-            for i, k in enumerate(w.shi):
+            for i, k in enumerate(shi):
                 if abs(k) < current[i]:
                     current[i] = abs(k)
             if len(samples[zeta]) < SAMPLE_SIZE:

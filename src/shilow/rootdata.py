@@ -147,20 +147,38 @@ def invert_fraction_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in work]
 
 
-def solve_two_unknowns(u: tuple[int, ...], v: tuple[int, ...],
-                       target: tuple[int, ...]) -> tuple[Fraction, Fraction] | None:
-    """Solve x*u + y*v = target exactly; None if inconsistent or degenerate."""
+def _pivot(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """The first coordinates (c1, c2) whose 2x2 minor det of u, v is
+    nonzero, with det; None when u and v are parallel."""
     n = len(u)
     for c1 in range(n):
         for c2 in range(c1 + 1, n):
             det = u[c1] * v[c2] - u[c2] * v[c1]
             if det:
-                x = Fraction(target[c1] * v[c2] - target[c2] * v[c1], det)
-                y = Fraction(u[c1] * target[c2] - u[c2] * target[c1], det)
-                if all(x * u[c] + y * v[c] == target[c] for c in range(n)):
-                    return x, y
-                return None
+                return c1, c2, det
     return None
+
+
+def _cramer_numerators(u: tuple[int, ...], v: tuple[int, ...], target: tuple[int, ...],
+                       pivot: tuple[int, int, int]) -> tuple[int, int] | None:
+    """Integers (xn, yn) with xn*u + yn*v = det*target, from Cramer's rule
+    at the pivot; None when target is not in the span of u and v."""
+    c1, c2, det = pivot
+    xn = target[c1] * v[c2] - target[c2] * v[c1]
+    yn = u[c1] * target[c2] - u[c2] * target[c1]
+    if all(xn * a + yn * b == det * t for a, b, t in zip(u, v, target)):
+        return xn, yn
+    return None
+
+
+def solve_two_unknowns(u: tuple[int, ...], v: tuple[int, ...],
+                       target: tuple[int, ...]) -> tuple[Fraction, Fraction] | None:
+    """Solve x*u + y*v = target exactly; None if inconsistent or degenerate."""
+    pivot = _pivot(u, v)
+    numerators = None if pivot is None else _cramer_numerators(u, v, target, pivot)
+    if numerators is None:
+        return None
+    return Fraction(numerators[0], pivot[2]), Fraction(numerators[1], pivot[2])
 
 
 @dataclass(frozen=True)
@@ -374,14 +392,15 @@ class RootSystem:
 
     # ---------------------------------------------------- rank-2 subsystems
 
-    def _span_members(self, i: int, j: int) -> list[int] | None:
-        """Positive roots lying in the rational span of roots i and j."""
+    def _span_members(self, i: int, j: int) -> list[int]:
+        """Positive roots lying in the rational span of roots i and j,
+        tested in integers at one pivot of the pair."""
         u, v = self.positive_roots[i], self.positive_roots[j]
-        members = []
-        for k, root in enumerate(self.positive_roots):
-            if solve_two_unknowns(u, v, root) is not None:
-                members.append(k)
-        return members
+        pivot = _pivot(u, v)
+        if pivot is None:
+            return []
+        return [k for k, root in enumerate(self.positive_roots)
+                if _cramer_numerators(u, v, root, pivot) is not None]
 
     def rank2_subsystems(self) -> tuple[Rank2Subsystem, ...]:
         """All irreducible rank-2 subsystems spanned by root pairs.

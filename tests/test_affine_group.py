@@ -186,6 +186,8 @@ def test_finite_inversion_sets_are_root_subsets(desk):
     assert longest.length == system.nroots
     assert group.finite_inversion_set(longest) == frozenset(
         system.positive_roots)
+    with pytest.raises(ValueError, match="not an element of the finite Weyl group"):
+        group.finite_inversion_set(group.generators[0])
 
 
 def test_translation_by_coroot(desk):
