@@ -31,16 +31,17 @@ left quotient that ``word_from_element`` strips first.  Its ``keep``
 predicate prunes it to a subset closed under left quotients, such as the
 finite Weyl group or the low elements.
 
-Right descents are read off the alcove walls.  ``walls(w)`` composes the
-signed permutations of the left tables along w's reduced word and names,
-for each letter g, the root ``side * alpha_i`` that the finite part of w
-sends the finite part of g's simple affine root to.  That wall of the
-w-alcove lies on the hyperplane of alpha_i at level ``k(w, alpha_i)``
-(side +1) or one above it (side -1), so g is a right descent exactly when
-``side * k(w, alpha_i) >= 1``, and w * s_g differs from w only in
-coordinate i, by one step towards zero.  The walls of s_a * w are a's
-left table applied to the walls of w (``left_walls``), so walls can also
-be carried from a left quotient instead of read off a word.
+Right descents are read off the Shi vector alone.  Shi's inequalities
+``k(w, b) + k(w, c) <= k(w, b + c) <= k(w, b) + k(w, c) + 1``, over the
+positive roots b, c with b + c a root, characterise the vectors of
+alcoves (Shi, J. London Math. Soc. 1987).  For k = k(w, alpha_i) != 0,
+the wall of the w-alcove on the hyperplane of alpha_i nearest the
+fundamental alcove (level k when k >= 1, k + 1 when k <= -1) is a facet
+exactly when the vector with coordinate i moved one step towards zero
+keeps every inequality that involves i: the two alcoves are then
+separated by that hyperplane alone.  These facets are the walls of the
+right descents g, and w * s_g differs from w only in coordinate i.
+``facet_data`` lists, per positive root, the inequalities that involve it.
 """
 
 from __future__ import annotations
@@ -207,6 +208,8 @@ class AffineWeylGroup:
         # (pairs, base, slope) per positive root: see ``_reflection_data``.
         self.reflection_data = tuple(self._reflection_data(r)
                                      for r in system.positive_roots)
+        # (splits, joins) per positive root: see ``_facet_data``.
+        self.facet_data = tuple(self._facet_data(r) for r in system.positive_roots)
 
         simple = [self.simple_affine_root(g) for g in self.letters]
         self.generators = tuple(self.reflection_of_affine_root(b) for b in simple)
@@ -220,10 +223,17 @@ class AffineWeylGroup:
                 beta = AffineRoot(root, level)
                 self.check_left_table(self.reflection_of_affine_root(beta),
                                       self.reflection_table(beta))
-        # (letter, position, sign): g is a left descent of w exactly when
-        # sign * w.shi[position] <= -1.
-        self._descent_tests = ((0, system.highest_index, -1),) + tuple(
-            (i + 1, i, 1) for i in range(n))
+        # (letter, position, sign, left table, earlier) per letter, in letter
+        # order: g is a left descent of w exactly when sign * w.shi[position]
+        # <= -1, and entry (j, s, o) of earlier reads the coordinate of
+        # s_g * w that tests an earlier letter h, so h is a left descent of
+        # s_g * w exactly when s * w.shi[j] + o <= -1.
+        tests = ((0, system.highest_index, -1),) + tuple((i + 1, i, 1) for i in range(n))
+        self._letter_steps = tuple(
+            (g, index, sign, table,
+             tuple((table[i][0], h_sign * table[i][1], h_sign * table[i][2])
+                   for _, i, h_sign in tests[:g]))
+            for (g, index, sign), table in zip(tests, self.left_tables))
 
     # ------------------------------------------------------------ structure
 
@@ -314,6 +324,21 @@ class AffineWeylGroup:
             slope.append(pairing)
         return tuple(pairs), tuple(base), tuple(slope)
 
+    def _facet_data(self, root: tuple[int, ...]) -> tuple:
+        """The Shi inequalities that involve the coordinate of ``root``:
+        the index pairs (b, c), b < c, with root = alpha_b + alpha_c, and
+        the pairs (b, c) with root + alpha_b = alpha_c."""
+        index = self.system.root_index
+        splits, joins = [], []
+        for b, beta in enumerate(self.system.positive_roots):
+            c = index.get(tuple(x - y for x, y in zip(root, beta)))
+            if c is not None and b < c:
+                splits.append((b, c))
+            c = index.get(tuple(x + y for x, y in zip(root, beta)))
+            if c is not None:
+                joins.append((b, c))
+        return tuple(splits), tuple(joins)
+
     def reflection_table(self, beta: AffineRoot) -> tuple:
         """The left table of the reflection in the affine root ``beta``."""
         finite = tuple(beta.finite)
@@ -357,24 +382,6 @@ class AffineWeylGroup:
         """s_beta * w, by the reflection table of ``beta``."""
         return GroupElement(self, _left_apply(self.reflection_table(beta), w.shi))
 
-    def _steps(self) -> tuple:
-        """(letter, position, sign, left table) per letter, in letter order:
-        g is a left descent of w exactly when sign * w.shi[position] <= -1."""
-        tables = self.left_tables
-        return tuple((g, index, sign, tables[g]) for g, index, sign in self._descent_tests)
-
-    def _extensions(self) -> tuple:
-        """(position, sign, left table, earlier) per letter g, in letter
-        order, for ``shells``: g is a left descent of w exactly when
-        sign * w.shi[position] <= -1, and entry (j, s, o) of earlier reads
-        the coordinate of s_g * w that tests an earlier letter h, so h is a
-        left descent of s_g * w exactly when s * w.shi[j] + o <= -1."""
-        tests = self._descent_tests
-        return tuple((index, sign, table,
-                      tuple((table[i][0], h_sign * table[i][1], h_sign * table[i][2])
-                            for _, i, h_sign in tests[:g]))
-                     for (g, index, sign), table in zip(tests, self.left_tables))
-
     def _word_shi(self, word, shi: tuple[int, ...]) -> tuple[int, ...]:
         """The vector of s_word * v for the element v with vector ``shi``."""
         tables = self.left_tables
@@ -403,14 +410,14 @@ class AffineWeylGroup:
         so a kept set closed under left quotients is walked completely.
         The walk ends after its last non-empty shell.
         """
-        steps = self._extensions()
+        steps = self._letter_steps
         shell = [self.identity]
         while shell:
             yield shell
             children = []
             for w in shell:
                 shi = w.shi
-                for index, sign, table, earlier in steps:
+                for _, index, sign, table, earlier in steps:
                     if sign * shi[index] < 0:
                         continue
                     for j, s, o in earlier:
@@ -439,43 +446,40 @@ class AffineWeylGroup:
         return -w.shi[idx]
 
     def _descents(self, shi: tuple[int, ...]) -> frozenset[int]:
-        return frozenset(g for g, index, sign in self._descent_tests
+        return frozenset(g for g, index, sign, _, _ in self._letter_steps
                          if sign * shi[index] <= -1)
 
     def left_descents(self, w: GroupElement) -> frozenset[int]:
         return self._descents(w.shi)
 
-    def walls(self, w: GroupElement) -> tuple[tuple[int, int, int], ...]:
-        """One ``(g, i, side)`` per letter g, in letter order, with the
-        finite part of w sending the finite part of g's simple affine root
-        to ``side * alpha_i``: the signed permutations of the left tables
-        composed along w's reduced word, read right to left."""
-        # At the identity, letter g's simple root has finite part sign * alpha_position.
-        walls = self._descent_tests
-        for a in reversed(self.word_from_element(w)):
-            walls = self.left_walls(a, walls)
-        return walls
-
-    def left_walls(self, letter: int, walls: tuple) -> tuple[tuple[int, int, int], ...]:
-        """The walls of s_letter * w, from the walls of w: the finite part
-        of s_letter sends side * alpha_i to side * s * alpha_j for the entry
-        (j, s, o) of its left table at i."""
-        table = self.left_tables[letter]
-        return tuple([(g, table[i][0], side * table[i][1]) for g, i, side in walls])
+    def is_facet(self, shi: tuple[int, ...], i: int) -> bool:
+        """Whether the wall on the hyperplane of alpha_i nearest the
+        fundamental alcove is a facet of the alcove with vector ``shi``,
+        for shi[i] != 0: coordinate i moved one step towards zero keeps
+        0 <= k_i - k_b - k_c <= 1 for each split and 0 <= k_c - k_i - k_b
+        <= 1 for each join in ``facet_data[i]``."""
+        k = shi[i] - 1 if shi[i] > 0 else shi[i] + 1
+        splits, joins = self.facet_data[i]
+        for b, c in splits:
+            if not 0 <= k - shi[b] - shi[c] <= 1:
+                return False
+        for b, c in joins:
+            if not 0 <= shi[c] - k - shi[b] <= 1:
+                return False
+        return True
 
     def right_descents(self, w: GroupElement) -> frozenset[int]:
-        """The letters whose wall of the w-alcove separates it from the
-        fundamental alcove: side * k(w, alpha_i) >= 1."""
-        shi = w.shi
-        return frozenset(g for g, i, side in self.walls(w) if side * shi[i] >= 1)
+        """The left descents of w^-1, whose vector is w's reduced word
+        applied on the left of the identity (an oracle: it reads the word)."""
+        word = self.word_from_element(w)
+        return self._descents(self._word_shi(word[::-1], self.identity.shi))
 
     def word_from_element(self, w: GroupElement) -> tuple[int, ...]:
         """Reduced word, always stripping the least left descent first."""
-        steps = self._steps()
         word = []
         shi, length = w.shi, w.length
         while length:
-            for g, index, sign, table in steps:
+            for g, index, sign, table, _ in self._letter_steps:
                 if sign * shi[index] <= -1:
                     break
             else:
@@ -570,27 +574,22 @@ class AffineWeylGroup:
     def left_descent_roots(self, w: GroupElement) -> frozenset[AffineRoot]:
         return frozenset(self.simple_affine_root(g) for g in self.left_descents(w))
 
-    def right_descent_roots(self, w: GroupElement,
-                            walls: tuple | None = None) -> frozenset[AffineRoot]:
-        """-w(alpha_g) for each right descent g, read off the walls: the
-        root (-alpha_i, k) when side is +1, (alpha_i, -k-1) when it is -1,
-        for k = k(w, alpha_i).  ``walls`` are w's walls when the caller
-        holds them, else ``walls(w)``."""
-        out = []
-        for g, i, side in self.walls(w) if walls is None else walls:
-            k = w.shi[i]
-            if side * k >= 1:
-                out.append(AffineRoot(self.negative_roots[i], k) if side > 0
-                           else AffineRoot(self.system.positive_roots[i], -k - 1))
-        return frozenset(out)
+    def right_descent_roots(self, w: GroupElement) -> frozenset[AffineRoot]:
+        """-w(alpha_g) for each right descent g, one per facet of the
+        w-alcove towards the fundamental alcove: the root (-alpha_i, k) when
+        k >= 1, (alpha_i, -k-1) when k <= -1, for k = k(w, alpha_i)."""
+        shi = w.shi
+        roots = self.system.positive_roots
+        return frozenset(AffineRoot(self.negative_roots[i], k) if k > 0
+                         else AffineRoot(roots[i], -k - 1)
+                         for i, k in enumerate(shi) if k and self.is_facet(shi, i))
 
     def right_descent_roots_by_action(self, w: GroupElement) -> frozenset[AffineRoot]:
-        """The oracle for ``right_descent_roots``: the right descents as the
-        left descents of w^-1 (w's reduced word applied on the left of the
-        identity), each root -w(alpha_g) through the matrix action."""
-        inverse = self._word_shi(self.word_from_element(w)[::-1], self.identity.shi)
+        """The oracle for ``right_descent_roots``: each root -w(alpha_g)
+        through the matrix action, for the right descents g read off w's
+        reduced word."""
         return frozenset(-self.act_on_affine_root(w, self.simple_affine_root(g))
-                         for g in self._descents(inverse))
+                         for g in self.right_descents(w))
 
     # -------------------------------------------------------- finite part
 

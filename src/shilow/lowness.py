@@ -34,7 +34,10 @@ N(w) is generated — is a finite list of exact cone tests, one
 The enumerations cross-check themselves, and a failed cross-check raises
 ``CertificationError`` (an explicit raise, so ``python -O`` keeps it).
 The scan certifies each sign type's minimum once; ``enumerate_low``
-checks every low element against those minima by lookup.
+checks every low element against those minima by lookup.  Whether an
+element has a right descent inside its sign type
+(``right_descent_within_sign_type``) is read off its Shi vector alone, by
+``AffineWeylGroup.is_facet`` at the coefficients with ``|k| >= 2``.
 """
 
 from __future__ import annotations
@@ -194,20 +197,19 @@ def sign_of_shi(shi: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([(k > 0) - (k < 0) for k in shi])
 
 
-def right_descent_within_sign_type(group: AffineWeylGroup, w: GroupElement,
-                                   walls: tuple | None = None) -> int | None:
-    """The least right descent g of w with w * s_g in w's sign type, or
-    ``None`` when every right descent leaves it, as it must at the
-    shortest element of a sign type.
+def right_descent_within_sign_type(group: AffineWeylGroup, w: GroupElement) -> int | None:
+    """The least position i whose wall is a facet of the w-alcove and whose
+    right descent g keeps w * s_g in w's sign type, or ``None`` when every
+    right descent leaves it, as it must at the shortest element of a sign
+    type.
 
-    w * s_g moves coefficient i of g's wall one step towards zero, so it
-    keeps the sign type exactly when side * k(w, alpha_i) >= 2.  ``walls``
-    are w's walls when the caller holds them, else ``group.walls(w)``.
+    w * s_g moves coefficient i one step towards zero, so it keeps the
+    sign type exactly when |k(w, alpha_i)| >= 2.
     """
     shi = w.shi
-    for g, i, side in group.walls(w) if walls is None else walls:
-        if side * shi[i] >= 2:
-            return g
+    for i, k in enumerate(shi):
+        if abs(k) >= 2 and group.is_facet(shi, i):
+            return i
     return None
 
 

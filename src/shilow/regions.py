@@ -7,18 +7,11 @@ sample elements, and cross-checks the scan against the sign-type
 combinatorics: every region's sign type must be admissible, its
 separation set must match the minimal element's small inversion set, and
 right-multiplying the minimal element by any descent generator must
-leave the region.  A failed cross-check raises
-``lowness.CertificationError``.
+leave the region, which the facet test reads off the minimum's Shi
+vector without a reduced word (``lowness.right_descent_within_sign_type``).
+A failed cross-check raises ``lowness.CertificationError``.
 
-Each region records the alcove walls of its minimal element, carried
-from its parent region without a reduced word: the minima are taken by
-length, and for the least left descent g of a minimum m, the left
-quotient s_g * m is the minimum of a shorter region (a left quotient of a
-low element is low), so walls(m) is g's left table applied to its walls.
-A minimum whose quotient is not a recorded minimum falls back to
-``AffineWeylGroup.walls``.
-
-Each region then records its descent walls, read off its neighbours:
+Each region records its descent walls, read off its neighbours:
 the bits of its separation mask whose removal gives another region's
 mask.  ``signtypes.descent_mask`` derives them from admissibility alone,
 and the verification suites compare the two routes.
@@ -49,7 +42,6 @@ class ShiRegion:
     separation_mask: int
     descent_mask: int
     minimal: GroupElement
-    walls: tuple[tuple[int, int, int], ...]  # AffineWeylGroup.walls(minimal)
     min_abs: tuple[int, ...]
     samples: tuple[GroupElement, ...]
 
@@ -95,7 +87,6 @@ def enumerate_regions(group: AffineWeylGroup,
     if scan is None:
         scan = certified_scan(group)
     small = SmallRoots(group)
-    walls = _minimum_walls(group, scan.minima.values())
     found = []
     for zeta, minimal in scan.minima.items():
         if not signtypes.is_admissible(system, zeta):
@@ -104,7 +95,7 @@ def enumerate_regions(group: AffineWeylGroup,
         if mask != small.sigma_mask(minimal):
             raise CertificationError(f"sign type {zeta}: its separation mask is not "
                                      f"the small inversion set of its minimum")
-        if right_descent_within_sign_type(group, minimal, walls[minimal]) is not None:
+        if right_descent_within_sign_type(group, minimal) is not None:
             raise CertificationError(f"sign type {zeta}: its minimum has a right "
                                      f"descent inside the sign type")
         found.append((zeta, mask, minimal))
@@ -113,27 +104,12 @@ def enumerate_regions(group: AffineWeylGroup,
     regions = [ShiRegion(sign_type=zeta, separation_mask=mask,
                          descent_mask=sum(b for b in bits if mask & b
                                           and (mask ^ b) in realized),
-                         minimal=minimal, walls=walls[minimal],
+                         minimal=minimal,
                          min_abs=scan.min_abs[zeta],
                          samples=scan.samples[zeta])
                for zeta, mask, minimal in found]
     regions.sort(key=lambda r: (r.minimal.length, r.sign_string))
     return RegionTable(group=group, small=small, regions=tuple(regions))
-
-
-def _minimum_walls(group: AffineWeylGroup, minima) -> dict[GroupElement, tuple]:
-    """The walls of each minimum, by length: g's left table applied to the
-    walls of s_g * m for the least left descent g of m when that quotient
-    is an earlier minimum, else ``group.walls(m)``."""
-    walls: dict[GroupElement, tuple] = {}
-    for m in sorted(minima, key=GroupElement.sort_key):
-        descents = group.left_descents(m)
-        parent = None
-        if descents:
-            g = min(descents)
-            parent = walls.get(group.left_multiply(g, m))
-        walls[m] = group.walls(m) if parent is None else group.left_walls(g, parent)
-    return walls
 
 
 def descent_root_set(table: RegionTable, region: ShiRegion) -> frozenset[AffineRoot]:

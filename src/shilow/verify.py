@@ -303,7 +303,7 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
                     seed=seed)
 
     def wall_theorem(region):
-        nd = group.right_descent_roots(region.minimal, region.walls)
+        nd = group.right_descent_roots(region.minimal)
         dr = regionlib.descent_root_set(table, region)
         if nd != dr:
             return {"nd_r": _root_names(group, nd),
@@ -395,7 +395,7 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
     def basis_descents(region):
         w = region.minimal
         basis = group.basis_of_inversion_set(w)
-        nd = group.right_descent_roots(w, region.walls)
+        nd = group.right_descent_roots(w)
         for s in range(rank):
             beta = small.roots[small.count + s]
             if beta in basis and beta not in nd:
@@ -405,8 +405,8 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
                 basis_descents, where=_at_region)
 
     def eq_star(region):
-        g = right_descent_within_sign_type(group, region.minimal, region.walls)
-        return None if g is None else {"letter": g}
+        i = right_descent_within_sign_type(group, region.minimal)
+        return None if i is None else {"wall": system.root_name(i)}
     _check_each(report, "right_descents_change_region", table, eq_star, where=_at_region)
 
     def minstar(region):

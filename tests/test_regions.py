@@ -1,4 +1,4 @@
-"""Shi regions: tables, minimal elements, walls, the ideal bijection."""
+"""Shi regions: tables, minimal elements, descent walls, the ideal bijection."""
 from __future__ import annotations
 
 import csv
@@ -9,7 +9,7 @@ import pytest
 
 from shilow import (AffineWeylGroup, descent_mask, descent_root_set, dominant_pairs,
                     ideal_closed_form_inversions, enumerate_regions, ideal_sign_type,
-                    is_admissible, regions, root_system, separation_set, sign_of_shi,
+                    is_admissible, root_system, separation_set, sign_of_shi,
                     verify)
 from shilow.regions import ideal_bijection_json, region_csv_rows, region_json_dict
 
@@ -67,25 +67,6 @@ def test_recorded_descent_walls_equal_the_sign_type_route(family, rank):
     for region in table:
         assert region.descent_mask == descent_mask(table.group.system, table.small,
                                                    region.sign_type), region.sign_string
-
-
-@pytest.mark.parametrize("family, rank", [*verify.DESK_TYPES, ("B", 3), ("C", 3),
-                                          ("D", 4)])
-def test_recorded_walls_are_the_walls_of_the_minimum(family, rank):
-    """Each region's walls, carried from its parent region by one left
-    table, are the walls read off its minimum's reduced word."""
-    table = enumerate_regions(AffineWeylGroup(root_system(family, rank)))
-    for region in table:
-        assert region.walls == table.group.walls(region.minimal), region.sign_string
-
-
-def test_a_minimum_without_a_recorded_parent_reads_its_walls_off_its_word(a3):
-    """Given only the minima of odd length, none has its left quotient
-    among them, so each falls back to ``AffineWeylGroup.walls``."""
-    group = a3.group
-    odd = [r.minimal for r in a3.table if r.minimal.length % 2]
-    walls = regions._minimum_walls(group, odd)
-    assert walls == {m: group.walls(m) for m in odd}
 
 
 def test_dominant_characterization(desk):

@@ -87,16 +87,27 @@ def test_automaton_suite_catches_a_redirected_transition(a2, monkeypatch):
     assert check.counterexample == {"prefix": word_text((0,)), "letter": 0}
 
 
+def _corrupt_first_offset(monkeypatch, group: AffineWeylGroup, letter: int) -> None:
+    """Add one to the first offset of the letter's left table, both in
+    ``left_tables`` and in the per-letter steps that the shell walk and
+    the word reader read."""
+    table = list(group.left_tables[letter])
+    j, s, o = table[0]
+    table[0] = (j, s, o + 1)
+    tables = list(group.left_tables)
+    tables[letter] = tuple(table)
+    monkeypatch.setattr(group, "left_tables", tuple(tables))
+    steps = list(group._letter_steps)
+    steps[letter] = steps[letter][:3] + (tuple(table),) + steps[letter][4:]
+    monkeypatch.setattr(group, "_letter_steps", tuple(steps))
+
+
 def test_recurrence_check_catches_a_corrupted_left_table(monkeypatch):
     """One wrong offset in the left table of s0 gives shells whose vectors
     disagree with the matrix action; the recurrence check computes t*w
     through the matrix action and so reports it."""
     monkeypatch.setattr(verify, "_CONTEXTS", {})
-    group = verify.desk_context("A", 2).group
-    tables = [list(table) for table in group.left_tables]
-    j, s, o = tables[0][0]
-    tables[0][0] = (j, s, o + 1)
-    monkeypatch.setattr(group, "left_tables", tuple(map(tuple, tables)))
+    _corrupt_first_offset(monkeypatch, verify.desk_context("A", 2).group, 0)
     check = {c.name: c for c in run_suite("recurrences", "A", 2).checks}[
         "coefficient_recurrence_simple"]
     assert not check.passed
@@ -108,11 +119,7 @@ def test_recurrence_suite_survives_a_corrupted_finite_table(monkeypatch):
     the suite still reports, and the finite-subgroup check names the
     kernel fault as its counterexample."""
     monkeypatch.setattr(verify, "_CONTEXTS", {})
-    group = verify.desk_context("A", 2).group
-    tables = [list(table) for table in group.left_tables]
-    j, s, o = tables[1][0]
-    tables[1][0] = (j, s, o + 1)
-    monkeypatch.setattr(group, "left_tables", tuple(map(tuple, tables)))
+    _corrupt_first_offset(monkeypatch, verify.desk_context("A", 2).group, 1)
     check = {c.name: c for c in run_suite("recurrences", "A", 2).checks}[
         "finite_subgroup_coefficients"]
     assert not check.passed
@@ -181,6 +188,22 @@ def test_descent_walls_suite_reads_the_recorded_walls(monkeypatch):
     monkeypatch.setattr(verify, "_CONTEXTS", {})
     assert run_suite("descent-walls", "A", 3).passed
     assert len(calls) <= 2 * len(verify.desk_context("A", 3).table)
+
+
+@pytest.mark.parametrize("suite", ["main-theorem", "descent-walls"])
+def test_a_passing_suite_reads_no_reduced_word(monkeypatch, suite):
+    """Descents, descent roots and minimality are read off the Shi vector,
+    so a passing run on a context built inside it reads no reduced word."""
+    calls = []
+    word = AffineWeylGroup.word_from_element
+
+    def counted(self, w):
+        calls.append(w.shi)
+        return word(self, w)
+    monkeypatch.setattr(AffineWeylGroup, "word_from_element", counted)
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    assert run_suite(suite, "A", 3).passed
+    assert calls == []
 
 
 def test_a_failed_scan_is_raised_again_without_a_rerun(monkeypatch):
