@@ -16,7 +16,10 @@ Both enumerations read the one walk ``AffineWeylGroup.shells()`` on the
 Shi-vector kernel of ``elements``, without matrices; the walk builds each
 element once, from its canonical parent.  ``certified_scan`` reads the
 whole ball until every sign type holds a certified shortest element,
-with one sign tuple and one dictionary probe per visited element.
+with one sign tuple and at most two set probes per visited element, and
+keeps only the minima; the checks that need other members of a sign
+type read them from ``regions.RegionTable.members``, which walks the
+same ball again.
 ``enumerate_low`` reads the walk pruned to low elements: every left
 quotient of a low element is low (the low set is a Garside shadow, after
 Dyer and Hohlweg), so each low element extends its canonical parent.
@@ -29,7 +32,10 @@ with the w-alcove representative, so any root among them already lies in
 N(w).  Hence cone(X) capped to roots is contained in N(w) whenever
 X is a subset of N(w), and the substantive direction — each member of
 N(w) is generated — is a finite list of exact cone tests, one
-``ratlp.cone_members`` call per window.
+``ratlp.cone_members`` call per window.  The window is listed in
+increasing order of h * delta + height, which is positive on every
+positive affine root, so each root comes after its differences with the
+generators and a sum of generators is certified without an LP.
 
 The enumerations cross-check themselves, and a failed cross-check raises
 ``CertificationError`` (an explicit raise, so ``python -O`` keeps it).
@@ -48,7 +54,6 @@ from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError
 from .ratlp import cone_members
 
 DEFAULT_BUDGET = 500_000
-SAMPLE_SIZE = 8  # visited members kept per sign type by ``certified_scan``
 
 
 class BudgetExceededError(RuntimeError):
@@ -131,8 +136,14 @@ def positive_roots_window(group: AffineWeylGroup, max_delta: int) -> list[Affine
 
 def cone_window_members(group: AffineWeylGroup, generators,
                         max_delta: int) -> frozenset[AffineRoot]:
-    """Positive affine roots within the delta window that the cone generates."""
-    window = positive_roots_window(group, max_delta)
+    """Positive affine roots within the delta window that the cone generates.
+
+    The window is tested in increasing order of h * delta + height, a
+    functional positive on every positive affine root, so that
+    ``cone_members`` meets beta - g before beta for each generator g."""
+    h = group.system.coxeter_number
+    window = sorted(positive_roots_window(group, max_delta),
+                    key=lambda beta: h * beta.delta + sum(beta.finite))
     inside = cone_members([affine_root_vector(g) for g in generators],
                           [affine_root_vector(beta) for beta in window])
     return frozenset(beta for beta, member in zip(window, inside) if member)
@@ -179,17 +190,15 @@ class ScanResult:
     """Output of a certified breadth-first alcove scan.
 
     ``minima`` maps each sign type to its unique shortest element;
-    ``min_abs`` records the componentwise minimum of the coefficient
-    magnitudes over every visited member of the sign type, and
-    ``samples`` the first few visited members.  ``stop_length`` is the
-    last fully processed shell.
+    ``stop_length`` is the last fully processed shell and ``visited`` the
+    number of elements in shells 0..stop_length.  The other members of
+    each sign type are not kept: ``regions.RegionTable.members`` walks
+    the same ball again when a check needs them.
     """
 
     group: AffineWeylGroup
     stop_length: int
     minima: dict[tuple[int, ...], GroupElement]
-    min_abs: dict[tuple[int, ...], tuple[int, ...]]
-    samples: dict[tuple[int, ...], list[GroupElement]]
     visited: int
 
 
@@ -223,38 +232,31 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
     first-visited (hence shortest) element; every minimum then lies in a
     fully read shell.  Shell order makes first visits minimal.  A second
     element of a sign type in the shell of its minimum, or more sign
-    types than (h+1)^n, raises ``CertificationError``.
+    types than (h+1)^n, raises ``CertificationError``.  A visit costs one
+    sign tuple, one probe of the minima and, for a sign type already
+    held, one probe of the shell's new sign types; nothing else is
+    recorded.
     """
     target_count = group.system.region_count
     minima: dict[tuple[int, ...], GroupElement] = {}
-    min_abs: dict[tuple[int, ...], list[int]] = {}
-    samples: dict[tuple[int, ...], list[GroupElement]] = {}
     visited = 0
 
     for length, shell in enumerate(group.shells()):
+        # The scan ends only between shells, so a shell that takes the
+        # count past the budget is the one that would have hit it.
+        if visited + len(shell) > budget:
+            raise BudgetExceededError(
+                budget, "scan exceeded the element budget before certification")
+        visited += len(shell)
         fresh = set()  # the sign types whose minimum lies in this shell
         for w in shell:
-            if visited >= budget:
-                raise BudgetExceededError(
-                    budget, "scan exceeded the element budget before certification")
-            visited += 1
-            shi = w.shi
-            zeta = tuple([(k > 0) - (k < 0) for k in shi])  # sign_of_shi inlined: no call per visit
-            current = min_abs.get(zeta)
-            if current is None:
+            zeta = tuple([(k > 0) - (k < 0) for k in w.shi])  # sign_of_shi inlined
+            if zeta not in minima:
                 minima[zeta] = w
                 fresh.add(zeta)
-                min_abs[zeta] = [abs(k) for k in shi]
-                samples[zeta] = [w]
-                continue
-            if zeta in fresh:
+            elif zeta in fresh:
                 raise CertificationError(
                     f"sign type {zeta} has two shortest elements, of length {length}")
-            for i, k in enumerate(shi):
-                if abs(k) < current[i]:
-                    current[i] = abs(k)
-            if len(samples[zeta]) < SAMPLE_SIZE:
-                samples[zeta].append(w)
         if len(minima) >= target_count:
             break
         if max_length is not None and length >= max_length:
@@ -266,14 +268,7 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
     if len(minima) != target_count:
         raise CertificationError(f"the scan found {len(minima)} sign types, "
                                  f"not (h+1)^n = {target_count}")
-    return ScanResult(
-        group=group,
-        stop_length=length,
-        minima=minima,
-        min_abs={z: tuple(v) for z, v in min_abs.items()},
-        samples=samples,
-        visited=visited,
-    )
+    return ScanResult(group=group, stop_length=length, minima=minima, visited=visited)
 
 
 def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,

@@ -18,10 +18,18 @@ returned, so its correctness does not rest on the pivoting code:
 
 A certificate that fails its check raises ``CertificateError``.
 
-``cone_members`` tests many targets against one generator set.  A Farkas
-vector found for one target often separates later ones too, so each
-vector found is kept and tried, one dot product per target, before the
-next LP is solved; an answer it gives passes the same Farkas check.
+``cone_members`` tests many targets against one generator set and keeps
+the certificates it finds, so that most targets need no LP:
+
+* a Farkas vector found for one target often separates later ones too,
+  so each is kept and tried, one dot product per target, first;
+* a target t with t - g zero or an already certified member, for some
+  generator g, is a member with that member's numerators plus one at g,
+  over denominator 1 (the inversion sets of Shi's dominant region minima
+  are such sums, k * delta less k roots of the ideal).
+
+An answer either gives passes the same check as an LP's answer; only a
+target neither settles goes to ``in_cone``.
 """
 
 from __future__ import annotations
@@ -150,15 +158,41 @@ def in_cone(generators: Iterable[Sequence[int]], target: Sequence[int],
     return combination is not None
 
 
+def _step(columns: Sequence[Sequence[int]], target: Sequence[int],
+          members: dict[tuple[int, ...], list[int]]) -> list[int] | None:
+    """Integer numerators for ``target``: those of a known member
+    ``target - g`` plus one at the generator g, or one at g alone when
+    ``target == g``; ``None`` when no generator steps down to either."""
+    for j, col in enumerate(columns):
+        rest = tuple([t - c for t, c in zip(target, col)])
+        if any(rest):
+            numerators = members.get(rest)
+            if numerators is None:
+                continue
+            numerators = list(numerators)
+        else:
+            numerators = [0] * len(columns)
+        numerators[j] += 1
+        return numerators
+    return None
+
+
 def cone_members(generators: Iterable[Sequence[int]],
                  targets: Iterable[Sequence[int]]) -> list[bool]:
     """``in_cone(generators, t)`` for each target ``t``, in order.
 
-    The Farkas vectors found so far for these generators are tried first:
-    one that pairs negatively with the target settles it once it passes
-    ``_check_farkas``; otherwise ``in_cone`` solves an LP."""
+    Certificates found for earlier targets settle later ones without an
+    LP.  The Farkas vectors found so far are tried first: one that pairs
+    negatively with the target settles it once it passes
+    ``_check_farkas``.  Then a decomposition: when t - g is zero or a
+    member settled this way, for a generator g, t is a member with that
+    member's numerators plus one at g, over denominator 1, once it passes
+    ``_check_member``.  Otherwise ``in_cone`` solves an LP.  Targets
+    listed in increasing order of a functional positive on every
+    generator meet each t - g before t."""
     columns = list(generators)
     separators: list[list[int]] = []
+    members: dict[tuple[int, ...], list[int]] = {}
     out = []
     for target in targets:
         for y in separators:
@@ -167,5 +201,11 @@ def cone_members(generators: Iterable[Sequence[int]],
                 out.append(False)
                 break
         else:
-            out.append(in_cone(columns, target, separators))
+            numerators = _step(columns, target, members)
+            if numerators is None:
+                out.append(in_cone(columns, target, separators))
+                continue
+            _check_member(columns, target, numerators, 1)
+            members[tuple(target)] = numerators
+            out.append(True)
     return out

@@ -1,15 +1,23 @@
 """Shi regions: minimal elements, separation sets, descent walls, the dominant case.
 
 A region is determined by its sign type.  The table builder takes a
-certified scan, attaches the shortest element of each region together
-with the componentwise minimum of the coefficient magnitudes and a few
-sample elements, and cross-checks the scan against the sign-type
-combinatorics: every region's sign type must be admissible, its
-separation set must match the minimal element's small inversion set, and
-right-multiplying the minimal element by any descent generator must
-leave the region, which the facet test reads off the minimum's Shi
-vector without a reduced word (``lowness.right_descent_within_sign_type``).
-A failed cross-check raises ``lowness.CertificationError``.
+certified scan, attaches the shortest element of each region, and
+cross-checks the scan against the sign-type combinatorics: every
+region's sign type must be admissible, its separation set must match the
+minimal element's small inversion set, and right-multiplying the minimal
+element by any descent generator must leave the region, which the facet
+test reads off the minimum's Shi vector without a reduced word
+(``lowness.right_descent_within_sign_type``).  A failed cross-check
+raises ``lowness.CertificationError``.
+
+The other members of each region within the scanned ball are read only
+on demand: ``RegionTable.members`` walks ``group.shells()`` once more,
+up to the scan's stop length, and keeps per sign type the componentwise
+minimum of the coefficient magnitudes and the first ``SAMPLE_SIZE``
+members.  The walk must see exactly the scan's visited count, with the
+region minimum first in each sign type, else ``CertificationError``.
+Building the table, the minima and the text and CSV exports never walk
+it; the JSON export's minimum magnitudes do.
 
 Each region records its descent walls, read off its neighbours:
 the bits of its separation mask whose removal gives another region's
@@ -26,12 +34,16 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 from . import signtypes
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, word_text
 from .lowness import (CertificationError, ScanResult, SmallRoots, certified_scan,
                       right_descent_within_sign_type, sign_of_shi)
 from .rootdata import PosetIdeal, RootSystem
+
+SAMPLE_SIZE = 8  # members kept per sign type by ``RegionTable.members``
 
 
 @dataclass(frozen=True)
@@ -42,8 +54,6 @@ class ShiRegion:
     separation_mask: int
     descent_mask: int
     minimal: GroupElement
-    min_abs: tuple[int, ...]
-    samples: tuple[GroupElement, ...]
 
     @property
     def is_dominant(self) -> bool:
@@ -54,13 +64,28 @@ class ShiRegion:
         return signtypes.sign_string(self.sign_type)
 
 
+@dataclass(frozen=True)
+class RegionMembers:
+    """The members of one region in the scanned ball: the componentwise
+    minimum of their coefficient magnitudes, and the first few of them in
+    walk order, the region minimum first."""
+
+    min_abs: tuple[int, ...]
+    samples: tuple[GroupElement, ...]
+
+
 @dataclass
 class RegionTable:
-    """All regions of one affine type, sorted by minimal length then sign."""
+    """All regions of one affine type, sorted by minimal length then sign.
+
+    ``stop_length`` and ``visited`` describe the certified scan's ball:
+    its last shell and its element count."""
 
     group: AffineWeylGroup
     small: SmallRoots
     regions: tuple[ShiRegion, ...]
+    stop_length: int
+    visited: int
     by_sign: dict[tuple[int, ...], ShiRegion] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -79,6 +104,45 @@ class RegionTable:
 
     def dominant_regions(self) -> list[ShiRegion]:
         return [r for r in self.regions if r.is_dominant]
+
+    @cached_property
+    def members(self) -> dict[tuple[int, ...], RegionMembers]:
+        """Each sign type's members in the scan's ball, from one walk of
+        ``group.shells()`` up to ``stop_length``, built on first read.
+
+        Raises ``CertificationError`` unless the walk sees ``visited``
+        elements, every one in a region of the table, with each region's
+        minimum as the first member of its sign type."""
+        buckets: dict[tuple[int, ...], tuple[list[int], list[GroupElement]]] = {}
+        seen = 0
+        for shell in islice(self.group.shells(), self.stop_length + 1):
+            seen += len(shell)
+            for w in shell:
+                shi = w.shi
+                zeta = tuple([(k > 0) - (k < 0) for k in shi])  # sign_of_shi inlined
+                entry = buckets.get(zeta)
+                if entry is None:
+                    buckets[zeta] = ([abs(k) for k in shi], [w])
+                    continue
+                low, samples = entry
+                for i, k in enumerate(shi):
+                    if abs(k) < low[i]:
+                        low[i] = abs(k)
+                if len(samples) < SAMPLE_SIZE:
+                    samples.append(w)
+        if seen != self.visited:
+            raise CertificationError(f"the member walk to length {self.stop_length} "
+                                     f"saw {seen} elements, the scan {self.visited}")
+        for zeta, (_, samples) in buckets.items():
+            region = self.by_sign.get(zeta)
+            if region is None or samples[0] != region.minimal:
+                raise CertificationError(f"sign type {zeta}: the first member of the "
+                                         f"walk is not the region minimum")
+        if len(buckets) != len(self.regions):
+            raise CertificationError(f"the member walk met {len(buckets)} of the "
+                                     f"{len(self.regions)} regions")
+        return {zeta: RegionMembers(tuple(low), tuple(samples))
+                for zeta, (low, samples) in buckets.items()}
 
 
 def enumerate_regions(group: AffineWeylGroup,
@@ -104,12 +168,11 @@ def enumerate_regions(group: AffineWeylGroup,
     regions = [ShiRegion(sign_type=zeta, separation_mask=mask,
                          descent_mask=sum(b for b in bits if mask & b
                                           and (mask ^ b) in realized),
-                         minimal=minimal,
-                         min_abs=scan.min_abs[zeta],
-                         samples=scan.samples[zeta])
+                         minimal=minimal)
                for zeta, mask, minimal in found]
     regions.sort(key=lambda r: (r.minimal.length, r.sign_string))
-    return RegionTable(group=group, small=small, regions=tuple(regions))
+    return RegionTable(group=group, small=small, regions=tuple(regions),
+                       stop_length=scan.stop_length, visited=scan.visited)
 
 
 def descent_root_set(table: RegionTable, region: ShiRegion) -> frozenset[AffineRoot]:
@@ -205,7 +268,7 @@ def region_json_dict(table: RegionTable, regions) -> dict:
             "descent_roots": descent,
             "minimal_word": list(group.word_from_element(region.minimal)),
             "minimal_coefficients": list(region.minimal.shi),
-            "minimum_magnitudes": list(region.min_abs),
+            "minimum_magnitudes": list(table.members[region.sign_type].min_abs),
             "dominant": region.is_dominant,
         })
     return {

@@ -8,7 +8,8 @@ Five suites, each returning a structured pass/fail report:
   the closed-form inversion sets of dominant minimal elements.
 * ``descent-walls``  -- the descent-wall equality ND_R(min) = descent
   roots of the region, wall-crossing transforms, and the minimality
-  characterisation by descent walls.
+  characterisation by descent walls, over the region members in the
+  scanned ball (``RegionTable.members``, the suite's one extra walk).
 * ``recurrences``    -- exhaustive sweeps of the coefficient recurrences
   (the kernel's vectors against products taken through the matrix
   action), inversion-set transition rules, and the two lowness oracles.
@@ -301,6 +302,9 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
     system, group, small, table = ctx.system, ctx.group, ctx.small, ctx.table
     report = Report(suite="descent-walls", family=family, rank=rank, bound=bound,
                     seed=seed)
+    # The checks that read other members of the regions than the minima
+    # read them from the table's member index, built on first read.
+    ball = {"members": table.visited, "stop_length": table.stop_length}
 
     def wall_theorem(region):
         nd = group.right_descent_roots(region.minimal)
@@ -384,13 +388,13 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
             if signtypes.is_admissible(system, zero_variant) != expected_zero:
                 return {"simple": system.root_name(s),
                         "issue": "zero variant admissibility"}
-            for u in table.by_sign[other].samples:
+            for u in table.members[other].samples:
                 if sign_of_shi(group.left_multiply(g, u).shi) != trits:
                     return {"simple": system.root_name(s),
                             "issue": "sample leaves the region"}
         return None
     _check_each(report, "wall_crossing_sign_transform", table,
-                union_transform, where=_at_region)
+                union_transform, where=_at_region, detail=ball)
 
     def basis_descents(region):
         w = region.minimal
@@ -411,33 +415,34 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
 
     def minstar(region):
         w = region.minimal
-        if tuple(abs(k) for k in w.shi) != region.min_abs:
-            return {"minimum_magnitudes": list(region.min_abs)}
-        for u in region.samples:
+        members = table.members[region.sign_type]
+        if tuple(abs(k) for k in w.shi) != members.min_abs:
+            return {"minimum_magnitudes": list(members.min_abs)}
+        for u in members.samples:
             if any(abs(a) > abs(b) for a, b in zip(w.shi, u.shi)):
                 return {"sample": word_text(group.word_from_element(u))}
         return None
     _check_each(report, "minimal_coefficient_magnitudes", table,
-                minstar, where=_at_region)
+                minstar, where=_at_region, detail=ball)
 
     def weak_order_prefix(region):
         inv = group.inversion_set(region.minimal)
-        for u in region.samples:
+        for u in table.members[region.sign_type].samples:
             if not inv <= group.inversion_set(u):
                 return {"sample": word_text(group.word_from_element(u))}
         return None
     _check_each(report, "minimal_inversions_contained_in_samples", table,
-                weak_order_prefix, where=_at_region)
+                weak_order_prefix, where=_at_region, detail=ball)
 
     def minimal_characterisation(region):
         dr = regionlib.descent_root_set(table, region)
-        for u in region.samples:
+        for u in table.members[region.sign_type].samples:
             contained = group.right_descent_roots(u) <= dr
             if contained != (u == region.minimal):
                 return {"sample": word_text(group.word_from_element(u))}
         return None
     _check_each(report, "minimality_iff_descents_in_walls", table,
-                minimal_characterisation, where=_at_region)
+                minimal_characterisation, where=_at_region, detail=ball)
     return report
 
 
@@ -536,7 +541,7 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
         nd = group.right_descent_roots(w)
         oracle = group.right_descent_roots_by_action(w)
         if nd != oracle:
-            return {"walls": _root_names(group, nd),
+            return {"facet_test": _root_names(group, nd),
                     "matrix_action": _root_names(group, oracle)}
         for g in group.left_descents(w):
             sw = group.left_multiply(g, w)

@@ -8,6 +8,7 @@ fails on it.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 
 from shilow import (AffineWeylGroup, CertificationError, certified_scan, cli,
                     condition_star, enumerate_low, enumerate_regions, lowness,
-                    regions, root_system, signtypes, verify)
+                    regions, root_system, sign_of_shi, signtypes, verify)
 from shilow.report import Report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -54,15 +55,22 @@ ZETA = (1, 0, 1)  # an A2 sign type with minimum (1, 0, 1) and more members
 
 
 def _scan_with_minima(scan: lowness.ScanResult, minima: dict) -> lowness.ScanResult:
-    return lowness.ScanResult(group=scan.group, stop_length=scan.stop_length,
-                              minima=minima, min_abs=scan.min_abs,
-                              samples=scan.samples, visited=scan.visited)
+    return dataclasses.replace(scan, minima=minima)
+
+
+def _second_member(group: AffineWeylGroup, zeta: tuple[int, ...]):
+    """The second element of sign type ``zeta`` in the walk's order."""
+    members = (w for shell in group.shells() for w in shell
+               if sign_of_shi(w.shi) == zeta)
+    next(members)
+    return next(members)
 
 
 def _swapped_minimum(scan: lowness.ScanResult) -> lowness.ScanResult:
     """The scan with sign type ``ZETA`` given another of its elements as
-    its minimum: its second sample."""
-    return _scan_with_minima(scan, {**scan.minima, ZETA: scan.samples[ZETA][1]})
+    its minimum: its second member in walk order."""
+    return _scan_with_minima(scan, {**scan.minima,
+                                    ZETA: _second_member(scan.group, ZETA)})
 
 
 def test_a_low_element_that_is_not_its_types_minimum_is_caught():
@@ -81,6 +89,24 @@ def test_a_low_element_of_a_type_missing_from_the_scan_is_caught():
     with pytest.raises(CertificationError,
                        match=r"low element \(1, 0, 1\) is not the certified minimum"):
         enumerate_low(group, certificate_scan=missing)
+
+
+def test_the_member_index_rejects_a_swapped_minimum(monkeypatch):
+    """With the descent test blinded, a table takes a swapped minimum;
+    the member walk then meets the true minimum first and raises."""
+    group = _group()
+    monkeypatch.setattr(regions, "right_descent_within_sign_type", lambda group, w: None)
+    table = enumerate_regions(group, scan=_swapped_minimum(certified_scan(group)))
+    with pytest.raises(CertificationError,
+                       match=r"sign type \(1, 0, 1\): the first member of the walk"):
+        table.members
+
+
+def test_the_member_index_rejects_a_ball_of_another_size():
+    table = enumerate_regions(_group())
+    short = dataclasses.replace(table, visited=table.visited + 1)
+    with pytest.raises(CertificationError, match="saw 31 elements, the scan 32"):
+        short.members
 
 
 @pytest.mark.parametrize("module, name, fault, message", [
@@ -109,16 +135,20 @@ def test_check_each_fails_a_check_on_a_certification_error():
 
 
 _INJECTED = """
+from itertools import islice
+
 from shilow import (AffineWeylGroup, CertificationError, certified_scan, cli,
-                    enumerate_low, enumerate_regions, lowness, regions, root_system)
+                    enumerate_low, enumerate_regions, lowness, regions, root_system,
+                    sign_of_shi)
 
 regions.right_descent_within_sign_type = lambda group, w: 0
 group = AffineWeylGroup(root_system("A", 2))
 scan = certified_scan(group)
 zeta = (1, 0, 1)
+second = [w for shell in islice(group.shells(), scan.stop_length + 1)
+          for w in shell if sign_of_shi(w.shi) == zeta][1]
 swapped = lowness.ScanResult(group=group, stop_length=scan.stop_length,
-                             minima={**scan.minima, zeta: scan.samples[zeta][1]},
-                             min_abs=scan.min_abs, samples=scan.samples,
+                             minima={**scan.minima, zeta: second},
                              visited=scan.visited)
 for enumeration in (lambda: enumerate_low(group, certificate_scan=swapped),
                     lambda: enumerate_regions(group, scan=scan)):
@@ -193,8 +223,7 @@ def test_the_region_layer_raises_named_errors(monkeypatch):
     group = _group()
     table = enumerate_regions(group)
     with pytest.raises(CertificationError, match="share a sign type"):
-        regions.RegionTable(group=group, small=table.small,
-                            regions=table.regions + table.regions[:1])
+        dataclasses.replace(table, regions=table.regions + table.regions[:1])
     whole = group.system.poset_ideals()[-1]
     monkeypatch.setattr(group.system, "coxeter_number", 1)
     with pytest.raises(CertificationError, match="the sums reach level 2 > h"):

@@ -318,3 +318,22 @@ def test_console_script():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "low elements of affine A2: 16" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (("enumerate", "low"), False),
+    (("enumerate", "regions"), False),
+    (("enumerate", "regions", "--format", "csv"), False),
+    (("enumerate", "dominant", "--format", "csv"), False),
+    (("enumerate", "regions", "--format", "json"), True),
+])
+def test_only_the_json_region_export_walks_the_members(capsys, monkeypatch, argv, builds):
+    """The JSON export prints each region's minimum magnitudes, read from
+    the member index; the other exports never build it."""
+    built = []
+    index = regions.RegionTable.members
+    monkeypatch.setattr(regions.RegionTable, "members",
+                        property(lambda table: built.append(table) or index.func(table)))
+    code, _, _ = run_cli(capsys, *argv, "--type", "A", "--rank", "2")
+    assert code == 0
+    assert bool(built) == builds

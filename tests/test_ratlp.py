@@ -4,7 +4,8 @@ Members are built as explicit nonnegative combinations and non-members
 from a chosen separating vector, so every case has a known answer.  A
 tampered certificate must raise ``CertificateError``, also under
 ``python -O``.  ``cone_members`` must give the per-target answers of
-``in_cone`` while reusing the Farkas vectors it finds.
+``in_cone`` while reusing the Farkas vectors it finds and settling sums
+of known members without an LP.
 """
 from __future__ import annotations
 
@@ -105,8 +106,25 @@ def cone_windows(draw):
     return columns, draw(st.permutations(targets))
 
 
+@st.composite
+def ordered_windows(draw):
+    """Generators on the positive side of a functional and targets sorted
+    by it: nonnegative integer combinations, whose decompositions
+    ``cone_members`` can follow, and random vectors."""
+    dim = draw(st.integers(1, 4))
+    columns = draw(st.lists(st.lists(st.integers(0, 2), min_size=dim, max_size=dim)
+                            .filter(any), min_size=1, max_size=5))
+    targets = draw(st.lists(st.lists(st.integers(-2, 4), min_size=dim, max_size=dim),
+                            max_size=6))
+    for weights in draw(st.lists(st.lists(st.integers(0, 2), min_size=len(columns),
+                                          max_size=len(columns)), max_size=8)):
+        targets.append([sum(x * col[r] for x, col in zip(weights, columns))
+                        for r in range(dim)])
+    return columns, sorted(targets, key=sum)
+
+
 @lp_settings
-@given(cone_windows())
+@given(st.one_of(cone_windows(), ordered_windows()))
 def test_cone_members_equal_in_cone_per_target(case):
     columns, targets = case
     assert cone_members(columns, targets) == [in_cone(columns, t) for t in targets]
@@ -139,6 +157,52 @@ def test_a_tampered_stored_farkas_vector_raises(monkeypatch):
     monkeypatch.setattr(ratlp, "in_cone", tampering)
     with pytest.raises(CertificateError, match="pairs negatively with the generator"):
         cone_members([[1, 0], [0, 1]], [[-1, 0], [1, 0]])
+
+
+def test_a_sum_of_known_members_needs_no_lp(monkeypatch):
+    """Each member target that is an earlier one plus a generator, or a
+    generator itself, is settled by its decomposition; only the two
+    non-members, which no one Farkas vector separates, need an LP."""
+    solved = []
+    real = ratlp.in_cone
+
+    def counting(generators, target, separators=None):
+        solved.append(target)
+        return real(generators, target, separators)
+    monkeypatch.setattr(ratlp, "in_cone", counting)
+    targets = [[1, 0], [0, 1], [1, 1], [2, 1], [-1, 0], [2, -1]]
+    assert cone_members([[1, 0], [0, 1]], targets) == [True] * 4 + [False] * 2
+    assert solved == [[-1, 0], [2, -1]]
+
+
+def test_a_fractional_member_is_found_by_the_lp(monkeypatch):
+    """(1, 1) is half of each generator: no generator steps down to zero
+    or to a known member, so the LP decides it, over denominator 2."""
+    solved = []
+    real = ratlp.in_cone
+
+    def counting(generators, target, separators=None):
+        solved.append(target)
+        return real(generators, target, separators)
+    monkeypatch.setattr(ratlp, "in_cone", counting)
+    assert cone_members([[2, 0], [0, 2]], [[1, 1]]) == [True]
+    assert solved == [[1, 1]]
+    numerators, d = nonnegative_combination([[2, 0], [0, 2]], [1, 1])
+    assert d == 2 * numerators[0] == 2 * numerators[1]
+
+
+def test_a_corrupted_stored_combination_raises(monkeypatch):
+    """A stored combination is not trusted for having passed once: the
+    combination built on it passes ``_check_member`` before it is used."""
+    step = ratlp._step
+
+    def corrupting(columns, target, members):
+        for key in members:
+            members[key] = [5] * len(columns)
+        return step(columns, target, members)
+    monkeypatch.setattr(ratlp, "_step", corrupting)
+    with pytest.raises(CertificateError, match="misses the target"):
+        cone_members([[1, 0], [0, 1]], [[1, 0], [2, 0]])
 
 
 def test_no_generators():

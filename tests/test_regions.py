@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import islice
 
 import pytest
 
@@ -11,7 +12,8 @@ from shilow import (AffineWeylGroup, descent_mask, descent_root_set, dominant_pa
                     ideal_closed_form_inversions, enumerate_regions, ideal_sign_type,
                     is_admissible, root_system, separation_set, sign_of_shi,
                     verify)
-from shilow.regions import ideal_bijection_json, region_csv_rows, region_json_dict
+from shilow.regions import (SAMPLE_SIZE, ideal_bijection_json, region_csv_rows,
+                            region_json_dict)
 
 
 def test_region_count(desk):
@@ -35,16 +37,38 @@ def test_region_of_respects_sign_vector(desk):
     for w in desk.ball(4):
         region = table.region_of(w)
         assert region.sign_type == sign_of_shi(w.shi)
-        assert all(m <= abs(k) for m, k in zip(region.min_abs, w.shi))
+        min_abs = table.members[region.sign_type].min_abs
+        assert all(m <= abs(k) for m, k in zip(min_abs, w.shi))
 
 
 def test_minimal_element_is_shortest_sample(desk):
     for region in desk.table.regions:
-        assert region.minimal in region.samples
-        for w in region.samples:
+        samples = desk.table.members[region.sign_type].samples
+        assert region.minimal in samples
+        for w in samples:
             assert sign_of_shi(w.shi) == region.sign_type
             if w != region.minimal:
                 assert w.length > region.minimal.length
+
+
+@pytest.mark.parametrize("family, rank", [*verify.DESK_TYPES, ("B", 3)])
+def test_member_index_buckets_the_scanned_ball(family, rank):
+    """The member index equals a direct bucketing of the shells up to the
+    scan's stop length, and each region's least coefficient magnitudes
+    are those of its minimum."""
+    table = enumerate_regions(AffineWeylGroup(root_system(family, rank)))
+    direct = {}
+    for shell in islice(table.group.shells(), table.stop_length + 1):
+        for w in shell:
+            direct.setdefault(sign_of_shi(w.shi), []).append(w)
+    assert sum(map(len, direct.values())) == table.visited
+    assert set(table.members) == set(direct) == set(table.by_sign)
+    for zeta, members in direct.items():
+        index = table.members[zeta]
+        assert index.samples == tuple(members[:SAMPLE_SIZE])
+        assert index.min_abs == tuple(min(abs(w.shi[i]) for w in members)
+                                      for i in range(len(zeta)))
+        assert index.min_abs == tuple(abs(k) for k in table.by_sign[zeta].minimal.shi)
 
 
 def test_separation_set_is_sigma_of_minimal(desk):

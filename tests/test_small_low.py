@@ -1,7 +1,9 @@
 """Small roots, certified scans, and the low-element enumeration."""
 from __future__ import annotations
 
+import json
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +11,12 @@ from shilow import (AffineRoot, AffineWeylGroup, BudgetExceededError,
                     SmallRoots, certified_scan, enumerate_low, is_low,
                     is_low_by_cone, root_system, sign_of_shi)
 
-# deepest minimal element per desk type, fixed by the certified scans
-_STOP_LENGTHS = {("A", 2): 4, ("B", 2): 7, ("G", 2): 16, ("A", 3): 10}
+# (visited, stop length) of each certified scan: the ball it reads and
+# the length of the deepest minimal element.  The benchmark's traced run
+# checks the same figures, recorded in perfbench/expected.json.
+_SCAN_BALLS = {("A", 2): (31, 4), ("B", 2): (76, 7), ("G", 2): (328, 16),
+               ("A", 3): (791, 10), ("B", 3): (6126, 22)}
+_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def test_small_root_inventory(desk):
@@ -58,17 +64,30 @@ def test_certified_scan_counts(desk):
     system = desk.system
     key = (system.cartan_type.family, system.rank)
     assert len(scan.minima) == system.region_count
-    assert scan.stop_length == _STOP_LENGTHS[key]
+    assert scan.stop_length == _SCAN_BALLS[key][1]
     assert scan.visited >= system.region_count
     # minima are keyed by their own sign vectors
     for zeta, w in scan.minima.items():
         assert sign_of_shi(w.shi) == zeta
-    # recorded minimum magnitudes are componentwise lower bounds of samples
-    for zeta, sams in scan.samples.items():
-        for w in sams:
+    # the member index's minimum magnitudes are componentwise lower
+    # bounds of its samples
+    for zeta, members in desk.table.members.items():
+        for w in members.samples:
             assert sign_of_shi(w.shi) == zeta
             assert all(m <= abs(k)
-                       for m, k in zip(scan.min_abs[zeta], w.shi))
+                       for m, k in zip(members.min_abs, w.shi))
+
+
+@pytest.mark.parametrize("family, rank", _SCAN_BALLS)
+def test_certified_scan_reads_the_recorded_ball(family, rank):
+    scan = certified_scan(AffineWeylGroup(root_system(family, rank)))
+    assert (scan.visited, scan.stop_length) == _SCAN_BALLS[family, rank]
+
+
+def test_recorded_balls_match_the_benchmark_baselines():
+    scans = json.loads(_EXPECTED.read_text(encoding="utf-8"))["scans"]
+    assert {f"{family}{rank}": list(ball) for (family, rank), ball
+            in _SCAN_BALLS.items()} == scans
 
 
 def test_certified_scan_budget_errors():

@@ -241,6 +241,72 @@ def test_main_theorem_tests_descents_once_per_region(monkeypatch):
     assert len(calls) == 125
 
 
+def test_facet_test_disagreement_names_both_routes(monkeypatch):
+    """When the facet test and the matrix action disagree on the right
+    descent roots, the counterexample lists each route under its name."""
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    monkeypatch.setattr(AffineWeylGroup, "right_descent_roots_by_action",
+                        lambda self, w: frozenset())
+    check = {c.name: c for c in run_suite("recurrences", "A", 2).checks}[
+        "right_descent_roots_left_transition"]
+    assert not check.passed
+    failure = check.counterexample
+    assert failure["matrix_action"] == []
+    assert failure["facet_test"]
+    assert "walls" not in failure
+
+
+MEMBER_CHECKS = ("wall_crossing_sign_transform", "minimal_coefficient_magnitudes",
+                 "minimal_inversions_contained_in_samples",
+                 "minimality_iff_descents_in_walls")
+
+
+def test_member_checks_say_what_ball_they_read():
+    """The checks that read the member index report its size: the A2 ball
+    to length 4 holds 31 elements."""
+    checks = {c.name: c for c in suite_report("descent-walls", "A", 2).checks}
+    for name in MEMBER_CHECKS:
+        assert checks[name].detail == {"members": 31, "stop_length": 4}, name
+
+
+def test_member_checks_fail_on_a_broken_member_walk(monkeypatch):
+    """A member walk that disagrees with the scan fails the four checks
+    that read it, each with the certification error, and no other."""
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    verify.desk_context("A", 2).table
+    shells = AffineWeylGroup.shells
+    monkeypatch.setattr(AffineWeylGroup, "shells", lambda group, *args, **kwargs:
+                        ([w for w in shell if w.length != 3]
+                         for shell in shells(group, *args, **kwargs)))
+    report = run_suite("descent-walls", "A", 2)
+    assert {c.name for c in report.failures()} == set(MEMBER_CHECKS)
+    for check in report.failures():
+        assert "the scan 31" in check.counterexample["certification_error"]
+
+
+def test_main_theorem_builds_no_member_index(monkeypatch):
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    assert run_suite("main-theorem", "A", 3).passed
+    assert "members" not in vars(verify.desk_context("A", 3).table)
+
+
+def test_b3_main_theorem_cone_tests_need_71_lps(monkeypatch):
+    """The dominant-ideal cone oracle settles most window roots by a
+    stored Farkas vector or by a decomposition into a known member plus a
+    generator; 71 of them still need an LP, against 239 with Farkas
+    vectors alone."""
+    calls = []
+    real = ratlp.in_cone
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(ratlp, "in_cone", counted)
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    assert run_suite("main-theorem", "B", 3).passed
+    assert len(calls) == 71
+
+
 def test_check_over_no_items_fails():
     report = Report(suite="demo", family="A", rank=2)
     verify._check_each(report, "empty", [], lambda item: None)
