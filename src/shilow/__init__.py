@@ -28,7 +28,8 @@ from .regions import (RegionTable, ShiRegion, descent_root_set,
                       ideal_closed_form_inversions, ideal_sign_type,
                       separation_set)
 from .report import Check, Report
-from .rootdata import CartanType, PosetIdeal, Rank2Subsystem, RootSystem, root_system
+from .rootdata import (CartanType, PosetIdeal, Rank2Subsystem, RootDataError,
+                       RootSystem, root_system)
 from .signtypes import (admissible_sign_types, condition_star, descent_mask,
                         is_admissible, parse_sign_string,
                         rank2_admissible_table, rank2_tables_json,
@@ -54,6 +55,7 @@ __all__ = [
     "Rank2Subsystem",
     "RegionTable",
     "Report",
+    "RootDataError",
     "RootSystem",
     "ScanResult",
     "ShiRegion",

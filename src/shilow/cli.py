@@ -8,14 +8,25 @@ verify      run a verification suite and report pass/fail with counterexamples
 automaton   export the reduced-word automaton (DOT, JSON, or a text summary)
 
 Exit codes: 0 success (all selected checks passed), 1 verification failure
-(or a kernel fault or a failed cone certificate outside any check), 2 usage
-error, 3 enumeration budget or length cap exceeded, 4 a certified
-enumeration failed its own cross-check (``CertificationError``).
+(or a kernel fault, a failed cone certificate or an inconsistent root datum
+outside any check), 2 usage error, 3 enumeration budget or length cap
+exceeded, 4 a certified enumeration failed its own cross-check
+(``CertificationError``).
+
+Process cost.  A command runs in a short process whose imported modules,
+tables and interned objects all live until exit.  ``main`` therefore
+freezes the heap it finds (``gc.freeze()``, once per process): the
+import-time objects move to the permanent generation, which neither the
+cyclic collector nor the shutdown collection traverses.  Objects a
+command creates afterwards, garbage cycles included, are still collected
+as usual.  Importing this module changes no collector state; only a call
+of ``main`` does.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -27,7 +38,7 @@ from .elements import AffineWeylGroup, KernelError, word_text
 from .lowness import (BudgetExceededError, CertificationError, certified_scan,
                       enumerate_low, sign_of_shi)
 from .ratlp import CertificateError
-from .rootdata import root_system
+from .rootdata import RootDataError, root_system
 from .signtypes import sign_string
 
 EXIT_PASS = 0
@@ -299,6 +310,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Everything imported so far lives until the process exits, so neither
+    # the cyclic collector nor the interpreter's shutdown collection needs
+    # to walk it again: move it to the permanent generation, once per
+    # process.  What a command creates is still collected as usual.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -306,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (KernelError, CertificateError) as exc:
+    except (KernelError, CertificateError, RootDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except CertificationError as exc:

@@ -4,6 +4,12 @@ Roots are integer coordinate vectors in the simple-root basis.  The bilinear
 form is the symmetrized Cartan matrix, normalized so that short roots have
 squared length 2; with that normalization all coroots have integer
 coordinates and every pairing needed downstream stays rational.
+
+Each fact the construction relies on (a connected, symmetrizable diagram,
+integral reflections, the root counts and the Catalan number, an interior
+alcove point, the shape of each rank-2 subsystem) is checked by an explicit
+raise of ``RootDataError``, so an inconsistent datum is reported also
+under ``python -O``.
 """
 
 from __future__ import annotations
@@ -13,6 +19,15 @@ from fractions import Fraction
 from math import lcm
 
 _FAMILIES = "ABCDEFG"
+
+
+class RootDataError(RuntimeError):
+    """A root datum contradicts a fact the construction relies on.
+
+    Raised, not asserted, so the check survives ``python -O``; the CLI
+    reports it as a failure (exit 1) without a traceback.
+    """
+
 
 #: Classification constraints for irreducible types.
 _RANK_RULES = {
@@ -103,10 +118,12 @@ def _symmetrizer(cartan: list[list[int]]) -> list[int]:
             if i != j and cartan[i][j] and d[j] is None:
                 d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
                 stack.append(j)
-    assert all(x is not None for x in d), "Cartan diagram not connected"
+    if any(x is None for x in d):
+        raise RootDataError("Cartan diagram not connected")
     low = min(d)
     scaled = [x / low for x in d]
-    assert all(x.denominator == 1 for x in scaled)
+    if any(x.denominator != 1 for x in scaled):
+        raise RootDataError(f"symmetrizer {[str(x) for x in scaled]} is not integral")
     return [int(x) for x in scaled]
 
 
@@ -227,7 +244,8 @@ class RootSystem:
         self.symmetrizer = tuple(_symmetrizer([list(r) for r in self.cartan]))
         self.gram = tuple(tuple(self.symmetrizer[i] * self.cartan[i][j] for j in range(n))
                           for i in range(n))
-        assert all(self.gram[i][j] == self.gram[j][i] for i in range(n) for j in range(n))
+        if any(self.gram[i][j] != self.gram[j][i] for i in range(n) for j in range(n)):
+            raise RootDataError(f"Cartan matrix of {cartan_type.name} is not symmetrizable")
 
         all_roots = _root_closure([list(r) for r in self.cartan])
         positives = [r for r in all_roots if all(c >= 0 for c in r)]
@@ -236,14 +254,12 @@ class RootSystem:
         self.nroots = len(positives)
         self.root_index = {r: i for i, r in enumerate(positives)}
         self._all_roots = frozenset(all_roots)
-        # Simples must sit at positions 0..n-1 in diagram order.
-        for i in range(n):
-            assert self.positive_roots[i] == tuple(int(j == i) for j in range(n))
-
+        # The simples sit at positions 0..n-1 in diagram order: they are the
+        # roots of height 1, and the tie-break puts e_i before e_(i+1).  The
+        # sort by height puts the highest root last.
         self.heights = tuple(sum(r) for r in positives)
         self.highest_root = positives[-1]
         self.highest_index = self.nroots - 1
-        assert self.heights[-1] == max(self.heights)
         self.coxeter_number = self.heights[-1] + 1
 
         self.exponents = self._exponents()
@@ -254,11 +270,13 @@ class RootSystem:
         cat = Fraction(1)
         for e in self.exponents:
             cat *= Fraction(self.coxeter_number + e + 1, e + 1)
-        assert cat.denominator == 1
+        if cat.denominator != 1:
+            raise RootDataError(f"Catalan number {cat} of {cartan_type.name} is not an integer")
         self.catalan_number = int(cat)
         self.region_count = (self.coxeter_number + 1) ** n
-        assert self.nroots * 2 == n * self.coxeter_number
-        assert sum(self.exponents) == self.nroots
+        if self.nroots * 2 != n * self.coxeter_number:
+            raise RootDataError(f"{self.nroots} positive roots, not n*h/2 = "
+                                f"{n}*{self.coxeter_number}/2")
 
         gram_rows = [[Fraction(x) for x in row] for row in self.gram]
         inverse = invert_fraction_matrix(gram_rows)
@@ -271,7 +289,8 @@ class RootSystem:
             sum(v[j] for v in self.alcove_vertices) / (n + 1) for j in range(n))
         for idx in range(self.nroots):
             value = self.inner_fraction(self.barycenter, self.positive_roots[idx])
-            assert 0 < value < 1, "alcove representative point must be interior"
+            if not 0 < value < 1:
+                raise RootDataError("alcove representative point must be interior")
 
         self._leq = tuple(
             tuple(all(b >= a for a, b in zip(positives[i], positives[j]))
@@ -308,7 +327,8 @@ class RootSystem:
             raise ValueError(f"{root} is not a root of {self.cartan_type.name}")
         pairing = 2 * self.inner(root, x)
         nrm = self.norm(root)
-        assert pairing % nrm == 0
+        if pairing % nrm:
+            raise RootDataError(f"reflection in {root} maps {x} off the lattice")
         scale = pairing // nrm
         return tuple(xc - scale * rc for xc, rc in zip(x, root))
 
@@ -322,7 +342,8 @@ class RootSystem:
             out = []
             for c in range(n):
                 num = 2 * row[c] * root[r]
-                assert num % nrm == 0
+                if num % nrm:
+                    raise RootDataError(f"reflection matrix of {root} is not integral")
                 out.append((1 if r == c else 0) - num // nrm)
             mat.append(tuple(out))
         return tuple(mat)
@@ -332,7 +353,11 @@ class RootSystem:
         for h in self.heights:
             count_by_height[h] = count_by_height.get(h, 0) + 1
         layers = [count_by_height.get(k, 0) for k in range(1, max(self.heights) + 1)]
-        assert layers[0] == self.rank and all(a >= b for a, b in zip(layers, layers[1:]))
+        # Nonincreasing layers led by the rank make the exponents (the dual
+        # partition) sum to the number of positive roots.
+        if layers[0] != self.rank or any(a < b for a, b in zip(layers, layers[1:])):
+            raise RootDataError(f"root heights {layers} are not a partition led "
+                                f"by the rank {self.rank}")
         return tuple(sorted(sum(1 for lam in layers if lam >= j)
                             for j in range(1, self.rank + 1)))
 
@@ -380,13 +405,14 @@ class RootSystem:
         if self._ideals is None:
             items = []
             for antichain in self.antichains():
+                # ``_leq`` is a partial order, so the minimal elements of the
+                # up-closure of an antichain are the antichain itself.
                 ideal = self.up_closure(antichain)
-                minimal = frozenset(i for i in ideal
-                                    if not any(self._leq[j][i] and j != i for j in ideal))
-                assert minimal == antichain
                 items.append(PosetIdeal(tuple(sorted(ideal)), tuple(sorted(antichain))))
             items.sort(key=lambda p: (len(p.ideal), p.ideal))
-            assert len(items) == self.catalan_number
+            if len(items) != self.catalan_number:
+                raise RootDataError(f"{len(items)} root poset ideals, not the Catalan "
+                                    f"number {self.catalan_number}")
             self._ideals = tuple(items)
         return self._ideals
 
@@ -435,21 +461,24 @@ class RootSystem:
             for b in members:
                 sums.add(tuple(x + y for x, y in zip(roots[a], roots[b])))
         simples = [m for m in members if roots[m] not in sums]
-        assert len(simples) == 2
+        if len(simples) != 2:
+            raise RootDataError(f"rank-2 subsystem {members} has simple roots {simples}")
         norms = [self.norm(roots[m]) for m in simples]
         if norms[0] != norms[1]:
             # Short simple first, matching the canonical B2/G2 conventions.
             simples.sort(key=lambda m: self.norm(roots[m]))
+        elif kind != "A2":
+            raise RootDataError(f"{kind} subsystem {members} has equal simple norms")
         else:
-            assert kind == "A2"
             simples.sort()
         s1, s2 = roots[simples[0]], roots[simples[1]]
         coords: list[tuple[int, int]] = []
         for m in members:
             solution = solve_two_unknowns(s1, s2, roots[m])
-            assert solution is not None
+            if solution is None or any(c.denominator != 1 or c < 0 for c in solution):
+                raise RootDataError(f"root {roots[m]} is not a nonnegative integer "
+                                    f"combination of the subsystem simples {s1}, {s2}")
             x, y = solution
-            assert x.denominator == 1 and y.denominator == 1 and x >= 0 and y >= 0
             coords.append((int(x), int(y)))
         order = sorted(range(len(members)),
                        key=lambda t: (sum(coords[t]), tuple(-c for c in coords[t])))

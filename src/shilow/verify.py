@@ -219,22 +219,22 @@ def verify_main_theorem(family: str, rank: int, bound: int | None = None,
     expected = system.region_count
 
     report.add("low_element_count", len(ctx.low) == expected,
-               detail=f"{len(ctx.low)} vs (h+1)^n = {expected}")
+               detail={"low": len(ctx.low), "expected": expected})
     report.add("region_minima_count", len(ctx.scan.minima) == expected,
-               detail=f"{len(ctx.scan.minima)} vs {expected}")
+               detail={"minima": len(ctx.scan.minima), "expected": expected})
     report.add("automaton_state_count", len(ctx.machine.states) == expected,
-               detail=f"{len(ctx.machine.states)} vs {expected}")
+               detail={"states": len(ctx.machine.states), "expected": expected})
     admissible = signtypes.admissible_sign_types(system, ctx.budget)
     report.add("admissible_sign_type_count", len(admissible) == expected,
-               detail=f"{len(admissible)} vs {expected}")
+               detail={"admissible": len(admissible), "expected": expected})
     report.add("admissible_set_equals_region_signs",
                set(admissible) == set(ctx.table.by_sign))
 
     low_set = set(ctx.low)
     minima_set = set(ctx.scan.minima.values())
     report.add("low_equals_region_minima", low_set == minima_set,
-               detail=f"|low|={len(low_set)} |minima|={len(minima_set)} "
-                      f"symmetric difference {len(low_set ^ minima_set)}")
+               detail={"low": len(low_set), "minima": len(minima_set),
+                       "symmetric_difference": len(low_set ^ minima_set)})
 
     masks = {ctx.small.sigma_mask(w) for w in ctx.low}
     report.add("sigma_injective_on_low", len(masks) == len(ctx.low))
@@ -245,7 +245,7 @@ def verify_main_theorem(family: str, rank: int, bound: int | None = None,
     dominant_regions = ctx.table.dominant_regions()
     ideals = system.poset_ideals()
     report.add("dominant_low_catalan", len(dominant_low) == catalan,
-               detail=f"{len(dominant_low)} vs Catalan {catalan}")
+               detail={"dominant_low": len(dominant_low), "catalan": catalan})
     report.add("dominant_region_catalan", len(dominant_regions) == catalan)
     report.add("ideal_count_catalan", len(ideals) == catalan)
 
@@ -574,7 +574,7 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
                 (u for shell in shells[:cone_cap + 1] for u in shell),
                 lambda w: None if is_low(group, w)
                 == is_low_by_cone(group, small, w) else {},
-                where=at, detail=f"exhaustive to length {cone_cap}")
+                where=at, detail={"exhaustive_to_length": cone_cap})
 
     def length_equalities(item):
         depth, w = item
@@ -602,7 +602,8 @@ def verify_automaton(family: str, rank: int, bound: int | None = None,
 
     report.add("state_count_formula",
                len(machine.states) == system.region_count,
-               detail=f"{len(machine.states)} vs {system.region_count}")
+               detail={"states": len(machine.states),
+                       "expected": system.region_count})
     report.add("states_equal_low_sigma_sets",
                set(machine.states) == {ctx.small.sigma_mask(w) for w in ctx.low})
 
@@ -644,14 +645,14 @@ def verify_automaton(family: str, rank: int, bound: int | None = None,
         walk_elements.append(len({w for w, _ in level}))
     report.add("reduced_word_verdicts_match_length_oracle", mismatch is None,
                counterexample=mismatch,
-               detail=f"exhaustive over all words of length <= {word_bound}")
+               detail={"exhaustive_to_length": word_bound})
 
     dp_words = machine.word_counts_by_length(word_bound)
     report.add("word_counts_match_exhaustive_walk", dp_words == word_counts,
-               detail=f"counts {dp_words}")
+               detail={"counts": dp_words})
     shell_counts = [len(s) for s in ctx.shells(word_bound)]
     report.add("element_counts_match_bfs", shell_counts == walk_elements,
-               detail=f"counts {shell_counts}")
+               detail={"counts": shell_counts})
     report.add("element_counts_match_shells",
                shell_counts == system.affine_length_counts(word_bound))
 
@@ -860,7 +861,7 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
     sizes = {kind: len(signtypes.rank2_admissible_table(kind))
              for kind in ("A2", "B2", "G2")}
     report.add("rank2_table_sizes", sizes == {"A2": 16, "B2": 25, "G2": 49},
-               detail=str(sizes))
+               detail=sizes)
     a2_table = signtypes.rank2_admissible_table("A2")
     report.add("a2_table_diagram_symmetry",
                all((t[1], t[0], t[2]) in a2_table for t in a2_table))
@@ -870,12 +871,12 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
         table = ctx.table
         layouts = _catalog_layouts(ctx, rows)
         report.add("row_catalog_layout_unique", len(layouts) == 1,
-                   detail=f"valid layouts {layouts}")
+                   detail={"valid_layouts": [list(layout) for layout in layouts]})
         if len(layouts) == 1:
             layout = layouts[0]
             report.add("row_catalog_rows_validate", True,
-                       detail=f"{len(rows)} rows under layout "
-                              f"{[system.root_name(p) for p in layout]}")
+                       detail={"rows": len(rows),
+                               "layout": [system.root_name(p) for p in layout]})
             by_letter: dict[int, set] = {}
             for row in rows:
                 trits = [0] * system.nroots
@@ -893,7 +894,7 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
             report.add("row_catalog_blocks_complete", complete)
         else:
             report.add("row_catalog_rows_validate", False,
-                       detail="no unique layout; rows not validated")
+                       detail={"note": "no unique layout; rows not validated"})
             report.add("row_catalog_blocks_complete", False)
 
     if (family, rank) == ("A", 2):
@@ -912,8 +913,8 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
                                for i in range(3))
         report.add("worked_inadmissible_spot",
                    not signtypes.is_admissible(system, canonical_spot),
-                   detail=f"display order {_A2_DISPLAY}, canonical "
-                          f"{signtypes.sign_string(canonical_spot)}")
+                   detail={"display_order": list(_A2_DISPLAY),
+                           "canonical": signtypes.sign_string(canonical_spot)})
 
         target = worked["k_vector"]
         hits = [w for w in ctx.ball(sum(abs(k) for k in target))
@@ -924,7 +925,7 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
             k_ok = (group.inversion_set(w) == worked["k_inversions"]
                     and ctx.small.sigma(w) == worked["k_sigma"])
         report.add("worked_alcove_coefficients", k_ok,
-                   detail=f"unique element with coefficients {list(target)}")
+                   detail={"unique_element_with_coefficients": list(target)})
 
     if (family, rank) == ("B", 2):
         worked, table = _B2_WORKED, ctx.table
@@ -936,14 +937,15 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
                    printed_r1 in table.by_sign
                    and regionlib.separation_set(table, table.by_sign[printed_r1])
                    == worked["printed_sigma_r1"],
-                   detail=f"sign type {signtypes.sign_string(printed_r1)}")
+                   detail={"sign_type": signtypes.sign_string(printed_r1)})
         r2_admissible = signtypes.is_admissible(system, printed_r2)
         report.add("reference_sigma_r2_unrealizable_reported",
                    not r2_admissible,
-                   detail="transcribed set decodes to sign type "
-                          f"{signtypes.sign_string(printed_r2)}, which the "
-                          "engine rejects as inadmissible; discrepancy "
-                          "reported, fixture left as transcribed")
+                   detail={"sign_type": signtypes.sign_string(printed_r2),
+                           "note": "the transcribed set decodes to this sign "
+                                   "type, which the engine rejects as "
+                                   "inadmissible; discrepancy reported, "
+                                   "fixture left as transcribed"})
 
         true_r1, true_r2 = worked["true_r1"], worked["true_r2"]
         decode_ok = True
@@ -954,9 +956,10 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
                     system, regionlib.separation_set(table, region)) != printed:
                 decode_ok = False
         report.add("reference_sigma_simple_swap_decodes", decode_ok,
-                   detail="both transcribed separation sets equal computed "
-                          "region separations after swapping the two simple "
-                          "root names; swap recorded, fixtures unchanged")
+                   detail={"note": "both transcribed separation sets equal "
+                                   "computed region separations after swapping "
+                                   "the two simple root names; swap recorded, "
+                                   "fixtures unchanged"})
 
         r2_region = table.by_sign.get(true_r2)
         dr2_ok = r2_region is not None and \
@@ -999,7 +1002,7 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
             if signtypes.condition_star(system, trits, 0):
                 zero_ok = False
         report.add("reference_zeroed_variants", zero_ok,
-                   detail=f"display order positions {_B2_DISPLAY}")
+                   detail={"display_order": list(_B2_DISPLAY)})
 
         canonical_k = [0] * 4
         for slot, p in enumerate(_B2_DISPLAY):
@@ -1018,11 +1021,12 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
                     == worked["zeta_display"])
         report.add(
             "reference_alcove_coefficients", k_ok,
-            detail="transcribed coefficient vector realized bit-exactly in "
-                   f"the display order {_B2_DISPLAY}; the canonical-order "
-                   "literal reading is realized by no element (exhaustive "
-                   "over the full ball of its length) — layout inference "
-                   "recorded")
+            detail={"display_order": list(_B2_DISPLAY),
+                    "note": "transcribed coefficient vector realized "
+                            "bit-exactly in the display order; the "
+                            "canonical-order literal reading is realized by "
+                            "no element (exhaustive over the full ball of its "
+                            "length) — layout inference recorded"})
 
     if (family, rank) == ("A", 4):
         report.add("rank4_pair_admissible",
@@ -1032,9 +1036,9 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
         report.add("rank4_pair_inadmissible",
                    not signtypes.is_admissible(system, _A4_INADMISSIBLE)
                    and violating.get(_A4_VIOLATION_POSITIONS) == (-1, -1, 1),
-                   detail="marked rank-2 restriction at positions "
-                          f"{_A4_VIOLATION_POSITIONS} is (-,-,+); all "
-                          f"violating position triples: {sorted(violating)}")
+                   detail={"marked_positions": list(_A4_VIOLATION_POSITIONS),
+                           "marked_restriction": "(-,-,+)",
+                           "violating_positions": [list(p) for p in sorted(violating)]})
     return report
 
 

@@ -134,9 +134,9 @@ def test_c07_oracle_equivalences():
         ok = ok and inversion.passed and lowness.passed
         ok = ok and report.bound == required_bounds[rank]
         if rank == 2 and family != "G":
-            ok = ok and lowness.detail == "exhaustive to length 8"
+            ok = ok and lowness.detail == {"exhaustive_to_length": 8}
         pieces.append(f"{family}{rank}:inversions len<={report.bound}, "
-                      f"lowness {lowness.detail}")
+                      f"lowness len<={lowness.detail['exhaustive_to_length']}")
     _conclude(7, "oracle-equivalence", ok, "; ".join(pieces))
 
 

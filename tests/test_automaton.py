@@ -11,6 +11,8 @@ from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shilow import (AffineWeylGroup, SmallRoots, build_automaton, count_by_length,
                     element_counts_by_length, export_dot, parse_dot,
@@ -204,6 +206,25 @@ def test_chunk_tables_equal_reference_builder(name):
     states, transitions = reference_automaton(machine.group, machine.small)
     assert machine.states == states
     assert machine.transitions == transitions
+
+
+@st.composite
+def typed_words(draw):
+    """A type above the desk and a random word (not necessarily reduced)."""
+    name = draw(st.sampled_from(("B3", "C3", "A4", "D4")))
+    rank = int(name[1:])
+    return name, tuple(draw(st.lists(st.integers(0, rank), max_size=14)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(typed_words())
+def test_is_reduced_matches_the_length_oracle(case):
+    """The automaton accepts a word exactly when its product has the
+    word's length."""
+    name, word = case
+    machine = _machine(name)
+    assert machine.is_reduced(word) == \
+        (machine.group.element_from_word(word).length == len(word))
 
 
 @pytest.mark.parametrize("name", ["B4", "D4"])

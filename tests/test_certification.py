@@ -236,10 +236,7 @@ def test_the_region_layer_raises_named_errors(monkeypatch):
         signtypes.rank2_admissible_table.__wrapped__("A2")
 
 
-# Every module of the package but rootdata, whose asserts still await
-# named errors.
-ASSERT_FREE = sorted(path.stem for path in (SRC / "shilow").glob("*.py")
-                     if path.stem != "rootdata")
+ASSERT_FREE = sorted(path.stem for path in (SRC / "shilow").glob("*.py"))
 
 
 @pytest.mark.parametrize("module", ASSERT_FREE)

@@ -2,14 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from shilow import (AffineWeylGroup, certified_scan, cli, enumerate_regions, regions,
-                    report, root_system, verify)
+                    report, root_system, rootdata, verify)
 from shilow.elements import KernelError
 from shilow.ratlp import CertificateError
 
@@ -187,7 +189,7 @@ def test_verify_pass_json_schema(capsys):
 def test_verify_failure_exit_and_counterexample(capsys, monkeypatch):
     failing = report.Report(suite="main-theorem", family="A", rank=2)
     failing.add("demo_check", False, counterexample={"word": [0, 1]},
-                detail="synthetic failure")
+                detail={"note": "synthetic failure"})
 
     def fake_run_suite(suite, family, rank, bound=None, budget=None, seed=None):
         return failing
@@ -261,6 +263,60 @@ def test_certificate_error_is_a_failure_without_traceback(capsys, monkeypatch):
     assert code == cli.EXIT_FAIL
     assert not out
     assert err == "error: Farkas vector [1, 0] does not pair negatively\n"
+
+
+def test_root_data_error_is_a_failure_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(rootdata, "_cartan_matrix", lambda family, n: [[2, 0], [0, 2]])
+    code, out, err = run_cli(capsys, "roots", "--type", "A", "--rank", "2")
+    assert code == cli.EXIT_FAIL
+    assert not out
+    assert err == "error: Cartan diagram not connected\n"
+
+
+_FREEZE = """
+import contextlib, gc, io, json, weakref
+from shilow import cli
+
+def run():
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["roots", "--type", "A", "--rank", "2"])
+
+imported = gc.get_freeze_count()
+codes = [run()]
+first = gc.get_freeze_count()
+codes.append(run())
+second = gc.get_freeze_count()
+
+class Node:
+    pass
+
+node = Node()
+node.self = node
+ref = weakref.ref(node)
+del node
+gc.collect()
+print(json.dumps([imported, first, second, codes, ref() is None]))
+"""
+
+
+def test_main_freezes_the_import_time_heap_once_per_process():
+    """Importing the CLI leaves the collector alone; the first ``main``
+    freezes the heap, a second one freezes nothing more, and a cycle made
+    afterwards is still reclaimed.  A fresh interpreter, since a freeze
+    lasts for the process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src,
+                                                       os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _FREEZE], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    imported, first, second, codes, reclaimed = json.loads(proc.stdout)
+    assert imported == 0
+    assert first > 0
+    assert second == first
+    assert codes == [0, 0]
+    assert reclaimed
 
 
 def test_output_file(tmp_path, capsys):

@@ -2,11 +2,18 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from shilow import CartanType, RootSystem, root_system
+from shilow import CartanType, RootDataError, RootSystem, root_system
+from shilow import rootdata
 from shilow.rootdata import solve_two_unknowns
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # (family, rank) -> (positive root count, coxeter number, exponents,
 #                    weyl order, catalan number)
@@ -207,3 +214,45 @@ def test_a2_names_match_coordinates():
     assert b2.norm(b2.positive_roots[0]) < b2.norm(b2.positive_roots[1])
     g2 = root_system("G", 2)
     assert g2.norm(g2.positive_roots[0]) < g2.norm(g2.positive_roots[1])
+
+
+# A diagram with no edge, and a triangle whose symmetrizer, read along a
+# spanning tree, leaves the third edge asymmetric.
+_BAD_CARTAN = {
+    "disconnected": ([[2, 0], [0, 2]], "not connected"),
+    "asymmetric": ([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], "not symmetrizable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CARTAN))
+def test_an_inconsistent_cartan_datum_raises_root_data_error(monkeypatch, case):
+    cartan, message = _BAD_CARTAN[case]
+    monkeypatch.setattr(rootdata, "_cartan_matrix", lambda family, n: cartan)
+    with pytest.raises(RootDataError, match=message):
+        root_system("A", len(cartan))
+
+
+def test_a_non_integral_reflection_raises_root_data_error(monkeypatch):
+    system = root_system("B", 2)
+    monkeypatch.setattr(system, "gram", ((4, -2), (-2, 3)))
+    with pytest.raises(RootDataError, match="off the lattice"):
+        system.reflect((0, 1), (1, 0))
+    with pytest.raises(RootDataError, match="not integral"):
+        system.reflection_matrix((0, 1))
+
+
+def test_a_corrupted_root_datum_raises_under_python_o():
+    """The root datum's checks are explicit raises, so ``-O`` keeps them."""
+    script = ("from shilow import RootDataError, rootdata\n"
+              "rootdata._cartan_matrix = lambda family, n: [[2, 0], [0, 2]]\n"
+              "try:\n"
+              "    rootdata.root_system('A', 2)\n"
+              "except RootDataError as exc:\n"
+              "    print('RootDataError:', exc)\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC),
+                                                       os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "RootDataError: Cartan diagram not connected\n"

@@ -21,12 +21,32 @@ def test_suite_passes(desk, suite):
     assert all(check.passed for check in report.checks)
 
 
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_check_details_are_json_objects(desk, suite):
+    """``Check.detail`` is a dict or absent, as annotated."""
+    report = suite_report(suite, desk.system.cartan_type.family, desk.system.rank)
+    for check in report.checks:
+        assert check.detail is None or isinstance(check.detail, dict), check.name
+    json.loads(report.to_json())
+
+
+def test_count_details_name_their_numbers():
+    checks = {c.name: c for c in suite_report("main-theorem", "A", 2).checks}
+    assert checks["low_element_count"].detail == {"low": 16, "expected": 16}
+    assert checks["low_equals_region_minima"].detail == \
+        {"low": 16, "minima": 16, "symmetric_difference": 0}
+    assert checks["dominant_low_catalan"].detail == {"dominant_low": 5, "catalan": 5}
+
+
 def test_tables_suite_covers_rank4_pair():
     report = suite_report("tables", "A", 4)
     assert report.passed, report.to_text()
     names = {check.name for check in report.checks}
     assert "rank4_pair_admissible" in names
     assert "rank4_pair_inadmissible" in names
+    detail = {c.name: c.detail for c in report.checks}["rank4_pair_inadmissible"]
+    assert detail["marked_positions"] == [1, 6, 8]
+    assert [1, 6, 8] in detail["violating_positions"]
 
 
 def test_budget_applies_after_a_default_context_is_cached(a2):
@@ -335,7 +355,7 @@ def test_report_serialization_round_trip(a2):
 def test_failing_report_shape():
     report = Report(suite="demo", family="A", rank=2)
     report.add("good", True)
-    report.add("bad", False, counterexample={"word": [1]}, detail="why")
+    report.add("bad", False, counterexample={"word": [1]}, detail={"why": 1})
     assert not report.passed
     assert [c.name for c in report.failures()] == ["bad"]
     data = json.loads(report.to_json())
