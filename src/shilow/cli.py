@@ -9,9 +9,8 @@ automaton   export the reduced-word automaton (DOT, JSON, or a text summary)
 
 Exit codes: 0 success (all selected checks passed), 1 verification failure
 (or a kernel fault, a failed cone certificate or an inconsistent root datum
-outside any check), 2 usage error, 3 enumeration budget or length cap
-exceeded, 4 a certified enumeration failed its own cross-check
-(``CertificationError``).
+outside any check), 2 usage error, 3 budget exceeded, 4 a certified
+enumeration failed its own cross-check (``CertificationError``).
 
 Process cost.  A command runs in a short process whose imported modules,
 tables and interned objects all live until exit.  ``main`` therefore
@@ -34,9 +33,9 @@ import sys
 from . import automaton as automaton_mod
 from . import regions as regions_mod
 from . import signtypes, verify
-from .elements import AffineWeylGroup, KernelError, word_text
-from .lowness import (BudgetExceededError, CertificationError, certified_scan,
-                      enumerate_low, sign_of_shi)
+from .elements import KernelError, word_text
+from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
+                      sign_of_shi)
 from .ratlp import CertificateError
 from .rootdata import RootDataError, root_system
 from .signtypes import sign_string
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("what", choices=_ENUM_TARGETS,
                         help="which family of objects to list")
     _add_type_rank(p_enum)
-    _add_bound_budget(p_enum)
+    _add_budget(p_enum)
     _add_output(p_enum, formats=("text", "json", "csv"))
 
     p_verify = sub.add_parser(
@@ -76,15 +75,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=verify.SUITES,
                           help="which property suite to run")
     _add_type_rank(p_verify)
-    _add_bound_budget(p_verify)
+    p_verify.add_argument("--bound", type=positive_int, default=None,
+                          help="exhaustive length of the recurrences and automaton "
+                               "suites (default: by rank); the others read no bound")
+    _add_budget(p_verify)
     p_verify.add_argument("--seed", type=int, default=None,
-                          help="seed for sampled checks (recorded in the report)")
+                          help="seed of the automaton suite's sampled words "
+                               "(default: 0); the others read no seed")
     _add_output(p_verify, formats=("text", "json"))
 
     p_auto = sub.add_parser(
         "automaton", help="build and export the reduced-word automaton")
     _add_type_rank(p_auto)
-    _add_bound_budget(p_auto)
+    p_auto.add_argument("--bound", type=positive_int, default=None,
+                        help="length the text summary counts to (default: 8)")
+    _add_budget(p_auto)
     _add_output(p_auto, formats=("dot", "json", "text"), default="dot")
 
     return parser
@@ -98,21 +103,17 @@ def _add_type_rank(parser: argparse.ArgumentParser) -> None:
 
 
 def positive_int(text: str) -> int:
-    """Argument type for ``--bound``: an integer of at least 1."""
+    """Argument type for ``--bound`` and ``--budget``: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
-def _add_bound_budget(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bound", type=positive_int, default=None,
-                        help="optional length cap on enumeration scans; scans "
-                             "self-certify, so this is a safety limit only")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="element budget for enumeration "
-                             f"(default: ${verify.BUDGET_ENV_VAR} or "
-                             f"{verify.DEFAULT_BUDGET})")
+def _add_budget(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET,
+                        help="element budget of the enumerations "
+                             f"(default: {DEFAULT_BUDGET})")
 
 
 def _add_output(parser: argparse.ArgumentParser,
@@ -176,24 +177,20 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    system = _system(args)
-    group = AffineWeylGroup(system)
-    budget = verify.resolve_budget(args.budget)
-    scan = certified_scan(group, budget=budget, max_length=args.bound)
+    ctx = verify.DeskContext(_system(args), args.budget)
     if args.what == "low":
-        return _enumerate_low(args, group, budget, scan)
-    table = regions_mod.enumerate_regions(group, scan=scan)
+        return _enumerate_low(args, ctx)
+    table = ctx.table
     if args.what == "regions":
         return _enumerate_regions(args, table, table.regions, "regions")
     if args.what == "dominant":
         return _enumerate_regions(args, table, table.dominant_regions(),
                                   "dominant regions")
-    return _enumerate_ideals(args, system, table)
+    return _enumerate_ideals(args, ctx.system, table)
 
 
-def _enumerate_low(args: argparse.Namespace, group: AffineWeylGroup,
-                   budget: int, scan) -> int:
-    low = enumerate_low(group, budget=budget, certificate_scan=scan)
+def _enumerate_low(args: argparse.Namespace, ctx: verify.DeskContext) -> int:
+    group, low = ctx.group, ctx.low
     name = group.system.cartan_type.name
     if args.format == "json":
         entries = []
@@ -268,10 +265,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_automaton(args: argparse.Namespace) -> int:
-    system = _system(args)
-    group = AffineWeylGroup(system)
-    machine = automaton_mod.build_automaton(
-        group, budget=verify.resolve_budget(args.budget))
+    ctx = verify.DeskContext(_system(args), args.budget)
+    machine = ctx.machine
     if args.format == "dot":
         _emit(automaton_mod.export_dot(machine), args.output)
         return EXIT_PASS
@@ -281,10 +276,10 @@ def cmd_automaton(args: argparse.Namespace) -> int:
         return EXIT_PASS
     bound = args.bound if args.bound is not None else 8
     words, elements = automaton_mod.count_by_length(machine, bound)
-    name = system.cartan_type.name
+    name = ctx.system.cartan_type.name
     lines = [
         f"reduced-word automaton for affine {name}: "
-        f"{len(machine.states)} states, {len(group.letters)} letters",
+        f"{len(machine.states)} states, {len(ctx.group.letters)} letters",
         f"reduced words by length 0..{bound}: "
         + ", ".join(map(str, words)),
         f"group elements by length 0..{bound}: "

@@ -57,7 +57,7 @@ DEFAULT_BUDGET = 500_000
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration hit its element budget or length cap before certifying."""
+    """An enumeration hit its element budget before certifying."""
 
     def __init__(self, bound: int, message: str):
         super().__init__(f"{message} (bound: {bound})")
@@ -222,8 +222,7 @@ def right_descent_within_sign_type(group: AffineWeylGroup, w: GroupElement) -> i
     return None
 
 
-def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
-                   max_length: int | None = None) -> ScanResult:
+def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET) -> ScanResult:
     """Breadth-first scan by length shells until every sign type has a
     certified minimal element.
 
@@ -259,9 +258,6 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
                     f"sign type {zeta} has two shortest elements, of length {length}")
         if len(minima) >= target_count:
             break
-        if max_length is not None and length >= max_length:
-            raise BudgetExceededError(
-                max_length, "scan exceeded the length cap before certification")
     else:
         raise BudgetExceededError(
             target_count, "scan frontier emptied before reaching the sign-type target")

@@ -16,8 +16,9 @@ up to the scan's stop length, and keeps per sign type the componentwise
 minimum of the coefficient magnitudes and the first ``SAMPLE_SIZE``
 members.  The walk must see exactly the scan's visited count, with the
 region minimum first in each sign type, else ``CertificationError``.
-Building the table, the minima and the text and CSV exports never walk
-it; the JSON export's minimum magnitudes do.
+Building the table, the minima and the exports never walk it: the
+region members' least magnitudes are the minimum's own, which the
+``descent-walls`` suite checks against this walk.
 
 Each region records its descent walls, read off its neighbours:
 the bits of its separation mask whose removal gives another region's
@@ -268,7 +269,7 @@ def region_json_dict(table: RegionTable, regions) -> dict:
             "descent_roots": descent,
             "minimal_word": list(group.word_from_element(region.minimal)),
             "minimal_coefficients": list(region.minimal.shi),
-            "minimum_magnitudes": list(table.members[region.sign_type].min_abs),
+            "minimum_magnitudes": [abs(k) for k in region.minimal.shi],
             "dominant": region.is_dominant,
         })
     return {

@@ -29,6 +29,8 @@ Five suites, each returning a structured pass/fail report:
 All suites of one type share a ``DeskContext``, cached per type and
 budget; its scan, low set, region table and automaton are built on first
 read, and its ball is sliced from one walk of ``AffineWeylGroup.shells()``.
+A report records only the settings its suite reads: ``recurrences`` its
+sweep bound, ``automaton`` its word bound and seed, the others neither.
 A check over many items goes through ``_check_each``, which records the
 first failing item as the counterexample; a ``KernelError``, a cone
 ``CertificateError`` or an enumeration's ``CertificationError`` raised on
@@ -41,7 +43,6 @@ library's own (``signtypes.reflect_sign_type``, ``SmallRoots``,
 
 from __future__ import annotations
 
-import os
 import random
 from functools import cached_property, partial
 
@@ -59,33 +60,10 @@ from .ratlp import CertificateError
 from .report import Report
 from .rootdata import RootSystem, root_system
 
-SUITES = ("main-theorem", "descent-walls", "recurrences", "automaton", "tables")
 DESK_TYPES = (("A", 2), ("B", 2), ("G", 2), ("A", 3))
 
 _SWEEP_BOUNDS = {2: 10, 3: 8, 4: 6}
 _WORD_BOUNDS = {2: 10, 3: 7, 4: 5}
-
-BUDGET_ENV_VAR = "SHILOW_BUDGET"
-
-
-def resolve_budget(budget: int | None = None) -> int:
-    """Explicit argument, then the environment override, then the default;
-    a budget below 1 from either source raises ``ValueError``."""
-    if budget is not None:
-        if budget <= 0:
-            raise ValueError(f"budget must be positive, got {budget}")
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer") from exc
-        if value <= 0:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be positive")
-        return value
-    return DEFAULT_BUDGET
-
 
 class DeskContext:
     """Exact data for one affine type and budget; each part is built on
@@ -147,11 +125,12 @@ _CONTEXTS: dict[tuple[str, int, int], DeskContext] = {}
 
 
 def desk_context(family: str, rank: int, budget: int | None = None) -> DeskContext:
-    """The context of one type under the resolved budget, made once per process."""
-    limit = resolve_budget(budget)
-    key = (family, rank, limit)
+    """The context of one type and budget (``None`` means ``DEFAULT_BUDGET``),
+    made once per process."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    key = (family, rank, budget)
     if key not in _CONTEXTS:
-        _CONTEXTS[key] = DeskContext(root_system(family, rank), limit)
+        _CONTEXTS[key] = DeskContext(root_system(family, rank), budget)
     return _CONTEXTS[key]
 
 
@@ -214,8 +193,7 @@ def verify_main_theorem(family: str, rank: int, bound: int | None = None,
     ctx = desk_context(family, rank, budget)
     system, group = ctx.system, ctx.group
     at = partial(_counterexample, group)
-    report = Report(suite="main-theorem", family=family, rank=rank, bound=bound,
-                    seed=seed)
+    report = Report(suite="main-theorem", family=family, rank=rank)
     expected = system.region_count
 
     report.add("low_element_count", len(ctx.low) == expected,
@@ -300,8 +278,7 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
                          budget: int | None = None, seed: int | None = None) -> Report:
     ctx = desk_context(family, rank, budget)
     system, group, small, table = ctx.system, ctx.group, ctx.small, ctx.table
-    report = Report(suite="descent-walls", family=family, rank=rank, bound=bound,
-                    seed=seed)
+    report = Report(suite="descent-walls", family=family, rank=rank)
     # The checks that read other members of the regions than the minima
     # read them from the table's member index, built on first read.
     ball = {"members": table.visited, "stop_length": table.stop_length}
@@ -456,7 +433,7 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
     system, group, small = ctx.system, ctx.group, ctx.small
     sweep_bound = bound if bound is not None else _SWEEP_BOUNDS.get(rank, 6)
     report = Report(suite="recurrences", family=family, rank=rank,
-                    bound=sweep_bound, seed=seed)
+                    bound=sweep_bound)
     shells = ctx.shells(sweep_bound)
     sweep = [w for shell in shells for w in shell]
     at = partial(_counterexample, group)
@@ -855,8 +832,7 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
                   budget: int | None = None, seed: int | None = None) -> Report:
     ctx = desk_context(family, rank, budget)
     system, group = ctx.system, ctx.group
-    report = Report(suite="tables", family=family, rank=rank, bound=bound,
-                    seed=seed)
+    report = Report(suite="tables", family=family, rank=rank)
 
     sizes = {kind: len(signtypes.rank2_admissible_table(kind))
              for kind in ("A2", "B2", "G2")}
@@ -1042,7 +1018,8 @@ def verify_tables(family: str, rank: int, bound: int | None = None,
     return report
 
 
-_SUITE_FUNCTIONS = {
+# Each suite's function by name, in the order the CLI lists them.
+SUITES = {
     "main-theorem": verify_main_theorem,
     "descent-walls": verify_descent_walls,
     "recurrences": verify_recurrences,
@@ -1053,7 +1030,6 @@ _SUITE_FUNCTIONS = {
 
 def run_suite(suite: str, family: str, rank: int, bound: int | None = None,
               budget: int | None = None, seed: int | None = None) -> Report:
-    if suite not in _SUITE_FUNCTIONS:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    return _SUITE_FUNCTIONS[suite](family, rank, bound=bound, budget=budget,
-                                   seed=seed)
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {tuple(SUITES)}")
+    return SUITES[suite](family, rank, bound=bound, budget=budget, seed=seed)

@@ -139,7 +139,7 @@ from itertools import islice
 
 from shilow import (AffineWeylGroup, CertificationError, certified_scan, cli,
                     enumerate_low, enumerate_regions, lowness, regions, root_system,
-                    sign_of_shi)
+                    sign_of_shi, verify)
 
 regions.right_descent_within_sign_type = lambda group, w: 0
 group = AffineWeylGroup(root_system("A", 2))
@@ -156,7 +156,7 @@ for enumeration in (lambda: enumerate_low(group, certificate_scan=swapped),
         enumeration()
     except CertificationError as exc:
         print("CertificationError:", exc)
-cli.certified_scan = lambda *args, **kwargs: swapped
+verify.certified_scan = lambda *args, **kwargs: swapped
 print("exit", cli.main(["enumerate", "low", "--type", "A", "--rank", "2"]))
 """
 
@@ -236,10 +236,10 @@ def test_the_region_layer_raises_named_errors(monkeypatch):
         signtypes.rank2_admissible_table.__wrapped__("A2")
 
 
-ASSERT_FREE = sorted(path.stem for path in (SRC / "shilow").glob("*.py"))
+MODULES = sorted(path.stem for path in (SRC / "shilow").glob("*.py"))
 
 
-@pytest.mark.parametrize("module", ASSERT_FREE)
+@pytest.mark.parametrize("module", MODULES)
 def test_no_assert_statement_in_the_region_layer(module):
     """``python -O`` strips asserts, so these modules certify and report
     by explicit raises only."""
@@ -247,3 +247,19 @@ def test_no_assert_statement_in_the_region_layer(module):
     lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_the_environment(module):
+    """Every setting comes from an argument or a CLI option, so no module
+    reads ``os.environ`` or ``os.getenv``, by attribute or by import."""
+    path = SRC / "shilow" / f"{module}.py"
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+             and isinstance(node.value, ast.Name) and node.value.id == "os"
+             or isinstance(node, ast.ImportFrom) and node.module == "os"
+             and any(alias.name in _ENVIRONMENT for alias in node.names)]
+    assert not lines, f"{path.name}: environment reads at lines {lines}"

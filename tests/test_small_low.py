@@ -95,9 +95,6 @@ def test_certified_scan_budget_errors():
     with pytest.raises(BudgetExceededError) as info:
         certified_scan(group, budget=5)
     assert info.value.bound == 5
-    with pytest.raises(BudgetExceededError) as info:
-        certified_scan(group, max_length=2)
-    assert info.value.bound == 2
 
 
 def test_certified_scan_raises_when_the_walk_ends(monkeypatch):

@@ -62,6 +62,24 @@ def test_ball_walk_is_held_to_the_budget():
         run_suite("recurrences", "A", 2, budget=10)
 
 
+@pytest.mark.parametrize("suite, bound, seed", [
+    ("main-theorem", None, None),
+    ("descent-walls", None, None),
+    ("recurrences", 1, None),
+    ("automaton", 1, 7),
+    ("tables", None, None),
+])
+def test_a_report_records_only_the_settings_its_suite_reads(a2, suite, bound, seed):
+    """Given ``bound=1, seed=7``, each report names only what its suite
+    read: the exhaustive length of ``recurrences`` and ``automaton``, and
+    the sampling seed of ``automaton``."""
+    report = run_suite(suite, "A", 2, bound=1, seed=7)
+    assert (report.bound, report.seed) == (bound, seed)
+    text = report.to_text().splitlines()[0]
+    assert text == f"suite {suite} (A2" + (", bound 1" if bound else "") + ")"
+    assert ("seed" in report.to_dict()) == (seed is not None)
+
+
 def test_tables_suite_builds_no_scan_off_the_catalog_types():
     run_suite("tables", "B", 3)
     assert "scan" not in vars(verify.desk_context("B", 3))
