@@ -299,20 +299,27 @@ def test_output_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("enumerate", "low", "--budget", "0"),
+    ("verify", "recurrences", "--bound", "0"),
     ("verify", "recurrences", "--bound", "-3"),
     ("automaton", "--format", "text", "--bound", "-1"),
 ])
 def test_bound_below_one_is_usage_error(capsys, argv):
-    """``--bound`` and ``--budget`` (the flag before the value) reject
-    values below 1 as usage errors."""
-    flag = argv[-2]
     with pytest.raises(SystemExit) as info:
         cli.main(list(argv))
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert not captured.out
-    assert flag in captured.err and "at least 1" in captured.err
+    assert "--bound" in captured.err and "at least 1" in captured.err
+
+
+def test_budget_below_one_is_usage_error(capsys):
+    """``--budget`` shares the ``--bound`` validator."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(["enumerate", "low", "--budget", "0"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "--budget" in captured.err and "at least 1" in captured.err
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
