@@ -254,7 +254,8 @@ def _enumerate_ideals(args: argparse.Namespace, system, table) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _system(args)  # validate type/rank before spending time
+    # validate type/rank before spending time, on the context the suite reads
+    verify.desk_context(args.family, args.rank, args.budget)
     report = verify.run_suite(args.suite, args.family, args.rank,
                               bound=args.bound, budget=args.budget, seed=args.seed)
     if args.format == "json":

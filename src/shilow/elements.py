@@ -25,11 +25,23 @@ denominator, so everything stays integral) is kept as the oracle:
 through it, and an element's ``mat`` and ``trans`` are derived from its
 reduced word on first read.
 
+The left tables are interpreted data.  When a group first walks or
+multiplies, it compiles them into straight-line closures, once per
+group: ``apply[g]`` writes g's table out as one tuple expression,
+``extend[g]`` adds the walk's descent tests as comparisons,
+``reflected_lengths[i]`` sums the length of a reflected vector for
+``lowness.is_low``, and ``sign_type`` writes out the sign tuple that the
+scans key regions by.  The source is generated from tables that
+``__init__`` checked against the matrix action, and holds only
+integers, each checked once more before it is compiled; ``_left_apply``
+stays the interpreted reference.
+
 ``AffineWeylGroup.shells`` is the one walk of the group through the left
-tables.  It builds each element once, from its canonical parent: the
-left quotient that ``word_from_element`` strips first.  Its ``keep``
-predicate prunes it to a subset closed under left quotients, such as the
-finite Weyl group or the low elements.
+tables.  It carries bare Shi vectors and builds each once, from its
+canonical parent: the left quotient that ``word_from_element`` strips
+first.  Its ``keep`` predicate, which reads a vector, prunes it to a
+subset closed under left quotients, such as the finite Weyl group or the
+low elements.  A ``GroupElement`` is made only of what a caller returns.
 
 Right descents are read off the Shi vector alone.  Shi's inequalities
 ``k(w, b) + k(w, c) <= k(w, b + c) <= k(w, b) + k(w, c) + 1``, over the
@@ -47,6 +59,7 @@ right descents g, and w * s_g differs from w only in coordinate i.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .rootdata import RootSystem, barycenter_denominator, invert_fraction_matrix
 
@@ -84,6 +97,42 @@ def _compose(a: tuple, b: tuple) -> tuple:
 def _left_apply(table: tuple, shi: tuple[int, ...]) -> tuple[int, ...]:
     """The coefficient vector of t*w, from t's left table and w's vector."""
     return tuple([s * shi[j] + o for j, s, o in table])
+
+
+def _check_entry(what: str, size: int, j, s, *values) -> None:
+    """Raise ``KernelError`` unless a table entry to compile holds an index
+    0 <= j < size, a sign s = +-1 and integers, the only values that the
+    generated source may contain."""
+    if not (type(j) is int and 0 <= j < size and type(s) is int and s in (1, -1)
+            and all(type(v) is int for v in values)):
+        raise KernelError(f"{what}: entry {(j, s, *values)!r} is not an index "
+                          f"below {size}, a sign and integers")
+
+
+def _plus(value: int, factor: str = "") -> str:
+    """Source of ``+ value * factor`` for a checked integer, empty at 0."""
+    if not value:
+        return ""
+    magnitude = abs(value)
+    if not factor:
+        text = str(magnitude)
+    else:
+        text = factor if magnitude == 1 else f"{magnitude}*{factor}"
+    return f" {'+' if value > 0 else '-'} {text}"
+
+
+def _entry_source(what: str, size: int, entry) -> str:
+    """Source of ``s * k[j] + o`` for a checked entry (j, s, o)."""
+    _check_entry(what, size, *entry)
+    j, s, o = entry
+    return f"{'' if s == 1 else '-'}k[{j}]{_plus(o)}"
+
+
+def _compile(sources: list[str], name: str) -> tuple:
+    """The closures of ``sources``, lambda expressions that this module
+    writes from checked integers alone; the one place that compiles code."""
+    code = compile(f"({', '.join(sources)},)", f"<{name}>", "eval")
+    return eval(code, {"__builtins__": {}, "abs": abs})
 
 
 class AffineRoot:
@@ -188,7 +237,9 @@ class AffineWeylGroup:
     Generators are indexed 0..n: index 0 is the affine reflection through
     the level-one hyperplane of the highest root, indices 1..n are the
     finite simple reflections in diagram order.  ``left_tables[g]`` is
-    the left table of generator g.
+    the left table of generator g; ``apply``, ``extend``,
+    ``reflected_lengths`` and ``sign_type`` are the closures compiled on
+    first use.
     """
 
     def __init__(self, system: RootSystem):
@@ -374,9 +425,68 @@ class AffineWeylGroup:
                 raise KernelError(f"left table of {t!r}, root {i}: offset {o}, "
                                   f"matrix action {t.shi[i]}")
 
+    # The closures below are compiled on first use, not in ``__init__``: a
+    # group that never walks or multiplies compiles nothing.  Their source
+    # holds only integers: coordinate indices, and table entries that
+    # ``_check_entry`` passed.
+
+    @cached_property
+    def apply(self) -> tuple:
+        """``apply[g](k)``: the vector of s_g * w, for w with vector k, as
+        one tuple expression per letter written out from ``left_tables``."""
+        size = self.system.nroots
+        return _compile([
+            "lambda k: (" + ", ".join(_entry_source(f"left table of s{g}", size, entry)
+                                      for entry in table) + ",)"
+            for g, table in enumerate(self.left_tables)], "left tables")
+
+    @cached_property
+    def extend(self) -> tuple:
+        """``extend[g](k)``: the vector of s_g * w when g extends w
+        canonically, else ``None``: g is not a left descent of w and no
+        earlier letter is a left descent of s_g * w, each test one
+        comparison read off ``_letter_steps`` (see ``shells``)."""
+        size = self.system.nroots
+        sources = []
+        for g, index, sign, table, earlier in self._letter_steps:
+            what = f"step of s{g}"
+            tests = ((index, sign, 0),) + earlier
+            for entry in tests:
+                _check_entry(what, size, *entry)
+            # s * k[j] + o < 0, with the sign moved to the bound
+            fails = " or ".join(f"k[{j}] < {-o}" if s == 1 else f"k[{j}] > {o}"
+                                for j, s, o in tests)
+            image = ", ".join(_entry_source(what, size, entry) for entry in table)
+            sources.append(f"lambda k: None if {fails} else ({image},)")
+        return _compile(sources, "letter steps")
+
+    @cached_property
+    def reflected_lengths(self) -> tuple:
+        """``reflected_lengths[i](k, t)``: the length of s_beta * w, for w
+        with vector k and the affine root beta of finite part alpha_i whose
+        table has offsets o - t * m (``reflection_table`` at shift t):
+        sum |s k_j + o - t m| = sum |k_j + s o - s m t| over
+        ``reflection_data[i]``, one sum per positive root."""
+        size = self.system.nroots
+        sources = []
+        for i, (pairs, base, slope) in enumerate(self.reflection_data):
+            terms = []
+            for (j, s), o, m in zip(pairs, base, slope):
+                _check_entry(f"reflection data of root {i}", size, j, s, o, m)
+                terms.append(f"abs(k[{j}]{_plus(s * o)}{_plus(-s * m, 't')})")
+            sources.append("lambda k, t: " + " + ".join(terms))
+        return _compile(sources, "reflection data")
+
+    @cached_property
+    def sign_type(self):
+        """``sign_type(k)``: the sign tuple of the vector k, one
+        ``(k_i > 0) - (k_i < 0)`` per coordinate (``lowness.sign_of_shi``)."""
+        signs = ", ".join(f"(k[{i}] > 0) - (k[{i}] < 0)" for i in range(self.system.nroots))
+        return _compile([f"lambda k: ({signs},)"], "sign type")[0]
+
     def left_multiply(self, letter: int, w: GroupElement) -> GroupElement:
         """s_letter * w, by the generator's left table."""
-        return GroupElement(self, _left_apply(self.left_tables[letter], w.shi))
+        return GroupElement(self, self.apply[letter](w.shi))
 
     def reflect_left(self, beta: AffineRoot, w: GroupElement) -> GroupElement:
         """s_beta * w, by the reflection table of ``beta``."""
@@ -384,9 +494,9 @@ class AffineWeylGroup:
 
     def _word_shi(self, word, shi: tuple[int, ...]) -> tuple[int, ...]:
         """The vector of s_word * v for the element v with vector ``shi``."""
-        tables = self.left_tables
+        apply = self.apply
         for g in reversed(word):
-            shi = _left_apply(tables[g], shi)
+            shi = apply[g](shi)
         return shi
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
@@ -396,36 +506,30 @@ class AffineWeylGroup:
         return GroupElement(self, self._word_shi(self.word_from_element(a), b.shi))
 
     def shells(self, keep=None):
-        """Yield the shells of the ball around the identity, by length.
+        """Yield the shells of the ball around the identity, by length, as
+        lists of bare Shi vectors (tuples); callers make a ``GroupElement``
+        only of the vectors they return.
 
-        Shell d lists the elements of length d, each built once, from its
-        canonical parent in shell d-1.  An element w of shell d-1 is
-        extended on the left by a letter g when g is not a left descent of
-        w, which adds one to the length, and no letter before g is a left
-        descent of s_g * w, read off g's left table before the vector is
-        built.  Then g is the least left descent of s_g * w, so w is the
-        left quotient that ``word_from_element`` strips first.  With
-        ``keep``, a shell holds only the extensions that ``keep`` accepts,
-        and only those are extended; a canonical parent is a left quotient,
-        so a kept set closed under left quotients is walked completely.
-        The walk ends after its last non-empty shell.
+        Shell d lists the vectors of the elements of length d, each built
+        once, from its canonical parent in shell d-1.  An element w of
+        shell d-1 is extended on the left by a letter g when g is not a
+        left descent of w, which adds one to the length, and no letter
+        before g is a left descent of s_g * w, read off g's left table
+        before the vector is built (``extend[g]``).  Then g is the least
+        left descent of s_g * w, so w is the left quotient that
+        ``word_from_element`` strips first.  With ``keep``, a shell holds
+        only the vectors that ``keep`` accepts, and only those are
+        extended; a canonical parent is a left quotient, so a kept set
+        closed under left quotients is walked completely.  The walk ends
+        after its last non-empty shell.
         """
-        steps = self._letter_steps
-        shell = [self.identity]
+        extend = self.extend
+        shell = [self.identity.shi]
         while shell:
             yield shell
-            children = []
-            for w in shell:
-                shi = w.shi
-                for _, index, sign, table, earlier in steps:
-                    if sign * shi[index] < 0:
-                        continue
-                    for j, s, o in earlier:
-                        if s * shi[j] + o < 0:
-                            break
-                    else:
-                        children.append(GroupElement(self, _left_apply(table, shi)))
-            shell = children if keep is None else [w for w in children if keep(w)]
+            children = [child for shi in shell for step in extend
+                        if (child := step(shi)) is not None]
+            shell = children if keep is None else [shi for shi in children if keep(shi)]
 
     # ------------------------------------------------------- alcove algebra
 
@@ -479,13 +583,13 @@ class AffineWeylGroup:
         word = []
         shi, length = w.shi, w.length
         while length:
-            for g, index, sign, table, _ in self._letter_steps:
+            for g, index, sign, _, _ in self._letter_steps:
                 if sign * shi[index] <= -1:
                     break
             else:
                 raise KernelError(f"coefficients {w.shi}: a vector of length "
                                   f"{length} on the way has no left descent")
-            shi = _left_apply(table, shi)
+            shi = self.apply[g](shi)
             length -= 1
             if sum(map(abs, shi)) != length:
                 raise KernelError(f"coefficients {w.shi}: stripping s{g} does "
@@ -600,15 +704,15 @@ class AffineWeylGroup:
         walk pruned to elements without it is W0; only a faulty table can
         take it past the Weyl group order, where it is cut."""
         order = self.system.weyl_order
-        found: list[GroupElement] = []
-        for shell in self.shells(keep=lambda w: 0 not in self.left_descents(w)):
+        found: list[tuple[int, ...]] = []
+        for shell in self.shells(keep=lambda shi: 0 not in self._descents(shi)):
             found.extend(shell)
             if len(found) > order:
                 break
         if len(found) != order:
             raise KernelError(f"the finite walk reached {len(found)} elements, "
                               f"not the Weyl group order {order}")
-        return sorted(found, key=GroupElement.sort_key)
+        return sorted((GroupElement(self, shi) for shi in found), key=GroupElement.sort_key)
 
     def finite_inversion_set(self, w: GroupElement) -> frozenset[tuple[int, ...]]:
         """For finite w: the positive finite roots sent negative by the inverse."""

@@ -5,24 +5,27 @@ positive roots together with delta minus each positive root.
 ``SmallRoots`` indexes them and holds the one sign/mask codec: a sign
 type or coefficient vector picks the root itself at '-' and delta minus
 the root at '+'.  An element is low when its inversion set is the
-root-cone generated by its small inversions; the production test uses
-the equivalent basis criterion (every length-decreasing inversion is
-small, with lengths read from the kernel's reflection data), the cone
-test backs it as an independent oracle.  The non-small inversions sit
+root-cone generated by its small inversions; the production test
+``is_low`` uses the equivalent basis criterion on the Shi vector (every
+length-decreasing inversion is small, with lengths read from the
+kernel's compiled ``reflected_lengths``), the cone test backs it as an
+independent oracle.  The non-small inversions sit
 only at coefficients ``m`` with ``|m| >= 2``: (-alpha, j) for
 ``2 <= j <= m`` and (alpha, j) for ``1 <= j <= -m-1``.
 
 Both enumerations read the one walk ``AffineWeylGroup.shells()`` on the
-Shi-vector kernel of ``elements``, without matrices; the walk builds each
-element once, from its canonical parent.  ``certified_scan`` reads the
-whole ball until every sign type holds a certified shortest element,
-with one sign tuple and at most two set probes per visited element, and
-keeps only the minima; the checks that need other members of a sign
-type read them from ``regions.RegionTable.members``, which walks the
-same ball again.
-``enumerate_low`` reads the walk pruned to low elements: every left
-quotient of a low element is low (the low set is a Garside shadow, after
-Dyer and Hohlweg), so each low element extends its canonical parent.
+Shi-vector kernel of ``elements``, without matrices; the walk carries
+bare Shi vectors and builds each once, from its canonical parent.
+``certified_scan`` reads the whole ball until every sign type holds a
+certified shortest vector, with one sign tuple (the group's compiled
+``sign_type``) and at most two set probes per visited vector, and makes
+elements of the minima alone; the checks that need other members of a
+sign type read them from ``regions.RegionTable.members``, which walks
+the same ball again.
+``enumerate_low`` reads the walk pruned to low vectors by ``is_low``,
+and makes elements of those alone: every left quotient of a low element
+is low (the low set is a Garside shadow, after Dyer and Hohlweg), so
+each low element extends its canonical parent.
 
 Soundness of the cone test's finite window: every nonzero nonnegative
 combination of positive affine roots pairs strictly positively with the
@@ -149,23 +152,23 @@ def cone_window_members(group: AffineWeylGroup, generators,
     return frozenset(beta for beta, member in zip(window, inside) if member)
 
 
-def is_low(group: AffineWeylGroup, w: GroupElement) -> bool:
-    """Basis criterion: every length-decreasing inversion is a small root.
+def is_low(group: AffineWeylGroup, shi: tuple[int, ...]) -> bool:
+    """Basis criterion on the Shi vector ``shi`` of w: every
+    length-decreasing inversion is a small root.
 
     Reads only the coefficients m with |m| >= 2, which hold the non-small
     inversions, and takes the length of s_beta * w for each from the
-    reflection data of its finite root: sum |s k_j + o - shift * slope|."""
-    shi = w.shi
-    target = w.length - 1
+    group's compiled ``reflected_lengths`` of its finite root:
+    sum |s k_j + o - shift * slope|."""
+    target = sum(map(abs, shi)) - 1
+    lengths = group.reflected_lengths
     for i, m in enumerate(shi):
         if -2 < m < 2:
             continue
-        pairs, base, slope = group.reflection_data[i]
+        length = lengths[i]
         # (-alpha_i, j) reflects with shift -j, (alpha_i, j) with shift j.
-        shifts = range(-m, -1) if m > 0 else range(1, -m)
-        moved = [s * shi[j] + o for (j, s), o in zip(pairs, base)]
-        for shift in shifts:
-            if sum(abs(x - shift * c) for x, c in zip(moved, slope)) == target:
+        for shift in range(-m, -1) if m > 0 else range(1, -m):
+            if length(shi, shift) == target:
                 return False
     return True
 
@@ -237,7 +240,8 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET) -> Scan
     recorded.
     """
     target_count = group.system.region_count
-    minima: dict[tuple[int, ...], GroupElement] = {}
+    sign_type = group.sign_type
+    minima: dict[tuple[int, ...], tuple[int, ...]] = {}
     visited = 0
 
     for length, shell in enumerate(group.shells()):
@@ -248,10 +252,10 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET) -> Scan
                 budget, "scan exceeded the element budget before certification")
         visited += len(shell)
         fresh = set()  # the sign types whose minimum lies in this shell
-        for w in shell:
-            zeta = tuple([(k > 0) - (k < 0) for k in w.shi])  # sign_of_shi inlined
+        for shi in shell:
+            zeta = sign_type(shi)
             if zeta not in minima:
-                minima[zeta] = w
+                minima[zeta] = shi
                 fresh.add(zeta)
             elif zeta in fresh:
                 raise CertificationError(
@@ -264,7 +268,8 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET) -> Scan
     if len(minima) != target_count:
         raise CertificationError(f"the scan found {len(minima)} sign types, "
                                  f"not (h+1)^n = {target_count}")
-    return ScanResult(group=group, stop_length=length, minima=minima, visited=visited)
+    return ScanResult(group=group, stop_length=length, visited=visited,
+                      minima={zeta: GroupElement(group, shi) for zeta, shi in minima.items()})
 
 
 def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
@@ -281,14 +286,14 @@ def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
     Whether the low set *equals* the set of per-type minima is left to
     the verification suites.
     """
-    low: list[GroupElement] = []
-    for shell in group.shells(keep=lambda w: is_low(group, w)):
+    low: list[tuple[int, ...]] = []
+    for shell in group.shells(keep=lambda shi: is_low(group, shi)):
         low.extend(shell)
         if len(low) > budget:
             raise BudgetExceededError(
                 budget, "low-element enumeration exceeded its budget")
 
-    result = sorted(low, key=GroupElement.sort_key)
+    result = sorted((GroupElement(group, shi) for shi in low), key=GroupElement.sort_key)
     if certificate_scan is not None:
         for w in result:
             if certificate_scan.minima.get(sign_of_shi(w.shi)) != w:

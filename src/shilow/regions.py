@@ -14,8 +14,9 @@ The other members of each region within the scanned ball are read only
 on demand: ``RegionTable.members`` walks ``group.shells()`` once more,
 up to the scan's stop length, and keeps per sign type the componentwise
 minimum of the coefficient magnitudes and the first ``SAMPLE_SIZE``
-members.  The walk must see exactly the scan's visited count, with the
-region minimum first in each sign type, else ``CertificationError``.
+members, the only vectors of the walk it makes elements of.  The walk
+must see exactly the scan's visited count, with the region minimum
+first in each sign type, else ``CertificationError``.
 Building the table, the minima and the exports never walk it: the
 region members' least magnitudes are the minimum's own, which the
 ``descent-walls`` suite checks against this walk.
@@ -114,35 +115,37 @@ class RegionTable:
         Raises ``CertificationError`` unless the walk sees ``visited``
         elements, every one in a region of the table, with each region's
         minimum as the first member of its sign type."""
-        buckets: dict[tuple[int, ...], tuple[list[int], list[GroupElement]]] = {}
+        group = self.group
+        sign_type = group.sign_type
+        buckets: dict[tuple[int, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
         seen = 0
-        for shell in islice(self.group.shells(), self.stop_length + 1):
+        for shell in islice(group.shells(), self.stop_length + 1):
             seen += len(shell)
-            for w in shell:
-                shi = w.shi
-                zeta = tuple([(k > 0) - (k < 0) for k in shi])  # sign_of_shi inlined
+            for shi in shell:
+                zeta = sign_type(shi)
                 entry = buckets.get(zeta)
                 if entry is None:
-                    buckets[zeta] = ([abs(k) for k in shi], [w])
+                    buckets[zeta] = ([abs(k) for k in shi], [shi])
                     continue
                 low, samples = entry
                 for i, k in enumerate(shi):
                     if abs(k) < low[i]:
                         low[i] = abs(k)
                 if len(samples) < SAMPLE_SIZE:
-                    samples.append(w)
+                    samples.append(shi)
         if seen != self.visited:
             raise CertificationError(f"the member walk to length {self.stop_length} "
                                      f"saw {seen} elements, the scan {self.visited}")
         for zeta, (_, samples) in buckets.items():
             region = self.by_sign.get(zeta)
-            if region is None or samples[0] != region.minimal:
+            if region is None or samples[0] != region.minimal.shi:
                 raise CertificationError(f"sign type {zeta}: the first member of the "
                                          f"walk is not the region minimum")
         if len(buckets) != len(self.regions):
             raise CertificationError(f"the member walk met {len(buckets)} of the "
                                      f"{len(self.regions)} regions")
-        return {zeta: RegionMembers(tuple(low), tuple(samples))
+        return {zeta: RegionMembers(tuple(low), tuple(GroupElement(group, shi)
+                                                      for shi in samples))
                 for zeta, (low, samples) in buckets.items()}
 
 

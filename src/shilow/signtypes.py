@@ -61,19 +61,25 @@ def restrict_to_subsystem(sub: Rank2Subsystem, trits: tuple[int, ...]) -> tuple[
     return tuple(trits[p] for p in sub.positions)
 
 
-@cache
-def _restrictions(cartan_type: CartanType) -> tuple[tuple, ...]:
+_RESTRICTIONS: dict[CartanType, tuple[tuple, ...]] = {}
+
+
+def _restrictions(system: RootSystem) -> tuple[tuple, ...]:
     """(subsystem, getter of its positions, its admissible table) per
-    irreducible rank-2 subsystem, in ``rank2_subsystems`` order."""
-    system = root_system(cartan_type.family, cartan_type.rank)
-    return tuple((sub, itemgetter(*sub.positions), rank2_admissible_table(sub.kind))
-                 for sub in system.rank2_subsystems())
+    irreducible rank-2 subsystem, in ``rank2_subsystems`` order: read off
+    the caller's system on the first call for its type, then kept."""
+    key = system.cartan_type
+    if key not in _RESTRICTIONS:
+        _RESTRICTIONS[key] = tuple(
+            (sub, itemgetter(*sub.positions), rank2_admissible_table(sub.kind))
+            for sub in system.rank2_subsystems())
+    return _RESTRICTIONS[key]
 
 
 def violating_subsystems(system: RootSystem,
                          trits: tuple[int, ...]) -> Iterator[Rank2Subsystem]:
     """Each rank-2 subsystem whose restriction is inadmissible, in order."""
-    for sub, restrict, table in _restrictions(system.cartan_type):
+    for sub, restrict, table in _restrictions(system):
         if restrict(trits) not in table:
             yield sub
 
@@ -109,7 +115,7 @@ def admissible_sign_types(system: RootSystem,
     """
     n = system.nroots
     closing: list[list[tuple]] = [[] for _ in range(n)]  # (getter, table) by last position
-    for sub, restrict, table in _restrictions(system.cartan_type):
+    for sub, restrict, table in _restrictions(system):
         closing[max(sub.positions)].append((restrict, table))
     trits = [0] * n
     found: list[tuple[int, ...]] = []

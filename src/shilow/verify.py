@@ -29,8 +29,9 @@ Five suites, each returning a structured pass/fail report:
 All suites of one type share a ``DeskContext``, cached per type and
 budget; its scan, low set, region table and automaton are built on first
 read, and its ball is sliced from one walk of ``AffineWeylGroup.shells()``.
-A report records only the settings its suite reads: ``recurrences`` its
-sweep bound, ``automaton`` its word bound and seed, the others neither.
+A suite takes only the settings it reads, and its report records them:
+``recurrences`` its sweep bound, ``automaton`` its word bound and seed,
+the others neither; ``run_suite`` passes each suite its own.
 A check over many items goes through ``_check_each``, which records the
 first failing item as the counterexample; a ``KernelError``, a cone
 ``CertificateError`` or an enumeration's ``CertificationError`` raised on
@@ -106,11 +107,11 @@ class DeskContext:
 
     def shells(self, bound: int) -> list[list[GroupElement]]:
         """Shells 0..bound of the group ball, read once from ``group.shells()``
-        and held to the element budget."""
+        as elements and held to the element budget."""
         if self._walk is None:
             self._walk = self.group.shells()
         while len(self._shells) <= bound and sum(map(len, self._shells)) <= self.budget:
-            self._shells.append(next(self._walk))
+            self._shells.append([GroupElement(self.group, shi) for shi in next(self._walk)])
         shells = self._shells[:bound + 1]
         if sum(map(len, shells)) > self.budget:
             raise BudgetExceededError(
@@ -188,8 +189,7 @@ def _later(build):
 # Suite: main-theorem
 # --------------------------------------------------------------------------
 
-def verify_main_theorem(family: str, rank: int, bound: int | None = None,
-                        budget: int | None = None, seed: int | None = None) -> Report:
+def verify_main_theorem(family: str, rank: int, budget: int | None = None) -> Report:
     ctx = desk_context(family, rank, budget)
     system, group = ctx.system, ctx.group
     at = partial(_counterexample, group)
@@ -274,8 +274,7 @@ def verify_main_theorem(family: str, rank: int, bound: int | None = None,
 # Suite: descent-walls
 # --------------------------------------------------------------------------
 
-def verify_descent_walls(family: str, rank: int, bound: int | None = None,
-                         budget: int | None = None, seed: int | None = None) -> Report:
+def verify_descent_walls(family: str, rank: int, budget: int | None = None) -> Report:
     ctx = desk_context(family, rank, budget)
     system, group, small, table = ctx.system, ctx.group, ctx.small, ctx.table
     report = Report(suite="descent-walls", family=family, rank=rank)
@@ -428,7 +427,7 @@ def verify_descent_walls(family: str, rank: int, bound: int | None = None,
 # --------------------------------------------------------------------------
 
 def verify_recurrences(family: str, rank: int, bound: int | None = None,
-                       budget: int | None = None, seed: int | None = None) -> Report:
+                       budget: int | None = None) -> Report:
     ctx = desk_context(family, rank, budget)
     system, group, small = ctx.system, ctx.group, ctx.small
     sweep_bound = bound if bound is not None else _SWEEP_BOUNDS.get(rank, 6)
@@ -549,7 +548,7 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
     cone_cap = min(cone_cap, sweep_bound)
     _check_each(report, "lowness_oracle_agreement",
                 (u for shell in shells[:cone_cap + 1] for u in shell),
-                lambda w: None if is_low(group, w)
+                lambda w: None if is_low(group, w.shi)
                 == is_low_by_cone(group, small, w) else {},
                 where=at, detail={"exhaustive_to_length": cone_cap})
 
@@ -828,8 +827,7 @@ def _catalog_layouts(ctx: DeskContext, rows) -> list[tuple[int, ...]]:
     return valid
 
 
-def verify_tables(family: str, rank: int, bound: int | None = None,
-                  budget: int | None = None, seed: int | None = None) -> Report:
+def verify_tables(family: str, rank: int, budget: int | None = None) -> Report:
     ctx = desk_context(family, rank, budget)
     system, group = ctx.system, ctx.group
     report = Report(suite="tables", family=family, rank=rank)
@@ -1028,8 +1026,15 @@ SUITES = {
 }
 
 
+# The settings besides the budget that a suite reads, by name.
+_SETTINGS = {"recurrences": ("bound",), "automaton": ("bound", "seed")}
+
+
 def run_suite(suite: str, family: str, rank: int, bound: int | None = None,
               budget: int | None = None, seed: int | None = None) -> Report:
+    """Run one suite by name, passing it only the settings it reads."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {tuple(SUITES)}")
-    return SUITES[suite](family, rank, bound=bound, budget=budget, seed=seed)
+    given = {"bound": bound, "seed": seed}
+    return SUITES[suite](family, rank, budget=budget,
+                         **{name: given[name] for name in _SETTINGS.get(suite, ())})

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from shilow import (AffineWeylGroup, CertificationError, certified_scan, cli,
-                    condition_star, enumerate_low, enumerate_regions, lowness,
+from shilow import (AffineWeylGroup, CertificationError, GroupElement, certified_scan,
+                    cli, condition_star, enumerate_low, enumerate_regions, lowness,
                     regions, root_system, sign_of_shi, signtypes, verify)
 from shilow.report import Report
 
@@ -60,10 +60,10 @@ def _scan_with_minima(scan: lowness.ScanResult, minima: dict) -> lowness.ScanRes
 
 def _second_member(group: AffineWeylGroup, zeta: tuple[int, ...]):
     """The second element of sign type ``zeta`` in the walk's order."""
-    members = (w for shell in group.shells() for w in shell
-               if sign_of_shi(w.shi) == zeta)
+    members = (shi for shell in group.shells() for shi in shell
+               if sign_of_shi(shi) == zeta)
     next(members)
-    return next(members)
+    return GroupElement(group, next(members))
 
 
 def _swapped_minimum(scan: lowness.ScanResult) -> lowness.ScanResult:
@@ -137,16 +137,16 @@ def test_check_each_fails_a_check_on_a_certification_error():
 _INJECTED = """
 from itertools import islice
 
-from shilow import (AffineWeylGroup, CertificationError, certified_scan, cli,
-                    enumerate_low, enumerate_regions, lowness, regions, root_system,
-                    sign_of_shi, verify)
+from shilow import (AffineWeylGroup, CertificationError, GroupElement, certified_scan,
+                    cli, enumerate_low, enumerate_regions, lowness, regions,
+                    root_system, sign_of_shi, verify)
 
 regions.right_descent_within_sign_type = lambda group, w: 0
 group = AffineWeylGroup(root_system("A", 2))
 scan = certified_scan(group)
 zeta = (1, 0, 1)
-second = [w for shell in islice(group.shells(), scan.stop_length + 1)
-          for w in shell if sign_of_shi(w.shi) == zeta][1]
+second = GroupElement(group, [shi for shell in islice(group.shells(), scan.stop_length + 1)
+                             for shi in shell if sign_of_shi(shi) == zeta][1])
 swapped = lowness.ScanResult(group=group, stop_length=scan.stop_length,
                              minima={**scan.minima, zeta: second},
                              visited=scan.visited)
@@ -247,6 +247,30 @@ def test_no_assert_statement_in_the_region_layer(module):
     lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+_COMPILERS = {"eval", "exec", "compile"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_code_is_compiled_only_by_the_kernel_helper(module):
+    """``eval``, ``exec`` and ``compile`` appear only in
+    ``elements._compile``, which compiles source written from checked
+    table integers; no other module or function compiles code.  A
+    regular expression's ``re.compile`` compiles no code."""
+    path = SRC / "shilow" / f"{module}.py"
+    tree = ast.parse(path.read_text())
+    allowed = set()
+    if module == "elements":
+        (helper,) = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_compile"]
+        allowed = {id(node) for node in ast.walk(helper)}
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id in _COMPILERS
+                 or isinstance(node, ast.Attribute) and node.attr in _COMPILERS
+                 and not (isinstance(node.value, ast.Name) and node.value.id == "re"))
+             and id(node) not in allowed]
+    assert not lines, f"{path.name}: code compiled at lines {lines}"
 
 
 _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}

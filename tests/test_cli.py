@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from shilow import (AffineWeylGroup, certified_scan, cli, enumerate_regions, regions,
-                    report, root_system, rootdata, verify)
+                    report, root_system, rootdata, signtypes, verify)
 from shilow.elements import KernelError
 from shilow.ratlp import CertificateError
 
@@ -241,6 +241,25 @@ def test_root_data_error_is_a_failure_without_traceback(capsys, monkeypatch):
     assert code == cli.EXIT_FAIL
     assert not out
     assert err == "error: Cartan diagram not connected\n"
+
+
+@pytest.mark.parametrize("suite", ["main-theorem", "tables"])
+def test_a_verify_command_builds_its_root_system_once(capsys, monkeypatch, suite):
+    """The CLI validates the type on the context the suite reads, and the
+    rank-2 restriction index reads that same system: one B3 build per
+    command, with the process-wide caches emptied first."""
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    monkeypatch.setattr(signtypes, "_RESTRICTIONS", {}, raising=False)
+    builds = []
+    init = rootdata.RootSystem.__init__
+
+    def counted(self, cartan_type):
+        builds.append(cartan_type.name)
+        init(self, cartan_type)
+    monkeypatch.setattr(rootdata.RootSystem, "__init__", counted)
+    code, _, _ = run_cli(capsys, "verify", suite, "--type", "B", "--rank", "3")
+    assert code == 0
+    assert builds.count("B3") == 1
 
 
 _FREEZE = """

@@ -3,7 +3,11 @@
 Property tests over random words on the desk types and B3 (including
 the word <-> element round trip), plus the named error raised by a left
 table that disagrees with the matrix action, which must survive
-``python -O``.
+``python -O``.  The closures compiled from the tables (``apply``,
+``extend``, ``reflected_lengths``, and ``sign_type``) are compared with
+the interpreted tables and ``sign_of_shi`` on balls walked without them
+and on random integer vectors; a table entry that is not an integer is
+refused before it is compiled.
 """
 from __future__ import annotations
 
@@ -17,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shilow import AffineWeylGroup, root_system
+from shilow import AffineWeylGroup, elements, root_system, sign_of_shi
+from shilow.elements import _left_apply
 
 TYPES = ("A2", "B2", "G2", "A3", "B3")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -120,3 +125,123 @@ def test_a_bad_table_raises_under_python_o(letter, entry, replacement, message):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("KernelError:")
     assert message in proc.stdout
+
+
+# (type, radius) of the balls the compiled closures are compared on.
+BALLS = (("A2", 8), ("B2", 8), ("G2", 8), ("A3", 7), ("B3", 6), ("C3", 6),
+         ("A4", 5), ("D4", 5))
+
+
+def interpreted_ball(group: AffineWeylGroup, radius: int) -> list[tuple[int, ...]]:
+    """The vectors of the ball, by the interpreted tables alone: every
+    vector extended by every letter that is not a left descent."""
+    shell, ball = {group.identity.shi}, [group.identity.shi]
+    for _ in range(radius):
+        shell = {_left_apply(group.left_tables[g], shi) for shi in shell
+                 for g in group.letters if g not in group._descents(shi)}
+        ball.extend(sorted(shell))
+    return ball
+
+
+def interpreted_extend(group: AffineWeylGroup, g: int, shi: tuple[int, ...]):
+    """The walk's rule read off the table data: s_g * w when g is not a
+    left descent of w and no earlier letter is one of s_g * w."""
+    _, index, sign, table, earlier = group._letter_steps[g]
+    if sign * shi[index] < 0 or any(s * shi[j] + o < 0 for j, s, o in earlier):
+        return None
+    return _left_apply(table, shi)
+
+
+def interpreted_length(group: AffineWeylGroup, i: int, shi: tuple[int, ...],
+                       shift: int) -> int:
+    """The length of the vector of the reflection table of root i at
+    ``shift`` applied to ``shi``."""
+    pairs, base, slope = group.reflection_data[i]
+    return sum(abs(s * shi[j] + o - shift * m) for (j, s), o, m in zip(pairs, base, slope))
+
+
+def assert_closures_match(group: AffineWeylGroup, shi: tuple[int, ...]) -> None:
+    assert group.sign_type(shi) == sign_of_shi(shi), shi
+    for g in group.letters:
+        assert group.apply[g](shi) == _left_apply(group.left_tables[g], shi), (g, shi)
+        assert group.extend[g](shi) == interpreted_extend(group, g, shi), (g, shi)
+    for i in range(group.system.nroots):
+        for shift in range(-3, 4):
+            assert group.reflected_lengths[i](shi, shift) \
+                == interpreted_length(group, i, shi, shift), (i, shift, shi)
+
+
+@pytest.mark.parametrize("name, radius", BALLS)
+def test_compiled_closures_equal_the_tables_on_the_ball(name, radius):
+    """Each closure equals the interpreted table on every vector of the
+    ball, and the children ``extend`` gives are the ball's next shell,
+    each built once."""
+    group = AffineWeylGroup(root_system(name[0], int(name[1:])))
+    ball = interpreted_ball(group, radius)
+    for shi in ball:
+        assert_closures_match(group, shi)
+    children = [child for shi in ball if sum(map(abs, shi)) < radius
+                for step in group.extend if (child := step(shi)) is not None]
+    assert sorted(children) == sorted(shi for shi in ball if any(shi))
+
+
+@st.composite
+def typed_vectors(draw):
+    """A type and a random integer vector, one entry per positive root."""
+    group = _group(draw(st.sampled_from(TYPES + ("C3", "A4", "D4"))))
+    size = group.system.nroots
+    return group, tuple(draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size)))
+
+
+@kernel_settings
+@given(typed_vectors())
+def test_compiled_closures_equal_the_tables_on_any_vector(case):
+    group, shi = case
+    assert_closures_match(group, shi)
+
+
+def test_constructing_a_group_compiles_nothing(monkeypatch):
+    """The closures are compiled on first use: a group that only exists
+    compiles nothing; one walk compiles ``extend`` alone."""
+    compiled = []
+    compile_ = elements._compile
+    monkeypatch.setattr(elements, "_compile",
+                        lambda sources, name: compiled.append(name) or compile_(sources, name))
+    group = AffineWeylGroup(root_system("B", 3))
+    assert compiled == []
+    assert not {"apply", "extend", "reflected_lengths", "sign_type"} & set(vars(group))
+    next(group.shells())
+    next(group.shells())
+    assert compiled == ["letter steps"]
+
+
+_NON_INT = """
+from shilow import AffineWeylGroup, KernelError, root_system
+
+group = AffineWeylGroup(root_system("A", 2))
+table = list(group.left_tables[1])
+j, s, o = table[0]
+table[0] = {replacement}
+tables = list(group.left_tables)
+tables[1] = tuple(table)
+group.left_tables = tuple(tables)
+try:
+    group.element_from_word((1,))
+except KernelError as exc:
+    print("KernelError:", exc)
+"""
+
+
+@pytest.mark.parametrize("replacement", ["(j, s, float(o))", "(j, s, str(o))",
+                                         "(str(j), s, o)", "(j, True, o)"])
+def test_a_non_int_table_entry_is_refused_before_compiling(replacement):
+    """An entry that is not an integer index, sign and offset raises
+    ``KernelError`` before any source is compiled, also under ``-O``."""
+    script = _NON_INT.format(replacement=replacement)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC),
+                                                       os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("KernelError: left table of s1: entry")

@@ -8,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from shilow import (AffineWeylGroup, descent_mask, descent_root_set, dominant_pairs,
+from shilow import (AffineWeylGroup, GroupElement, descent_mask, descent_root_set, dominant_pairs,
                     ideal_closed_form_inversions, enumerate_regions, ideal_sign_type,
                     is_admissible, root_system, separation_set, sign_of_shi,
                     verify)
@@ -59,8 +59,8 @@ def test_member_index_buckets_the_scanned_ball(family, rank):
     table = enumerate_regions(AffineWeylGroup(root_system(family, rank)))
     direct = {}
     for shell in islice(table.group.shells(), table.stop_length + 1):
-        for w in shell:
-            direct.setdefault(sign_of_shi(w.shi), []).append(w)
+        for shi in shell:
+            direct.setdefault(sign_of_shi(shi), []).append(GroupElement(table.group, shi))
     assert sum(map(len, direct.values())) == table.visited
     assert set(table.members) == set(direct) == set(table.by_sign)
     for zeta, members in direct.items():

@@ -153,13 +153,13 @@ def test_low_membership_predicate(desk):
     group = desk.group
     low_set = set(desk.low)
     for w in desk.ball(4):
-        assert is_low(group, w) == (w in low_set)
+        assert is_low(group, w.shi) == (w in low_set)
 
 
 def test_low_oracle_agreement_small_ball(a2):
     group, small = a2.group, a2.small
     for w in a2.ball(6):
-        assert is_low(group, w) == is_low_by_cone(group, small, w)
+        assert is_low(group, w.shi) == is_low_by_cone(group, small, w)
 
 
 def test_enumerate_low_fresh_run_matches_cached(a2):

@@ -21,6 +21,17 @@ def test_suite_passes(desk, suite):
     assert all(check.passed for check in report.checks)
 
 
+@pytest.mark.parametrize("suite, setting", [
+    ("main-theorem", "bound"), ("main-theorem", "seed"), ("descent-walls", "bound"),
+    ("descent-walls", "seed"), ("tables", "bound"), ("tables", "seed"),
+    ("recurrences", "seed")])
+def test_a_suite_takes_no_setting_it_does_not_read(suite, setting):
+    """A suite rejects a setting it would ignore; ``run_suite`` keeps its
+    one signature and passes each suite only its own."""
+    with pytest.raises(TypeError):
+        verify.SUITES[suite]("A", 2, **{setting: 7})
+
+
 @pytest.mark.parametrize("suite", verify.SUITES)
 def test_check_details_are_json_objects(desk, suite):
     """``Check.detail`` is a dict or absent, as annotated."""
@@ -314,7 +325,7 @@ def test_member_checks_fail_on_a_broken_member_walk(monkeypatch):
     verify.desk_context("A", 2).table
     shells = AffineWeylGroup.shells
     monkeypatch.setattr(AffineWeylGroup, "shells", lambda group, *args, **kwargs:
-                        ([w for w in shell if w.length != 3]
+                        ([shi for shi in shell if sum(map(abs, shi)) != 3]
                          for shell in shells(group, *args, **kwargs)))
     report = run_suite("descent-walls", "A", 2)
     assert {c.name for c in report.failures()} == set(MEMBER_CHECKS)

@@ -5,7 +5,8 @@ Each element is built once, from the left quotient that
 as the plain walk that extends every element by every non-descent letter
 and drops duplicates, the pruned walks must equal the full walk filtered
 by the same predicate, and the kernel must apply one left table per
-element built.
+element built.  The walk yields bare Shi vectors; the tests make
+elements of them where they compare with element sets.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from itertools import islice
 
 import pytest
 
-from shilow import (AffineWeylGroup, certified_scan, elements, enumerate_low, is_low,
-                    root_system)
+from shilow import (AffineWeylGroup, GroupElement, certified_scan, elements,
+                    enumerate_low, is_low, root_system)
 
 TYPES = ("A2", "B2", "G2", "A3", "B3", "C3")
 
@@ -38,13 +39,15 @@ def reference_shells(group: AffineWeylGroup, bound: int) -> list[set]:
 def test_shells_equal_the_dedup_walk(name):
     group = _group(name)
     shells = list(islice(group.shells(), 9))
-    assert [set(shell) for shell in shells] == reference_shells(group, 8)
+    assert [{GroupElement(group, shi) for shi in shell} for shell in shells] \
+        == reference_shells(group, 8)
     for shell in shells:
         assert len(shell) == len(set(shell))
 
 
 def _filtered(group: AffineWeylGroup, keep, bound: int) -> list[set]:
-    return [{w for w in shell if keep(w)} for shell in islice(group.shells(), bound + 1)]
+    return [{shi for shi in shell if keep(shi)}
+            for shell in islice(group.shells(), bound + 1)]
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -62,21 +65,35 @@ def test_the_finite_walk_is_the_full_walk_filtered(name):
     """The walk pruned to elements without left descent s0 reaches
     exactly the elements with no translation part."""
     group = _group(name)
-    pruned = [set(shell) for shell in
-              group.shells(keep=lambda w: 0 not in group.left_descents(w))]
-    full = _filtered(group, lambda w: not any(w.trans), group.system.nroots + 1)
+    pruned = [set(shell) for shell in group.shells(
+        keep=lambda shi: 0 not in group.left_descents(GroupElement(group, shi)))]
+    full = _filtered(group, lambda shi: not any(GroupElement(group, shi).trans),
+                     group.system.nroots + 1)
     assert full == pruned + [set()]
     assert sum(map(len, pruned)) == group.system.weyl_order
 
 
-def _left_apply_calls(monkeypatch) -> list:
+def _left_apply_calls(monkeypatch, group: AffineWeylGroup) -> list:
+    """Record each left table applied to a vector: by the interpreted
+    ``_left_apply``, by a compiled ``apply[g]``, or by an ``extend[g]``
+    that returns a vector (one that returns ``None`` applies no table)."""
     calls = []
-    apply = elements._left_apply
+    interpreted = elements._left_apply
 
     def counted(table, shi):
         calls.append(None)
-        return apply(table, shi)
+        return interpreted(table, shi)
+
+    def counted_closure(closure):
+        def run(shi):
+            child = closure(shi)
+            if child is not None:
+                calls.append(None)
+            return child
+        return run
     monkeypatch.setattr(elements, "_left_apply", counted)
+    for name in ("apply", "extend"):
+        monkeypatch.setattr(group, name, tuple(map(counted_closure, getattr(group, name))))
     return calls
 
 
@@ -85,7 +102,7 @@ def test_the_scan_applies_one_table_per_element_built(monkeypatch, name, calls_m
     """Every visited element but the identity is built by exactly one left
     table, and no other table is applied."""
     group = _group(name)
-    calls = _left_apply_calls(monkeypatch)
+    calls = _left_apply_calls(monkeypatch, group)
     scan = certified_scan(group)
     assert len(calls) == scan.visited - 1 == calls_made
 
@@ -94,6 +111,36 @@ def test_the_low_walk_applies_one_table_per_candidate(monkeypatch):
     """The B3 low walk builds 445 candidates for its 343 low elements, by
     one left table each."""
     group = _group("B3")
-    calls = _left_apply_calls(monkeypatch)
+    calls = _left_apply_calls(monkeypatch, group)
     assert len(enumerate_low(group)) == 343
     assert len(calls) == 445
+
+
+def _elements_built(monkeypatch) -> list:
+    built = []
+    init = GroupElement.__init__
+
+    def counted(self, group, shi):
+        built.append(shi)
+        init(self, group, shi)
+    monkeypatch.setattr(GroupElement, "__init__", counted)
+    return built
+
+
+def test_the_scan_makes_elements_of_the_minima_only(monkeypatch):
+    """The B3 scan walks 6,126 bare vectors and makes an element of each
+    of its 343 minima, and of nothing else."""
+    group = _group("B3")
+    built = _elements_built(monkeypatch)
+    scan = certified_scan(group)
+    assert scan.visited == 6126
+    assert len(built) == len(scan.minima) == 343
+
+
+def test_the_low_walk_makes_elements_of_the_low_elements_only(monkeypatch):
+    """The B3 low walk tests 445 candidates as vectors and makes at most
+    one element per low element."""
+    group = _group("B3")
+    built = _elements_built(monkeypatch)
+    assert len(enumerate_low(group)) == 343
+    assert len(built) <= 343

@@ -17,7 +17,8 @@ from itertools import islice
 
 import pytest
 
-from shilow import AffineRoot, AffineWeylGroup, SmallRoots, enumerate_low, is_low, root_system
+from shilow import (AffineRoot, AffineWeylGroup, GroupElement, SmallRoots, enumerate_low,
+                    is_low, root_system)
 from shilow.lowness import right_descent_within_sign_type, sign_of_shi
 
 # (type, last shell): every element of length <= the bound is compared.
@@ -32,7 +33,8 @@ def _elements(name: str, bound: int | str):
     group = AffineWeylGroup(root_system(name[0], int(name[1:])))
     if bound == "low":
         return group, enumerate_low(group)
-    return group, [w for shell in islice(group.shells(), bound + 1) for w in shell]
+    return group, [GroupElement(group, shi)
+                   for shell in islice(group.shells(), bound + 1) for shi in shell]
 
 
 def replayed_right_descents(group: AffineWeylGroup, w) -> list[tuple[int, tuple[int, ...]]]:
@@ -82,7 +84,7 @@ def test_walls_paths_equal_the_references(name, bound):
         assert group.right_descent_roots(w) == reference_descent_roots(group, w), w.shi
         assert right_descent_within_sign_type(group, w) \
             == reference_descent_within_sign_type(group, w), w.shi
-        assert is_low(group, w) == reference_is_low(group, small, w), w.shi
+        assert is_low(group, w.shi) == reference_is_low(group, small, w), w.shi
 
 
 @pytest.mark.parametrize("name, bound", (("A2", 8), ("G2", 8), ("B3", 6), ("A4", 5),
