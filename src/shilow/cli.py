@@ -142,12 +142,8 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _system(args: argparse.Namespace):
-    return root_system(args.family, args.rank)
-
-
 def cmd_roots(args: argparse.Namespace) -> int:
-    system = _system(args)
+    system = root_system(args.family, args.rank)
     if args.format == "json":
         data = system.to_json_dict()
         data["rank2_subsystems"] = [
@@ -177,7 +173,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    ctx = verify.DeskContext(_system(args), args.budget)
+    ctx = verify.desk_context(args.family, args.rank, args.budget)
     if args.what == "low":
         return _enumerate_low(args, ctx)
     table = ctx.table
@@ -254,8 +250,6 @@ def _enumerate_ideals(args: argparse.Namespace, system, table) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # validate type/rank before spending time, on the context the suite reads
-    verify.desk_context(args.family, args.rank, args.budget)
     report = verify.run_suite(args.suite, args.family, args.rank,
                               bound=args.bound, budget=args.budget, seed=args.seed)
     if args.format == "json":
@@ -266,7 +260,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_automaton(args: argparse.Namespace) -> int:
-    ctx = verify.DeskContext(_system(args), args.budget)
+    ctx = verify.desk_context(args.family, args.rank, args.budget)
     machine = ctx.machine
     if args.format == "dot":
         _emit(automaton_mod.export_dot(machine), args.output)

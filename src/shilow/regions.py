@@ -159,7 +159,7 @@ def enumerate_regions(group: AffineWeylGroup,
     for zeta, minimal in scan.minima.items():
         if not signtypes.is_admissible(system, zeta):
             raise CertificationError(f"scanned sign type {zeta} is not admissible")
-        mask = signtypes.separation_mask(system, small, zeta)
+        mask = small.mask_from_shi(zeta)
         if mask != small.sigma_mask(minimal):
             raise CertificationError(f"sign type {zeta}: its separation mask is not "
                                      f"the small inversion set of its minimum")

@@ -26,12 +26,14 @@ Five suites, each returning a structured pass/fail report:
   harness reports the oracle-computed value next to the transcription
   instead of silently correcting either.
 
-All suites of one type share a ``DeskContext``, cached per type and
-budget; its scan, low set, region table and automaton are built on first
-read, and its ball is sliced from one walk of ``AffineWeylGroup.shells()``.
-A suite takes only the settings it reads, and its report records them:
-``recurrences`` its sweep bound, ``automaton`` its word bound and seed,
-the others neither; ``run_suite`` passes each suite its own.
+Each suite takes a ``DeskContext`` (``desk_context`` makes a new one per
+call) and reads its type and budget from it; its group, scan, low set,
+region table and automaton are built on first read, and its ball is
+sliced from one walk of ``AffineWeylGroup.shells()``.  Suites given the
+same context share what they read.  A suite takes only the settings it
+reads besides the context, and its report records them: ``recurrences``
+its sweep bound, ``automaton`` its word bound and seed, the others
+neither; ``run_suite`` builds one context and passes each suite its own.
 A check over many items goes through ``_check_each``, which records the
 first failing item as the counterexample; a ``KernelError``, a cone
 ``CertificateError`` or an enumeration's ``CertificationError`` raised on
@@ -67,16 +69,20 @@ _SWEEP_BOUNDS = {2: 10, 3: 8, 4: 6}
 _WORD_BOUNDS = {2: 10, 3: 7, 4: 5}
 
 class DeskContext:
-    """Exact data for one affine type and budget; each part is built on
-    its first read, so a suite pays only for what it uses."""
+    """Exact data for one affine type and budget.  Each part, the group
+    included, is built on its first read, so a suite pays only for what
+    it uses; suites given one context share the parts they read."""
 
     def __init__(self, system: RootSystem, budget: int):
         self.system = system
         self.budget = budget
-        self.group = AffineWeylGroup(system)
         self._walk = None
         self._shells: list[list[GroupElement]] = []
         self._scan_error: BudgetExceededError | CertificationError | None = None
+
+    @cached_property
+    def group(self) -> AffineWeylGroup:
+        return AffineWeylGroup(self.system)
 
     @cached_property
     def small(self) -> SmallRoots:
@@ -122,17 +128,10 @@ class DeskContext:
         return [w for shell in self.shells(bound) for w in shell]
 
 
-_CONTEXTS: dict[tuple[str, int, int], DeskContext] = {}
-
-
-def desk_context(family: str, rank: int, budget: int | None = None) -> DeskContext:
-    """The context of one type and budget (``None`` means ``DEFAULT_BUDGET``),
-    made once per process."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    key = (family, rank, budget)
-    if key not in _CONTEXTS:
-        _CONTEXTS[key] = DeskContext(root_system(family, rank), budget)
-    return _CONTEXTS[key]
+def desk_context(family: str, rank: int, budget: int = DEFAULT_BUDGET) -> DeskContext:
+    """A new context of one type and budget; an unknown type raises
+    ``ValueError`` before anything is built."""
+    return DeskContext(root_system(family, rank), budget)
 
 
 def _root_names(group: AffineWeylGroup, roots) -> list[str]:
@@ -189,9 +188,9 @@ def _later(build):
 # Suite: main-theorem
 # --------------------------------------------------------------------------
 
-def verify_main_theorem(family: str, rank: int, budget: int | None = None) -> Report:
-    ctx = desk_context(family, rank, budget)
+def verify_main_theorem(ctx: DeskContext) -> Report:
     system, group = ctx.system, ctx.group
+    family, rank = system.cartan_type.family, system.rank
     at = partial(_counterexample, group)
     report = Report(suite="main-theorem", family=family, rank=rank)
     expected = system.region_count
@@ -274,9 +273,9 @@ def verify_main_theorem(family: str, rank: int, budget: int | None = None) -> Re
 # Suite: descent-walls
 # --------------------------------------------------------------------------
 
-def verify_descent_walls(family: str, rank: int, budget: int | None = None) -> Report:
-    ctx = desk_context(family, rank, budget)
+def verify_descent_walls(ctx: DeskContext) -> Report:
     system, group, small, table = ctx.system, ctx.group, ctx.small, ctx.table
+    family, rank = system.cartan_type.family, system.rank
     report = Report(suite="descent-walls", family=family, rank=rank)
     # The checks that read other members of the regions than the minima
     # read them from the table's member index, built on first read.
@@ -291,10 +290,11 @@ def verify_descent_walls(family: str, rank: int, budget: int | None = None) -> R
         return None
     _check_each(report, "descent_wall_equality", table, wall_theorem, where=_at_region)
 
+    # Descent roots read through the codec; inversions read off the Shi vector.
     _check_each(report, "descent_roots_separate", table,
-                lambda region: None
-                if signtypes.descent_mask(system, small, region.sign_type)
-                & ~region.separation_mask == 0 else {},
+                lambda region: None if small.set_from_mask(
+                    signtypes.descent_mask(system, small, region.sign_type))
+                <= group.inversion_set(region.minimal) else {},
                 where=_at_region)
 
     # The table read the descent walls off its neighbouring regions' masks.
@@ -426,13 +426,11 @@ def verify_descent_walls(family: str, rank: int, budget: int | None = None) -> R
 # Suite: recurrences
 # --------------------------------------------------------------------------
 
-def verify_recurrences(family: str, rank: int, bound: int | None = None,
-                       budget: int | None = None) -> Report:
-    ctx = desk_context(family, rank, budget)
+def verify_recurrences(ctx: DeskContext, bound: int | None = None) -> Report:
     system, group, small = ctx.system, ctx.group, ctx.small
+    family, rank = system.cartan_type.family, system.rank
     sweep_bound = bound if bound is not None else _SWEEP_BOUNDS.get(rank, 6)
-    report = Report(suite="recurrences", family=family, rank=rank,
-                    bound=sweep_bound)
+    report = Report(suite="recurrences", family=family, rank=rank, bound=sweep_bound)
     shells = ctx.shells(sweep_bound)
     sweep = [w for shell in shells for w in shell]
     at = partial(_counterexample, group)
@@ -534,10 +532,10 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
         alpha = group.simple_affine_root(g)
         punctured = set(small.roots) - {alpha, AffineRoot(
             tuple(-c for c in alpha.finite), 1)}
-        return punctured == {group.act_on_affine_root(group.generators[g], b)
-                             for b in punctured}
-    report.add("finite_reflections_permute_small_roots",
-               all(permutes_small_roots(g) for g in range(1, rank + 1)))
+        return None if punctured == {group.act_on_affine_root(group.generators[g], b)
+                                     for b in punctured} else {}
+    _check_each(report, "finite_reflections_permute_small_roots", range(1, rank + 1),
+                permutes_small_roots, where=lambda g: {"letter": g})
 
     _check_each(report, "inversion_oracle_agreement", sweep,
                 lambda w: None if group.inversion_set(w)
@@ -567,10 +565,10 @@ def verify_recurrences(family: str, rank: int, bound: int | None = None,
 # Suite: automaton
 # --------------------------------------------------------------------------
 
-def verify_automaton(family: str, rank: int, bound: int | None = None,
-                     budget: int | None = None, seed: int | None = None) -> Report:
-    ctx = desk_context(family, rank, budget)
+def verify_automaton(ctx: DeskContext, bound: int | None = None,
+                     seed: int | None = None) -> Report:
     system, group, machine = ctx.system, ctx.group, ctx.machine
+    family, rank = system.cartan_type.family, system.rank
     word_bound = bound if bound is not None else _WORD_BOUNDS.get(rank, 5)
     seed = 0 if seed is None else seed
     report = Report(suite="automaton", family=family, rank=rank,
@@ -583,19 +581,18 @@ def verify_automaton(family: str, rank: int, bound: int | None = None,
     report.add("states_equal_low_sigma_sets",
                set(machine.states) == {ctx.small.sigma_mask(w) for w in ctx.low})
 
-    base_ok = all(machine.transitions[0][g] is not None
-                  and machine.states[machine.transitions[0][g]]
-                  == 1 << machine.small.index[group.simple_affine_root(g)]
-                  for g in range(rank + 1))
-    report.add("empty_state_transitions", base_ok)
-
-    guard_ok = True
-    for mask, row in zip(machine.states, machine.transitions):
-        for g in range(rank + 1):
-            bit = machine.small.index[group.simple_affine_root(g)]
-            if (row[g] is None) != bool(mask >> bit & 1):
-                guard_ok = False
-    report.add("transition_guard", guard_ok)
+    bits = [machine.small.index[group.simple_affine_root(g)] for g in range(rank + 1)]
+    _check_each(report, "empty_state_transitions", range(rank + 1),
+                lambda g: None if machine.transitions[0][g] is not None
+                and machine.states[machine.transitions[0][g]] == 1 << bits[g] else {},
+                where=lambda g: {"letter": g})
+    # A letter has no transition exactly when its root is in the state.
+    _check_each(report, "transition_guard",
+                ((state, g) for state in range(len(machine.states))
+                 for g in range(rank + 1)),
+                lambda item: None if (machine.transitions[item[0]][item[1]] is None)
+                == bool(machine.states[item[0]] >> bits[item[1]] & 1) else {},
+                where=lambda item: {"state": machine.labels[item[0]], "letter": item[1]})
 
     # Level d maps each (element, state) pair reached by a reduced word of
     # length d to the number of such words.  A word's verdict on a letter
@@ -827,9 +824,9 @@ def _catalog_layouts(ctx: DeskContext, rows) -> list[tuple[int, ...]]:
     return valid
 
 
-def verify_tables(family: str, rank: int, budget: int | None = None) -> Report:
-    ctx = desk_context(family, rank, budget)
-    system, group = ctx.system, ctx.group
+def verify_tables(ctx: DeskContext) -> Report:
+    system = ctx.system
+    family, rank = system.cartan_type.family, system.rank
     report = Report(suite="tables", family=family, rank=rank)
 
     sizes = {kind: len(signtypes.rank2_admissible_table(kind))
@@ -872,7 +869,7 @@ def verify_tables(family: str, rank: int, budget: int | None = None) -> Report:
             report.add("row_catalog_blocks_complete", False)
 
     if (family, rank) == ("A", 2):
-        worked, table = _A2_WORKED, ctx.table
+        worked, table, group = _A2_WORKED, ctx.table, ctx.group
         region = table.by_sign.get(worked["region_signs"])
         sep_ok = region is not None and \
             regionlib.separation_set(table, region) == worked["separation"]
@@ -902,7 +899,7 @@ def verify_tables(family: str, rank: int, budget: int | None = None) -> Report:
                    detail={"unique_element_with_coefficients": list(target)})
 
     if (family, rank) == ("B", 2):
-        worked, table = _B2_WORKED, ctx.table
+        worked, table, group = _B2_WORKED, ctx.table, ctx.group
         small = ctx.small
         printed_r1, printed_r2 = (
             small.signs_from_mask(small.mask_from_roots(worked[key]))
@@ -1026,15 +1023,16 @@ SUITES = {
 }
 
 
-# The settings besides the budget that a suite reads, by name.
+# The settings that a suite reads besides its context, by name.
 _SETTINGS = {"recurrences": ("bound",), "automaton": ("bound", "seed")}
 
 
 def run_suite(suite: str, family: str, rank: int, bound: int | None = None,
-              budget: int | None = None, seed: int | None = None) -> Report:
-    """Run one suite by name, passing it only the settings it reads."""
+              budget: int = DEFAULT_BUDGET, seed: int | None = None) -> Report:
+    """Run one suite by name on a new context of the type and budget,
+    passing it only the settings it reads."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {tuple(SUITES)}")
     given = {"bound": bound, "seed": seed}
-    return SUITES[suite](family, rank, budget=budget,
+    return SUITES[suite](desk_context(family, rank, budget),
                          **{name: given[name] for name in _SETTINGS.get(suite, ())})

@@ -1,5 +1,5 @@
 """Shared fixtures: one lazily built exact context per desk-scale type,
-and one default-argument report per suite and type."""
+and one default-argument report per suite and type, read from it."""
 from __future__ import annotations
 
 from functools import cache
@@ -10,35 +10,42 @@ from shilow import verify
 
 
 @cache
+def context(family: str, rank: int) -> verify.DeskContext:
+    """The default-budget context of one type, made once per process and
+    shared by the fixtures and ``suite_report``; tests that patch a
+    context make their own."""
+    return verify.desk_context(family, rank)
+
+
+@cache
 def suite_report(suite: str, family: str, rank: int):
-    """``verify.run_suite`` with default arguments, run once per process.
-    Tests that inject faults call ``verify.run_suite`` themselves."""
-    return verify.run_suite(suite, family, rank)
+    """One suite with default settings on the shared context, run once per
+    process.  Tests that inject faults run their suites themselves."""
+    return verify.SUITES[suite](context(family, rank))
 
 
 @pytest.fixture(scope="session", params=verify.DESK_TYPES,
                 ids=lambda param: f"{param[0]}{param[1]}")
 def desk(request):
     """Full exact context (group, scan, low set, regions, automaton)."""
-    family, rank = request.param
-    return verify.desk_context(family, rank)
+    return context(*request.param)
 
 
 @pytest.fixture(scope="session")
 def a2():
-    return verify.desk_context("A", 2)
+    return context("A", 2)
 
 
 @pytest.fixture(scope="session")
 def b2():
-    return verify.desk_context("B", 2)
+    return context("B", 2)
 
 
 @pytest.fixture(scope="session")
 def g2():
-    return verify.desk_context("G", 2)
+    return context("G", 2)
 
 
 @pytest.fixture(scope="session")
 def a3():
-    return verify.desk_context("A", 3)
+    return context("A", 3)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import time
 
-from conftest import suite_report
+from conftest import context, suite_report
 
-from shilow import root_system, verify
+from shilow import root_system
 
 _EXPECTED_REGIONS = {("A", 2): 16, ("B", 2): 25, ("G", 2): 49, ("A", 3): 125}
 _EXPECTED_CATALAN = {("A", 2): 5, ("B", 2): 6, ("G", 2): 8, ("A", 3): 14}
@@ -79,7 +79,7 @@ def test_c04_descent_walls_match_descent_roots():
     for family, rank in _EXPECTED_REGIONS:
         check = _suite_checks("descent-walls", family, rank).get("descent_wall_equality")
         ok = ok and check is not None and check.passed
-        checked += len(verify.desk_context(family, rank).table)
+        checked += len(context(family, rank).table)
     _conclude(4, "descent-wall-theorem", ok, f"{checked} regions")
 
 
@@ -152,7 +152,7 @@ def test_c08_automaton_counts_and_verdicts():
         checks = _suite_checks("automaton", family, rank)
         ok = ok and report.passed and report.bound == required_bounds[rank]
         ok = ok and "reduced_word_verdicts_match_length_oracle" in checks
-        ok = ok and len(verify.desk_context(family, rank).machine.states) == expected
+        ok = ok and len(context(family, rank).machine.states) == expected
         pieces.append(f"{family}{rank}:{expected} states, words<=len {report.bound}")
     _conclude(8, "automaton-agreement", ok, "; ".join(pieces))
 

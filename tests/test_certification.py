@@ -111,7 +111,7 @@ def test_the_member_index_rejects_a_ball_of_another_size():
 
 @pytest.mark.parametrize("module, name, fault, message", [
     (signtypes, "is_admissible", lambda system, zeta: False, "is not admissible"),
-    (signtypes, "separation_mask", lambda system, small, zeta: 0, "separation mask"),
+    (lowness.SmallRoots, "sigma_mask", lambda small, w: 0, "separation mask"),
     (regions, "right_descent_within_sign_type", lambda group, w: 0,
      "right descent inside the sign type"),
 ])
@@ -121,6 +121,22 @@ def test_each_region_table_cross_check_raises(monkeypatch, module, name, fault, 
     monkeypatch.setattr(module, name, fault)
     with pytest.raises(CertificationError, match=message):
         enumerate_regions(group, scan=scan)
+
+
+def test_the_region_table_tests_each_sign_type_once(monkeypatch):
+    """Building the A3 table tests each of its 125 scanned sign types for
+    admissibility once; the separation mask is read through the codec."""
+    group = _group("A", 3)
+    scan = certified_scan(group)
+    calls = []
+    admissible = signtypes.is_admissible
+
+    def counted(system, zeta):
+        calls.append(zeta)
+        return admissible(system, zeta)
+    monkeypatch.setattr(signtypes, "is_admissible", counted)
+    enumerate_regions(group, scan=scan)
+    assert len(calls) == 125
 
 
 def test_check_each_fails_a_check_on_a_certification_error():

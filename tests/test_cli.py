@@ -245,21 +245,28 @@ def test_root_data_error_is_a_failure_without_traceback(capsys, monkeypatch):
 
 @pytest.mark.parametrize("suite", ["main-theorem", "tables"])
 def test_a_verify_command_builds_its_root_system_once(capsys, monkeypatch, suite):
-    """The CLI validates the type on the context the suite reads, and the
-    rank-2 restriction index reads that same system: one B3 build per
-    command, with the process-wide caches emptied first."""
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    """The suite's context builds the type, and the rank-2 restriction
+    index reads that same system: one B3 build per command, with the
+    restriction index emptied first.  The group is built only by a suite
+    that reads it; on B3 the tables suite does not."""
     monkeypatch.setattr(signtypes, "_RESTRICTIONS", {}, raising=False)
-    builds = []
+    builds, group_builds = [], []
     init = rootdata.RootSystem.__init__
+    group_init = AffineWeylGroup.__init__
 
     def counted(self, cartan_type):
         builds.append(cartan_type.name)
         init(self, cartan_type)
+
+    def counted_group(self, system):
+        group_builds.append(system.cartan_type.name)
+        group_init(self, system)
     monkeypatch.setattr(rootdata.RootSystem, "__init__", counted)
+    monkeypatch.setattr(AffineWeylGroup, "__init__", counted_group)
     code, _, _ = run_cli(capsys, "verify", suite, "--type", "B", "--rank", "3")
     assert code == 0
     assert builds.count("B3") == 1
+    assert group_builds.count("B3") == {"main-theorem": 1, "tables": 0}[suite]
 
 
 _FREEZE = """

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 
 import pytest
@@ -29,7 +30,23 @@ def test_a_suite_takes_no_setting_it_does_not_read(suite, setting):
     """A suite rejects a setting it would ignore; ``run_suite`` keeps its
     one signature and passes each suite only its own."""
     with pytest.raises(TypeError):
-        verify.SUITES[suite]("A", 2, **{setting: 7})
+        verify.SUITES[suite](verify.desk_context("A", 2), **{setting: 7})
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_a_suite_takes_its_context_as_its_only_positional_argument(suite):
+    """The type and the budget come from the context, so no suite takes
+    a family, a rank or a budget of its own."""
+    first, *rest = inspect.signature(verify.SUITES[suite]).parameters.values()
+    assert first.name == "ctx"
+    assert all(p.default is None for p in rest)
+    assert not {"family", "rank", "budget"} & {p.name for p in rest}
+
+
+def test_each_context_is_new():
+    """``desk_context`` keeps no context between calls; a caller shares
+    one by passing it."""
+    assert verify.desk_context("A", 2) is not verify.desk_context("A", 2)
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
@@ -60,10 +77,7 @@ def test_tables_suite_covers_rank4_pair():
     assert [1, 6, 8] in detail["violating_positions"]
 
 
-def test_budget_applies_after_a_default_context_is_cached(a2):
-    """The context cache is keyed by budget, so a small budget still fails
-    after the default-budget context of the same type was built."""
-    assert len(a2.table) == 16
+def test_a_small_budget_fails_the_descent_walls_scan():
     with pytest.raises(BudgetExceededError):
         run_suite("descent-walls", "A", 2, budget=10)
 
@@ -92,8 +106,10 @@ def test_a_report_records_only_the_settings_its_suite_reads(a2, suite, bound, se
 
 
 def test_tables_suite_builds_no_scan_off_the_catalog_types():
-    run_suite("tables", "B", 3)
-    assert "scan" not in vars(verify.desk_context("B", 3))
+    """Off A2 and B2 the tables suite reads neither the group nor a scan."""
+    ctx = verify.desk_context("B", 3)
+    assert verify.verify_tables(ctx).passed
+    assert not {"group", "scan"} & set(vars(ctx))
 
 
 def test_each_ideal_check_names_its_own_failing_ideal(a2, monkeypatch):
@@ -122,18 +138,19 @@ def test_each_ideal_check_names_its_own_failing_ideal(a2, monkeypatch):
     assert checks["ideal_cone_oracle"].counterexample is None
 
 
-def test_automaton_suite_catches_a_redirected_transition(a2, monkeypatch):
+def test_automaton_suite_catches_a_redirected_transition():
     """Sending s0 from the start state to where s1 goes makes the machine
-    accept the non-reduced word s0 s0, which the word walk reports."""
-    machine = a2.machine
-    rows = [list(row) for row in machine.transitions]
+    accept the non-reduced word s0 s0, which the word walk reports; the
+    start state's transition check names the letter."""
+    ctx = verify.desk_context("A", 2)
+    rows = [list(row) for row in ctx.machine.transitions]
     rows[0][0] = rows[0][1]
-    broken = dataclasses.replace(machine, transitions=tuple(map(tuple, rows)))
-    monkeypatch.setitem(vars(a2), "machine", broken)
-    check = {c.name: c for c in run_suite("automaton", "A", 2).checks}[
-        "reduced_word_verdicts_match_length_oracle"]
+    ctx.machine = dataclasses.replace(ctx.machine, transitions=tuple(map(tuple, rows)))
+    checks = {c.name: c for c in verify.verify_automaton(ctx).checks}
+    check = checks["reduced_word_verdicts_match_length_oracle"]
     assert not check.passed
     assert check.counterexample == {"prefix": word_text((0,)), "letter": 0}
+    assert checks["empty_state_transitions"].counterexample == {"letter": 0}
 
 
 def _corrupt_first_offset(monkeypatch, group: AffineWeylGroup, letter: int) -> None:
@@ -155,9 +172,9 @@ def test_recurrence_check_catches_a_corrupted_left_table(monkeypatch):
     """One wrong offset in the left table of s0 gives shells whose vectors
     disagree with the matrix action; the recurrence check computes t*w
     through the matrix action and so reports it."""
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
-    _corrupt_first_offset(monkeypatch, verify.desk_context("A", 2).group, 0)
-    check = {c.name: c for c in run_suite("recurrences", "A", 2).checks}[
+    ctx = verify.desk_context("A", 2)
+    _corrupt_first_offset(monkeypatch, ctx.group, 0)
+    check = {c.name: c for c in verify.verify_recurrences(ctx).checks}[
         "coefficient_recurrence_simple"]
     assert not check.passed
     assert check.counterexample is not None
@@ -167,9 +184,9 @@ def test_recurrence_suite_survives_a_corrupted_finite_table(monkeypatch):
     """One wrong offset in the left table of s1 breaks the finite walk;
     the suite still reports, and the finite-subgroup check names the
     kernel fault as its counterexample."""
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
-    _corrupt_first_offset(monkeypatch, verify.desk_context("A", 2).group, 1)
-    check = {c.name: c for c in run_suite("recurrences", "A", 2).checks}[
+    ctx = verify.desk_context("A", 2)
+    _corrupt_first_offset(monkeypatch, ctx.group, 1)
+    check = {c.name: c for c in verify.verify_recurrences(ctx).checks}[
         "finite_subgroup_coefficients"]
     assert not check.passed
     assert "finite walk" in check.counterexample["kernel_error"]
@@ -179,7 +196,6 @@ def test_lowness_oracle_fails_on_a_swapped_codec(monkeypatch):
     """A codec that reads the coefficient signs the wrong way round gives
     small inversions outside N(w); the cone oracle raises ``KernelError``
     (also under ``-O``), and the agreement check reports it."""
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
     mask_from_shi = SmallRoots.mask_from_shi
     monkeypatch.setattr(SmallRoots, "mask_from_shi",
                         lambda self, shi: mask_from_shi(self, tuple(-k for k in shi)))
@@ -189,10 +205,22 @@ def test_lowness_oracle_fails_on_a_swapped_codec(monkeypatch):
     assert "not all inversions" in check.counterexample["kernel_error"]
 
 
+def test_descent_roots_separate_fails_on_a_swapped_codec(monkeypatch):
+    """The sign type's descent roots, read through a codec that reads the
+    signs the wrong way round, are not inversions of the region minimum,
+    which ``inversion_set`` reads off the Shi vector."""
+    mask_from_shi = SmallRoots.mask_from_shi
+    monkeypatch.setattr(SmallRoots, "mask_from_shi",
+                        lambda self, shi: mask_from_shi(self, tuple(-k for k in shi)))
+    check = {c.name: c for c in run_suite("descent-walls", "A", 2).checks}[
+        "descent_roots_separate"]
+    assert not check.passed
+    assert check.counterexample == {"sign_type": "-00"}
+
+
 def test_cone_oracle_fails_on_a_tampered_certificate(monkeypatch):
     """A Farkas vector turned the wrong way round fails its integer check,
     and the ideal cone oracle reports the ``CertificateError``."""
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
     check_farkas = ratlp._check_farkas
     monkeypatch.setattr(ratlp, "_check_farkas", lambda columns, target, y:
                         check_farkas(columns, target, [-v for v in y]))
@@ -216,17 +244,17 @@ def test_automaton_suite_walks_the_ball_once(monkeypatch):
             yield from shells(group, *args, **kwargs)
         return walk()
     monkeypatch.setattr(AffineWeylGroup, "shells", counted)
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
-    verify.desk_context("A", 2).low
+    ctx = verify.desk_context("A", 2)
+    ctx.low
     walks.clear()
-    assert run_suite("automaton", "A", 2).passed
+    assert verify.verify_automaton(ctx).passed
     assert len(walks) == 1
 
 
 def test_descent_walls_suite_reads_the_recorded_walls(monkeypatch):
     """The regions carry their descent walls, so only the two checks that
     compare them with the sign-type route call ``descent_mask``: at most
-    two calls per region, on a context built inside the run."""
+    two calls per region, on a fresh context."""
     calls = []
     route = signtypes.descent_mask
 
@@ -234,9 +262,9 @@ def test_descent_walls_suite_reads_the_recorded_walls(monkeypatch):
         calls.append(args)
         return route(*args)
     monkeypatch.setattr(signtypes, "descent_mask", counted)
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
-    assert run_suite("descent-walls", "A", 3).passed
-    assert len(calls) <= 2 * len(verify.desk_context("A", 3).table)
+    ctx = verify.desk_context("A", 3)
+    assert verify.verify_descent_walls(ctx).passed
+    assert len(calls) <= 2 * len(ctx.table)
 
 
 @pytest.mark.parametrize("suite", ["main-theorem", "descent-walls"])
@@ -250,14 +278,13 @@ def test_a_passing_suite_reads_no_reduced_word(monkeypatch, suite):
         calls.append(w.shi)
         return word(self, w)
     monkeypatch.setattr(AffineWeylGroup, "word_from_element", counted)
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
     assert run_suite(suite, "A", 3).passed
     assert calls == []
 
 
 def test_a_failed_scan_is_raised_again_without_a_rerun(monkeypatch):
-    """A context keeps its scan's error: a second suite that needs the
-    scan raises the same error without running the scan again."""
+    """A context keeps its scan's error: a second suite given the same
+    context raises the same error without running the scan again."""
     calls = []
     scan = verify.certified_scan
 
@@ -265,11 +292,11 @@ def test_a_failed_scan_is_raised_again_without_a_rerun(monkeypatch):
         calls.append(args)
         return scan(*args, **kwargs)
     monkeypatch.setattr(verify, "certified_scan", counted)
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    ctx = verify.desk_context("A", 3, budget=100)
     with pytest.raises(BudgetExceededError) as first:
-        run_suite("main-theorem", "A", 3, budget=100)
+        verify.verify_main_theorem(ctx)
     with pytest.raises(BudgetExceededError) as second:
-        run_suite("descent-walls", "A", 3, budget=100)
+        verify.verify_descent_walls(ctx)
     assert second.value is first.value
     assert len(calls) == 1
 
@@ -285,7 +312,6 @@ def test_main_theorem_tests_descents_once_per_region(monkeypatch):
         return route(*args)
     for module in (lowness, regions, verify):
         monkeypatch.setattr(module, "right_descent_within_sign_type", counted)
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
     assert run_suite("main-theorem", "A", 3).passed
     assert len(calls) == 125
 
@@ -293,7 +319,6 @@ def test_main_theorem_tests_descents_once_per_region(monkeypatch):
 def test_facet_test_disagreement_names_both_routes(monkeypatch):
     """When the facet test and the matrix action disagree on the right
     descent roots, the counterexample lists each route under its name."""
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
     monkeypatch.setattr(AffineWeylGroup, "right_descent_roots_by_action",
                         lambda self, w: frozenset())
     check = {c.name: c for c in run_suite("recurrences", "A", 2).checks}[
@@ -321,22 +346,22 @@ def test_member_checks_say_what_ball_they_read():
 def test_member_checks_fail_on_a_broken_member_walk(monkeypatch):
     """A member walk that disagrees with the scan fails the four checks
     that read it, each with the certification error, and no other."""
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
-    verify.desk_context("A", 2).table
+    ctx = verify.desk_context("A", 2)
+    ctx.table
     shells = AffineWeylGroup.shells
     monkeypatch.setattr(AffineWeylGroup, "shells", lambda group, *args, **kwargs:
                         ([shi for shi in shell if sum(map(abs, shi)) != 3]
                          for shell in shells(group, *args, **kwargs)))
-    report = run_suite("descent-walls", "A", 2)
+    report = verify.verify_descent_walls(ctx)
     assert {c.name for c in report.failures()} == set(MEMBER_CHECKS)
     for check in report.failures():
         assert "the scan 31" in check.counterexample["certification_error"]
 
 
-def test_main_theorem_builds_no_member_index(monkeypatch):
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
-    assert run_suite("main-theorem", "A", 3).passed
-    assert "members" not in vars(verify.desk_context("A", 3).table)
+def test_main_theorem_builds_no_member_index():
+    ctx = verify.desk_context("A", 3)
+    assert verify.verify_main_theorem(ctx).passed
+    assert "members" not in vars(ctx.table)
 
 
 def test_b3_main_theorem_cone_tests_need_71_lps(monkeypatch):
@@ -351,7 +376,6 @@ def test_b3_main_theorem_cone_tests_need_71_lps(monkeypatch):
         calls.append(args)
         return real(*args)
     monkeypatch.setattr(ratlp, "in_cone", counted)
-    monkeypatch.setattr(verify, "_CONTEXTS", {})
     assert run_suite("main-theorem", "B", 3).passed
     assert len(calls) == 71
 
