@@ -33,7 +33,7 @@ from .rootdata import (CartanType, PosetIdeal, Rank2Subsystem, RootDataError,
 from .signtypes import (admissible_sign_types, condition_star, descent_mask,
                         is_admissible, parse_sign_string,
                         rank2_admissible_table, rank2_tables_json,
-                        separation_mask, sign_string)
+                        sign_string)
 from .verify import DESK_TYPES, SUITES, run_suite
 
 __version__ = "1.0.0"
@@ -84,7 +84,6 @@ __all__ = [
     "rank2_tables_json",
     "root_system",
     "run_suite",
-    "separation_mask",
     "separation_set",
     "sign_of_shi",
     "sign_string",

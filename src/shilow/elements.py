@@ -207,7 +207,8 @@ class GroupElement:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GroupElement) and self.shi == other.shi
-                and self.group.system.cartan_type == other.group.system.cartan_type)
+                and (self.group is other.group
+                     or self.group.system.cartan_type == other.group.system.cartan_type))
 
     def __hash__(self) -> int:
         return hash(self.shi)

@@ -128,27 +128,29 @@ def affine_root_vector(beta: AffineRoot) -> tuple[int, ...]:
 
 
 def positive_roots_window(group: AffineWeylGroup, max_delta: int) -> list[AffineRoot]:
-    """All positive affine roots with delta coefficient at most ``max_delta``."""
+    """All positive affine roots with delta coefficient at most
+    ``max_delta``, in increasing order of h * delta + height, a functional
+    positive on every positive affine root.  The sort is stable, so the
+    roots of delta at most d, filtered out of a wider window, come in the
+    order of the window at d."""
     out = []
     for root in group.system.positive_roots:
         neg = tuple(-c for c in root)
         out.extend(AffineRoot(root, k) for k in range(max_delta + 1))
         out.extend(AffineRoot(neg, k) for k in range(1, max_delta + 1))
-    return out
-
-
-def cone_window_members(group: AffineWeylGroup, generators,
-                        max_delta: int) -> frozenset[AffineRoot]:
-    """Positive affine roots within the delta window that the cone generates.
-
-    The window is tested in increasing order of h * delta + height, a
-    functional positive on every positive affine root, so that
-    ``cone_members`` meets beta - g before beta for each generator g."""
     h = group.system.coxeter_number
-    window = sorted(positive_roots_window(group, max_delta),
-                    key=lambda beta: h * beta.delta + sum(beta.finite))
+    return sorted(out, key=lambda beta: h * beta.delta + sum(beta.finite))
+
+
+def cone_window_members(generators, window: list[AffineRoot],
+                        pool: list[list[int]] | None = None) -> frozenset[AffineRoot]:
+    """The roots of ``window`` that the cone of ``generators`` contains.
+
+    ``window`` lists positive affine roots in the order of
+    ``positive_roots_window``, so that ``cone_members`` meets beta - g
+    before beta for each generator g; ``pool`` is passed through to it."""
     inside = cone_members([affine_root_vector(g) for g in generators],
-                          [affine_root_vector(beta) for beta in window])
+                          [affine_root_vector(beta) for beta in window], pool)
     return frozenset(beta for beta, member in zip(window, inside) if member)
 
 
@@ -184,8 +186,8 @@ def is_low_by_cone(group: AffineWeylGroup, small: SmallRoots, w: GroupElement) -
     if not sigma <= inversions:
         raise KernelError(f"coefficients {w.shi}: the small roots read off the "
                           f"signs are not all inversions")
-    window = max((beta.delta for beta in inversions), default=0) + 1
-    return cone_window_members(group, sigma, window) == inversions
+    reach = max((beta.delta for beta in inversions), default=0) + 1
+    return cone_window_members(sigma, positive_roots_window(group, reach)) == inversions
 
 
 @dataclass

@@ -21,15 +21,20 @@ A certificate that fails its check raises ``CertificateError``.
 ``cone_members`` tests many targets against one generator set and keeps
 the certificates it finds, so that most targets need no LP:
 
-* a Farkas vector found for one target often separates later ones too,
-  so each is kept and tried, one dot product per target, first;
+* a Farkas vector found for one target often separates later ones too.
+  Each is checked against the generators once, when it is stored, and
+  is then tried first: one dot product with the target settles it.  A
+  caller's ``pool`` carries the stored vectors across calls; on entry,
+  the pool vectors that pair nonnegatively with every generator of the
+  call are its first separators, checked there once each;
 * a target t with t - g zero or an already certified member, for some
   generator g, is a member with that member's numerators plus one at g,
   over denominator 1 (the inversion sets of Shi's dominant region minima
   are such sums, k * delta less k roots of the ideal).
 
-An answer either gives passes the same check as an LP's answer; only a
-target neither settles goes to ``in_cone``.
+An answer either gives passes the same check as an LP's answer, the
+generator half of a Farkas check being run when its vector is stored;
+only a target neither settles goes to ``in_cone``.
 """
 
 from __future__ import annotations
@@ -66,6 +71,12 @@ def _check_farkas(columns: Sequence[Sequence[int]], target: Sequence[int],
     if _dot(y, target) >= 0:
         raise CertificateError(f"Farkas vector {list(y)} does not pair negatively "
                                f"with the target {list(target)}")
+    _check_separator(columns, y)
+
+
+def _check_separator(columns: Sequence[Sequence[int]], y: Sequence[int]) -> None:
+    """Raise unless ``y`` pairs nonnegatively with every column: the
+    generator half of the Farkas check."""
     for col in columns:
         if _dot(y, col) < 0:
             raise CertificateError(f"Farkas vector {list(y)} pairs negatively "
@@ -178,32 +189,43 @@ def _step(columns: Sequence[Sequence[int]], target: Sequence[int],
 
 
 def cone_members(generators: Iterable[Sequence[int]],
-                 targets: Iterable[Sequence[int]]) -> list[bool]:
+                 targets: Iterable[Sequence[int]],
+                 pool: list[list[int]] | None = None) -> list[bool]:
     """``in_cone(generators, t)`` for each target ``t``, in order.
 
     Certificates found for earlier targets settle later ones without an
-    LP.  The Farkas vectors found so far are tried first: one that pairs
-    negatively with the target settles it once it passes
-    ``_check_farkas``.  Then a decomposition: when t - g is zero or a
-    member settled this way, for a generator g, t is a member with that
-    member's numerators plus one at g, over denominator 1, once it passes
-    ``_check_member``.  Otherwise ``in_cone`` solves an LP.  Targets
-    listed in increasing order of a functional positive on every
-    generator meet each t - g before t."""
+    LP.  Separators are tried first: the vectors of ``pool`` (a list of
+    integer vectors of the targets' dimension, owned by the caller) that
+    pair nonnegatively with every generator, then each Farkas vector
+    ``in_cone`` returns, which passes ``_check_separator`` when it is
+    stored and is appended to ``pool`` too.  One that pairs negatively
+    with the target settles it: with the generator half checked on
+    storing, that product completes the Farkas check.  Then a
+    decomposition: when t - g is zero or a member settled this way, for a
+    generator g, t is a member with that member's numerators plus one at
+    g, over denominator 1, once it passes ``_check_member``.  Otherwise
+    ``in_cone`` solves an LP.  Targets listed in increasing order of a
+    functional positive on every generator meet each t - g before t."""
     columns = list(generators)
-    separators: list[list[int]] = []
+    if pool is None:
+        pool = []
+    separators = [y for y in pool if all(_dot(y, col) >= 0 for col in columns)]
     members: dict[tuple[int, ...], list[int]] = {}
     out = []
     for target in targets:
         for y in separators:
             if _dot(y, target) < 0:
-                _check_farkas(columns, target, y)
                 out.append(False)
                 break
         else:
             numerators = _step(columns, target, members)
             if numerators is None:
-                out.append(in_cone(columns, target, separators))
+                found: list[list[int]] = []
+                out.append(in_cone(columns, target, found))
+                for y in found:
+                    _check_separator(columns, y)
+                separators += found
+                pool += found
                 continue
             _check_member(columns, target, numerators, 1)
             members[tuple(target)] = numerators

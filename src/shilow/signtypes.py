@@ -1,4 +1,4 @@
-"""Sign types of Shi regions: admissibility, separation sets, descent-roots.
+"""Sign types of Shi regions: admissibility and descent-roots.
 
 A sign type assigns -/0/+ to every positive root; the admissible ones are
 exactly the componentwise sign patterns of alcove coefficient vectors and
@@ -130,24 +130,16 @@ def admissible_sign_types(system: RootSystem,
                     budget, "sign-type enumeration examined more partial "
                             "sign types than the budget")
             trits[p] = value
-            if all(restrict(trits) in table for restrict, table in closing[p]):
+            for restrict, table in closing[p]:
+                if restrict(trits) not in table:
+                    break
+            else:
                 if p + 1 < n:
                     extend(p + 1)
                 else:
                     found.append(tuple(trits))
     extend(0)
     return found
-
-
-def separation_mask(system: RootSystem, small: SmallRoots,
-                    trits: tuple[int, ...]) -> int:
-    """Small roots separating the region from the fundamental alcove.
-
-    A '-' at a root contributes the root itself, a '+' contributes delta
-    minus the root.
-    """
-    _require_admissible(system, trits)
-    return small.mask_from_shi(trits)
 
 
 def descent_mask(system: RootSystem, small: SmallRoots,

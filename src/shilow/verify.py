@@ -57,8 +57,8 @@ from .elements import (AffineRoot, AffineWeylGroup, GroupElement, KernelError,
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
                       ScanResult, SmallRoots, certified_scan,
                       cone_window_members, enumerate_low, is_low,
-                      is_low_by_cone, right_descent_within_sign_type,
-                      sign_of_shi)
+                      is_low_by_cone, positive_roots_window,
+                      right_descent_within_sign_type, sign_of_shi)
 from .ratlp import CertificateError
 from .report import Report
 from .rootdata import RootSystem, root_system
@@ -233,9 +233,11 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
     _check_each(report, "dominant_iff_no_finite_left_descent", ctx.low,
                 dominance, where=at)
 
+    low_shi = {w.shi for w in ctx.low}
+    apply = group.apply
     _check_each(report, "low_set_suffix_closed", ctx.low,
                 lambda w: None if all(
-                    group.left_multiply(g, w) in low_set
+                    apply[g](w.shi) in low_shi
                     for g in group.left_descents(w)) else {},
                 where=at)
 
@@ -259,10 +261,18 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
                lambda ideal, w, inv: regionlib.ideal_closed_form_inversions(group, ideal)
                == inv)
     # The generators lie in the window, so equality also puts them in N(w).
-    each_ideal("ideal_cone_oracle",
-               lambda ideal, w, inv: cone_window_members(
-                   group, level_one(ideal.ideal), max((b.delta for b in inv), default=0) + 1)
-               == inv)
+    # One window, sorted once at the deepest reach, is filtered by delta
+    # for each ideal, and the ideals share one pool of Farkas vectors.
+    def reach(inv):
+        return max((b.delta for b in inv), default=0) + 1
+    window = positive_roots_window(group, max((reach(t[2]) for t in triples), default=1))
+    pool: list[list[int]] = []
+
+    def cone_oracle(ideal, w, inv):
+        top = reach(inv)
+        return cone_window_members(level_one(ideal.ideal),
+                                   [b for b in window if b.delta <= top], pool) == inv
+    each_ideal("ideal_cone_oracle", cone_oracle)
     each_ideal("ideal_descents_are_antichain",
                lambda ideal, w, inv: group.right_descent_roots(w)
                == level_one(ideal.antichain))

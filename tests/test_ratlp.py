@@ -4,8 +4,9 @@ Members are built as explicit nonnegative combinations and non-members
 from a chosen separating vector, so every case has a known answer.  A
 tampered certificate must raise ``CertificateError``, also under
 ``python -O``.  ``cone_members`` must give the per-target answers of
-``in_cone`` while reusing the Farkas vectors it finds and settling sums
-of known members without an LP.
+``in_cone`` while reusing the Farkas vectors it finds, within a call and
+across calls through a pool, and settling sums of known members without
+an LP.
 """
 from __future__ import annotations
 
@@ -130,6 +131,36 @@ def test_cone_members_equal_in_cone_per_target(case):
     assert cone_members(columns, targets) == [in_cone(columns, t) for t in targets]
 
 
+@lp_settings
+@given(st.one_of(cone_windows(), ordered_windows()).flatmap(
+    lambda case: st.tuples(st.just(case), _vectors(len(case[1][0]) if case[1] else 1))))
+def test_cone_members_with_any_pool_equal_in_cone_per_target(case_pool):
+    """A pool vector that pairs negatively with a generator is never
+    used, and the pool grows only by vectors that pass every generator."""
+    (columns, targets), pool = case_pool
+    before = [list(y) for y in pool]
+    assert cone_members(columns, targets, pool) == [in_cone(columns, t) for t in targets]
+    assert pool[:len(before)] == before
+    assert all(_dot(y, col) >= 0 for y in pool[len(before):] for col in columns)
+
+
+def test_a_pool_carries_farkas_vectors_across_calls(monkeypatch):
+    """A vector stored by one call settles a target of the next, and a
+    pool vector that pairs negatively with a generator is skipped."""
+    solved = []
+    real = ratlp.in_cone
+
+    def counting(generators, target, separators=None):
+        solved.append(target)
+        return real(generators, target, separators)
+    monkeypatch.setattr(ratlp, "in_cone", counting)
+    pool = [[-1, 1]]
+    assert cone_members([[1, 0], [0, 1]], [[1, 0], [-1, 0]], pool) == [True, False]
+    assert len(pool) == 2 and solved == [[-1, 0]]
+    assert cone_members([[1, 0], [0, 1], [1, -1]], [[-2, 1], [-1, 0]], pool) == [False] * 2
+    assert solved == [[-1, 0]]
+
+
 def test_a_stored_farkas_vector_saves_the_next_lp(monkeypatch):
     solved = []
     real = ratlp.in_cone
@@ -144,9 +175,9 @@ def test_a_stored_farkas_vector_saves_the_next_lp(monkeypatch):
 
 
 def test_a_tampered_stored_farkas_vector_raises(monkeypatch):
-    """A stored vector that pairs negatively with a generator is caught by
-    the Farkas check when it is reused, not trusted for having passed
-    once."""
+    """A stored vector that pairs negatively with a generator is caught
+    when it is stored, by the generator half of the Farkas check, not
+    trusted for having passed inside ``in_cone``."""
     real = ratlp.in_cone
 
     def tampering(generators, target, separators=None):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from shilow import (BudgetExceededError, admissible_sign_types, condition_star,
                     descent_mask, is_admissible, parse_sign_string,
                     rank2_admissible_table, rank2_tables_json, root_system,
-                    separation_mask, sign_string)
+                    sign_string)
 from shilow.signtypes import restrict_to_subsystem, violating_subsystem
 
 
@@ -159,14 +159,14 @@ def test_admissible_budget_guard():
 def test_identity_region_has_empty_masks(desk):
     system, small = desk.system, desk.small
     zero = (0,) * system.nroots
-    assert separation_mask(system, small, zero) == 0
+    assert small.mask_from_shi(zero) == 0
     assert descent_mask(system, small, zero) == 0
 
 
 def test_separation_mask_encodes_signs(desk):
-    system, small = desk.system, desk.small
+    small = desk.small
     for region in desk.table.regions:
-        mask = separation_mask(system, small, region.sign_type)
+        mask = small.mask_from_shi(region.sign_type)
         for i, t in enumerate(region.sign_type):
             assert bool(mask >> i & 1) == (t < 0)
             assert bool(mask >> (small.count + i) & 1) == (t > 0)
@@ -175,7 +175,7 @@ def test_separation_mask_encodes_signs(desk):
 def test_descent_mask_subset_of_separation(desk):
     system, small = desk.system, desk.small
     for region in desk.table.regions:
-        sep = separation_mask(system, small, region.sign_type)
+        sep = small.mask_from_shi(region.sign_type)
         des = descent_mask(system, small, region.sign_type)
         assert des & ~sep == 0
 

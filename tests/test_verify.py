@@ -6,7 +6,7 @@ import inspect
 import json
 
 import pytest
-from conftest import suite_report
+from conftest import context, suite_report
 
 from shilow import (AffineWeylGroup, BudgetExceededError, Report, SmallRoots,
                     lowness, ratlp, regions, run_suite, signtypes, verify)
@@ -364,11 +364,14 @@ def test_main_theorem_builds_no_member_index():
     assert "members" not in vars(ctx.table)
 
 
-def test_b3_main_theorem_cone_tests_need_71_lps(monkeypatch):
+@pytest.mark.parametrize("family, rank, lps", [("B", 3, 16), ("A", 4, 20)],
+                         ids=["B3", "A4"])
+def test_main_theorem_cone_tests_share_one_pool(monkeypatch, family, rank, lps):
     """The dominant-ideal cone oracle settles most window roots by a
     stored Farkas vector or by a decomposition into a known member plus a
-    generator; 71 of them still need an LP, against 239 with Farkas
-    vectors alone."""
+    generator, and its ideals share one pool of Farkas vectors: on B3, 16
+    roots still need an LP, against 71 with a pool per ideal and 239 with
+    Farkas vectors alone."""
     calls = []
     real = ratlp.in_cone
 
@@ -376,8 +379,8 @@ def test_b3_main_theorem_cone_tests_need_71_lps(monkeypatch):
         calls.append(args)
         return real(*args)
     monkeypatch.setattr(ratlp, "in_cone", counted)
-    assert run_suite("main-theorem", "B", 3).passed
-    assert len(calls) == 71
+    assert verify.verify_main_theorem(context(family, rank)).passed
+    assert len(calls) == lps
 
 
 def test_check_over_no_items_fails():
