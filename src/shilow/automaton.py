@@ -215,42 +215,46 @@ def export_dot(automaton: Automaton) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DOT_EDGE = re.compile(
-    r'"([-0+]+)"[ \t]*->[ \t]*"([-0+]+)"[ \t]*\[label="s(\d+)"\]')
-# A node is a line of its own.  The pattern starts at the newline before
-# it, not at ``^``: a literal first character lets the search skip ahead.
-_DOT_NODE = re.compile(r'\n[ \t]*"([-0+]+)"(?:[ \t]*\[[^]\n]*\])?;')
+# One line of the export: a node ``"label" [attributes];`` (groups 2 and
+# 3 empty) or an edge ``"source" -> "target" [label="s<g>"]``.  The
+# pattern starts at the newline before the line, not at ``^``: a literal
+# first character lets the search skip ahead.
+_DOT_LINE = re.compile(r'\n[ \t]*"([-0+]+)"(?:[ \t]*->[ \t]*"([-0+]+)"[ \t]*'
+                       r'\[label="s(\d+)"\]|(?:[ \t]*\[[^]\n]*\])?;)')
 
 
 def parse_dot(text: str) -> tuple[list[str], dict[tuple[str, int], str]]:
     """Recover node labels and the labelled edge map from export_dot output;
     raises ``ValueError`` on a second edge with the same source and letter.
 
-    Edges are read one match at a time and every label is kept as one
-    string object, shared by its node and all its edges, so the result
-    holds one copy of each label rather than one per edge end."""
+    Nodes and edges are read in one pass over the lines, one match at a
+    time, and every label is kept as one string object, shared by its node
+    and all its edges, so the result holds one copy of each label rather
+    than one per edge end."""
     names: dict[str, str] = {}
+    labels: list[str] = []
     edges: dict[tuple[str, int], str] = {}
-    for edge in _DOT_EDGE.finditer(text):
-        source, target, letter = edge.groups()
-        key = (names.setdefault(source, source), int(letter))
+    for line in _DOT_LINE.finditer("\n" + text):
+        source, target, letter = line.groups()
+        source = names.setdefault(source, source)
+        if not target:
+            labels.append(source)
+            continue
+        key = (source, int(letter))
         if key in edges:
             raise ValueError(f"duplicate edge from {source!r} on s{letter}")
         edges[key] = names.setdefault(target, target)
-    labels = [names.setdefault(label, label)
-              for label in _DOT_NODE.findall("\n" + text)]
     return labels, edges
 
 
 def transition_table_json(automaton: Automaton) -> dict:
     system = automaton.group.system
     labels = automaton.labels
+    transitions = automaton.transitions
     letters = [f"s{g}" for g in range(automaton.letter_count)]
-    table = {}
-    for i in automaton.order:
-        table[labels[i]] = {letter: labels[target] for letter, target
-                            in zip(letters, automaton.transitions[i])
-                            if target is not None}
+    table = {labels[i]: {letter: labels[target] for letter, target
+                         in zip(letters, transitions[i]) if target is not None}
+             for i in automaton.order}
     return {
         "type": system.cartan_type.family,
         "rank": system.cartan_type.rank,

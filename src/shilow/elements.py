@@ -15,8 +15,12 @@ permutation plus an offset: a *left table*, one triple
 group holds one table per generator and, for the reflection in any
 affine root, builds one from the data of its finite root, whose offset
 is linear in the delta level.  The tables come from root data alone and
-are checked against the matrix action when the group is built; a
-mismatch raises ``KernelError``.
+are checked against the matrix action before they are read; a mismatch
+raises ``KernelError``.  The n+1 generator tables are checked when the
+group is built.  The reflection tables, at delta levels 0 and 1, are
+checked on the first read of any reflection datum (``reflection_table``,
+``reflect_left`` or ``reflected_lengths``), so a group that only walks
+or multiplies checks its generator tables and nothing more.
 
 The matrix action ``x -> U x + t`` (``U`` the finite part on simple-root
 coordinates, ``t`` a coroot-lattice translation scaled by a fixed common
@@ -31,10 +35,10 @@ group: ``apply[g]`` writes g's table out as one tuple expression,
 ``extend[g]`` adds the walk's descent tests as comparisons,
 ``reflected_lengths[i]`` sums the length of a reflected vector for
 ``lowness.is_low``, and ``sign_type`` writes out the sign tuple that the
-scans key regions by.  The source is generated from tables that
-``__init__`` checked against the matrix action, and holds only
-integers, each checked once more before it is compiled; ``_left_apply``
-stays the interpreted reference.
+scans key regions by.  The source is generated from tables already
+checked against the matrix action, and holds only integers, each checked
+once more before it is compiled; ``_left_apply`` stays the interpreted
+reference.
 
 ``AffineWeylGroup.shells`` is the one walk of the group through the left
 tables.  It carries bare Shi vectors and builds each once, from its
@@ -53,15 +57,16 @@ exactly when the vector with coordinate i moved one step towards zero
 keeps every inequality that involves i: the two alcoves are then
 separated by that hyperplane alone.  These facets are the walls of the
 right descents g, and w * s_g differs from w only in coordinate i.
-``facet_data`` lists, per positive root, the inequalities that involve it.
+``facet_data`` lists, per positive root, the inequalities that involve
+it; like the reflection data, it is built on first use.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
-from .rootdata import RootSystem, barycenter_denominator, invert_fraction_matrix
+from .rootdata import RootSystem, integer_inverse
 
 
 class KernelError(RuntimeError):
@@ -72,14 +77,12 @@ class KernelError(RuntimeError):
 
 def _mat_mul(a: tuple[tuple[int, ...], ...],
              b: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(a)
-    return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-                 for r in range(n))
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
 def _mat_vec(m: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(m)
-    return tuple(sum(m[r][c] * v[c] for c in range(n)) for r in range(n))
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
@@ -97,6 +100,14 @@ def _compose(a: tuple, b: tuple) -> tuple:
 def _left_apply(table: tuple, shi: tuple[int, ...]) -> tuple[int, ...]:
     """The coefficient vector of t*w, from t's left table and w's vector."""
     return tuple([s * shi[j] + o for j, s, o in table])
+
+
+def _shifted(data: tuple, shift: int) -> tuple:
+    """The left table of the reflection with reflection data ``data``
+    (see ``AffineWeylGroup._reflection_data``) at ``shift`` delta levels:
+    offsets o - shift * m."""
+    pairs, base, slope = data
+    return tuple((j, s, o - shift * m) for (j, s), o, m in zip(pairs, base, slope))
 
 
 def _check_entry(what: str, size: int, j, s, *values) -> None:
@@ -246,35 +257,23 @@ class AffineWeylGroup:
     def __init__(self, system: RootSystem):
         self.system = system
         n = system.rank
-        self.scale = barycenter_denominator(system)
-        self.barycenter_int = tuple(int(c * self.scale) for c in system.barycenter)
-        if any(Fraction(b, self.scale) != c
-               for b, c in zip(self.barycenter_int, system.barycenter)):
-            raise KernelError(f"the barycenter {system.barycenter} is not integral "
-                              f"at the denominator {self.scale}")
+        self.scale = system.scale
+        self.barycenter_int = system.barycenter_int
         self.covectors = tuple(system.gram_image(r) for r in system.positive_roots)
         self.identity = GroupElement(self, (0,) * system.nroots)
         self.identity._action = (_identity_matrix(n), (0,) * n)
         self.letters = tuple(range(n + 1))
         self.negative_roots = tuple(tuple(-c for c in r) for r in system.positive_roots)
-        # (pairs, base, slope) per positive root: see ``_reflection_data``.
-        self.reflection_data = tuple(self._reflection_data(r)
-                                     for r in system.positive_roots)
-        # (splits, joins) per positive root: see ``_facet_data``.
-        self.facet_data = tuple(self._facet_data(r) for r in system.positive_roots)
 
         simple = [self.simple_affine_root(g) for g in self.letters]
         self.generators = tuple(self.reflection_of_affine_root(b) for b in simple)
-        self.left_tables = tuple(self.reflection_table(b) for b in simple)
+        # s0 reflects in (-theta, 1), the table of theta at shift -1; s_i in
+        # (alpha_i, 0), the table of alpha_i at shift 0.
+        self.left_tables = ((_shifted(self._reflection_data(system.highest_root), -1),)
+                            + tuple(_shifted(self._reflection_data(root), 0)
+                                    for root in system.positive_roots[:n]))
         for gen, table in zip(self.generators, self.left_tables):
             self.check_left_table(gen, table)
-        # An offset is linear in the delta level, in the tables and in the
-        # matrix action alike, so agreement at levels 0 and 1 covers all.
-        for root in system.positive_roots:
-            for level in (0, 1):
-                beta = AffineRoot(root, level)
-                self.check_left_table(self.reflection_of_affine_root(beta),
-                                      self.reflection_table(beta))
         # (letter, position, sign, left table, earlier) per letter, in letter
         # order: g is a left descent of w exactly when sign * w.shi[position]
         # <= -1, and entry (j, s, o) of earlier reads the coordinate of
@@ -304,7 +303,7 @@ class AffineWeylGroup:
         vector read off the matrix action (the oracle constructor)."""
         point = tuple(p + t for p, t in zip(_mat_vec(mat, self.barycenter_int), trans))
         w = GroupElement(self, tuple(
-            sum(p * c for p, c in zip(point, cov)) // self.scale  # exact floor
+            sum(map(mul, point, cov)) // self.scale  # exact floor
             for cov in self.covectors))
         w._action = (mat, trans)
         return w
@@ -333,10 +332,10 @@ class AffineWeylGroup:
 
     def inverse(self, a: GroupElement) -> GroupElement:
         """The inverse through the matrix action (the oracle)."""
-        frac = invert_fraction_matrix([[Fraction(x) for x in row] for row in a.mat])
-        if any(x.denominator != 1 for row in frac for x in row):
+        adj, det = integer_inverse(a.mat)
+        if any(x % det for row in adj for x in row):
             raise KernelError(f"the finite part of {a.shi} has a non-integral inverse")
-        inv_mat = tuple(tuple(int(x) for x in row) for row in frac)
+        inv_mat = tuple(tuple(x // det for x in row) for row in adj)
         inv_trans = tuple(-x for x in _mat_vec(inv_mat, a.trans))
         return self.from_matrix(inv_mat, inv_trans)
 
@@ -347,6 +346,34 @@ class AffineWeylGroup:
         return AffineRoot(self.system.positive_roots[letter - 1], 0)
 
     # ------------------------------------------------------- the left kernel
+
+    @cached_property
+    def reflection_data(self) -> tuple:
+        """(pairs, base, slope) per positive root, see ``_reflection_data``;
+        built on first use and not yet checked (``_checked_reflection_data``
+        is)."""
+        return tuple(self._reflection_data(r) for r in self.system.positive_roots)
+
+    @cached_property
+    def _checked_reflection_data(self) -> tuple:
+        """``reflection_data``, once the table of every positive root at
+        delta levels 0 and 1 agrees with the matrix action; an offset is
+        linear in the delta level, in the tables and in the matrix action
+        alike, so agreement at two levels covers all.  Every reader of
+        reflection data reads it through here, so the 2N checks run once,
+        on the first read."""
+        data = self.reflection_data
+        for root, entry in zip(self.system.positive_roots, data):
+            for level in (0, 1):
+                self.check_left_table(self.reflection_of_affine_root(AffineRoot(root, level)),
+                                      _shifted(entry, level))
+        return data
+
+    @cached_property
+    def facet_data(self) -> tuple:
+        """(splits, joins) per positive root, see ``_facet_data``; built on
+        first use (by ``is_facet``)."""
+        return tuple(self._facet_data(r) for r in self.system.positive_roots)
 
     def _reflection_data(self, root: tuple[int, ...]) -> tuple:
         """Root data of the reflections with finite root ``root``.
@@ -360,10 +387,11 @@ class AffineWeylGroup:
         -m <coroot(root), alpha> to each offset.
         """
         system = self.system
-        norm = system.norm(root)
+        covector = system.gram_image(root)
+        norm = sum(map(mul, covector, root))
         pairs, base, slope = [], [], []
         for alpha in system.positive_roots:
-            pairing = 2 * system.inner(root, alpha) // norm  # <coroot(root), alpha>
+            pairing = 2 * sum(map(mul, covector, alpha)) // norm  # <coroot(root), alpha>
             image = tuple(a - pairing * r for a, r in zip(alpha, root))
             j = system.root_index.get(image)
             if j is None:
@@ -402,29 +430,29 @@ class AffineWeylGroup:
             if index is None:
                 raise ValueError(f"finite part {beta.finite} is not a root")
             shift = -beta.delta
-        pairs, base, slope = self.reflection_data[index]
-        return tuple((j, s, o - shift * m)
-                     for (j, s), o, m in zip(pairs, base, slope))
+        return _shifted(self._checked_reflection_data[index], shift)
 
     def check_left_table(self, t: GroupElement, table) -> None:
         """Raise ``KernelError`` unless ``table`` is the left table of ``t``
         under the matrix action: entry i must name the root s * alpha_j
         that t's finite part sends to alpha_i, and the offset k(t, alpha_i)
-        read from the matrix action."""
-        roots = self.system.positive_roots
+        read from the matrix action.  The message names t by its
+        coefficients, not its word: the tables that spell a word may be
+        the ones under test."""
+        roots, negatives = self.system.positive_roots, self.negative_roots
+        mat, shi = t.mat, t.shi
+        what = f"left table of the element with coefficients {shi}"
         if len(table) != len(roots):
-            raise KernelError(f"left table of {t!r} has {len(table)} entries, "
+            raise KernelError(f"{what} has {len(table)} entries, "
                               f"not one per positive root ({len(roots)})")
         for i, (j, s, o) in enumerate(table):
             if s not in (1, -1) or not 0 <= j < len(roots):
-                raise KernelError(f"left table of {t!r}, root {i}: image "
-                                  f"{s} * root {j} is not a root")
-            if _mat_vec(t.mat, tuple(s * c for c in roots[j])) != roots[i]:
-                raise KernelError(f"left table of {t!r}, root {i}: image "
-                                  f"{s} * root {j} disagrees with the matrix action")
-            if o != t.shi[i]:
-                raise KernelError(f"left table of {t!r}, root {i}: offset {o}, "
-                                  f"matrix action {t.shi[i]}")
+                raise KernelError(f"{what}, root {i}: image {s} * root {j} is not a root")
+            if _mat_vec(mat, roots[j] if s == 1 else negatives[j]) != roots[i]:
+                raise KernelError(f"{what}, root {i}: image {s} * root {j} "
+                                  "disagrees with the matrix action")
+            if o != shi[i]:
+                raise KernelError(f"{what}, root {i}: offset {o}, matrix action {shi[i]}")
 
     # The closures below are compiled on first use, not in ``__init__``: a
     # group that never walks or multiplies compiles nothing.  Their source
@@ -470,7 +498,7 @@ class AffineWeylGroup:
         ``reflection_data[i]``, one sum per positive root."""
         size = self.system.nroots
         sources = []
-        for i, (pairs, base, slope) in enumerate(self.reflection_data):
+        for i, (pairs, base, slope) in enumerate(self._checked_reflection_data):
             terms = []
             for (j, s), o, m in zip(pairs, base, slope):
                 _check_entry(f"reflection data of root {i}", size, j, s, o, m)

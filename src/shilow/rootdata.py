@@ -1,9 +1,14 @@
-"""Finite irreducible crystallographic root systems over exact arithmetic.
+"""Finite irreducible crystallographic root systems in integers.
 
 Roots are integer coordinate vectors in the simple-root basis.  The bilinear
 form is the symmetrized Cartan matrix, normalized so that short roots have
 squared length 2; with that normalization all coroots have integer
-coordinates and every pairing needed downstream stays rational.
+coordinates.  The one rational datum, the barycenter of the fundamental
+alcove, is held as integers over one denominator: ``barycenter_int`` over
+``scale``, which also absorbs the symmetrizer, so that coroots and
+translation pairings stay integral after scaling.  The symmetrizer, the
+Catalan number, the coweights behind the barycenter and its interior
+check are computed in integers too, each division exact or checked.
 
 Each fact the construction relies on (a connected, symmetrizable diagram,
 integral reflections, the root counts and the Catalan number, an interior
@@ -15,8 +20,8 @@ under ``python -O``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 _FAMILIES = "ABCDEFG"
 
@@ -107,24 +112,32 @@ def _cartan_matrix(family: str, n: int) -> list[list[int]]:
 
 
 def _symmetrizer(cartan: list[list[int]]) -> list[int]:
-    """Positive integers d with d[i]*a[i][j] symmetric, normalized to min 1."""
+    """Positive integers d with d[i]*a[i][j] symmetric, normalized to min 1.
+
+    Walks the diagram from d[0] = 1 with d[j] = d[i] * a[i][j] / a[j][i],
+    each d[j] a reduced pair (numerator, denominator), then clears the
+    denominators and divides by the least entry."""
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    d: list[tuple[int, int] | None] = [None] * n
+    d[0] = (1, 1)
     stack = [0]
     while stack:
         i = stack.pop()
+        num, den = d[i]
         for j in range(n):
             if i != j and cartan[i][j] and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                num_j, den_j = num * cartan[i][j], den * cartan[j][i]
+                common = gcd(num_j, den_j)
+                d[j] = (num_j // common, den_j // common)
                 stack.append(j)
     if any(x is None for x in d):
         raise RootDataError("Cartan diagram not connected")
-    low = min(d)
-    scaled = [x / low for x in d]
-    if any(x.denominator != 1 for x in scaled):
-        raise RootDataError(f"symmetrizer {[str(x) for x in scaled]} is not integral")
-    return [int(x) for x in scaled]
+    common = lcm(*(den for _, den in d))
+    cleared = [num * (common // den) for num, den in d]
+    low = min(cleared)
+    if any(x % low for x in cleared):
+        raise RootDataError(f"symmetrizer {cleared} over {low} is not integral")
+    return [x // low for x in cleared]
 
 
 def _root_closure(cartan: list[list[int]]) -> set[tuple[int, ...]]:
@@ -145,23 +158,29 @@ def _root_closure(cartan: list[list[int]]) -> set[tuple[int, ...]]:
     return roots
 
 
-def invert_fraction_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
+def integer_inverse(rows) -> tuple[list[list[int]], int]:
+    """(adj, det) with rows * adj = det * I and det > 0, for a nonsingular
+    integer matrix: the inverse is adj / det.  Fraction-free Gauss-Jordan
+    elimination, every division exact; raises ``ValueError`` on singular
+    input."""
     n = len(rows)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(rows)]
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    previous = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
+        top = work[col]
+        p = top[col]
         for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+            if r != col:
+                f = work[r][col]
+                work[r] = [(p * x - f * y) // previous for x, y in zip(work[r], top)]
+        previous = p
+    # The left half is now previous * I, and previous = +-det.
+    sign = 1 if previous > 0 else -1
+    return [[sign * x for x in row[n:]] for row in work], sign * previous
 
 
 def _pivot(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int, int] | None:
@@ -189,13 +208,14 @@ def _cramer_numerators(u: tuple[int, ...], v: tuple[int, ...], target: tuple[int
 
 
 def solve_two_unknowns(u: tuple[int, ...], v: tuple[int, ...],
-                       target: tuple[int, ...]) -> tuple[Fraction, Fraction] | None:
-    """Solve x*u + y*v = target exactly; None if inconsistent or degenerate."""
+                       target: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """Integers (xn, yn, det), det != 0, with xn*u + yn*v = det*target: the
+    solution x = xn / det, y = yn / det; None if inconsistent or degenerate."""
     pivot = _pivot(u, v)
     numerators = None if pivot is None else _cramer_numerators(u, v, target, pivot)
     if numerators is None:
         return None
-    return Fraction(numerators[0], pivot[2]), Fraction(numerators[1], pivot[2])
+    return numerators[0], numerators[1], pivot[2]
 
 
 @dataclass(frozen=True)
@@ -229,7 +249,8 @@ _KIND_BY_SIZE = {3: "A2", 4: "B2", 6: "G2"}
 
 
 class RootSystem:
-    """A finite irreducible crystallographic root system, fully materialized.
+    """A finite irreducible crystallographic root system, in integers; the
+    order of its root poset is built on first use.
 
     Positive roots are listed in a fixed deterministic order: by height,
     ties broken so that earlier simple coordinates dominate (alpha_1 before
@@ -267,37 +288,50 @@ class RootSystem:
         self.weyl_order = 1
         for deg in degrees:
             self.weyl_order *= deg
-        cat = Fraction(1)
+        catalan, divisor = 1, 1
         for e in self.exponents:
-            cat *= Fraction(self.coxeter_number + e + 1, e + 1)
-        if cat.denominator != 1:
-            raise RootDataError(f"Catalan number {cat} of {cartan_type.name} is not an integer")
-        self.catalan_number = int(cat)
+            catalan *= self.coxeter_number + e + 1
+            divisor *= e + 1
+        if catalan % divisor:
+            raise RootDataError(f"Catalan number {catalan}/{divisor} of "
+                                f"{cartan_type.name} is not an integer")
+        self.catalan_number = catalan // divisor
         self.region_count = (self.coxeter_number + 1) ** n
         if self.nroots * 2 != n * self.coxeter_number:
             raise RootDataError(f"{self.nroots} positive roots, not n*h/2 = "
                                 f"{n}*{self.coxeter_number}/2")
 
-        gram_rows = [[Fraction(x) for x in row] for row in self.gram]
-        inverse = invert_fraction_matrix(gram_rows)
-        # Fundamental coweights: dual basis to the simples under the form.
-        self.coweights = tuple(tuple(inverse[r][i] for r in range(n)) for i in range(n))
+        # The fundamental coweights, dual to the simples under the form, are
+        # the columns of adj / det.  The alcove's vertices are 0 and coweight
+        # i over the highest root's coefficient c_i, so its barycenter has
+        # coordinate j = sum_i adj[j][i] * (m / c_i) / (det * m * (n + 1))
+        # for m = lcm(c).  ``scale`` is the least common multiple of those
+        # coordinates' reduced denominators and the symmetrizer.
+        adj, det = integer_inverse(self.gram)
         high = self.highest_root
-        self.alcove_vertices = (tuple(Fraction(0) for _ in range(n)),) + tuple(
-            tuple(c / high[i] for c in self.coweights[i]) for i in range(n))
-        self.barycenter = tuple(
-            sum(v[j] for v in self.alcove_vertices) / (n + 1) for j in range(n))
-        for idx in range(self.nroots):
-            value = self.inner_fraction(self.barycenter, self.positive_roots[idx])
-            if not 0 < value < 1:
+        common = lcm(*high)
+        denominator = det * common * (n + 1)
+        numerators = [sum(adj[j][i] * (common // high[i]) for i in range(n))
+                      for j in range(n)]
+        self.scale = lcm(*(denominator // gcd(x, denominator) for x in numerators),
+                         *self.symmetrizer)
+        self.barycenter_int = tuple(x * self.scale // denominator for x in numerators)
+        point = self.gram_image(self.barycenter_int)
+        for root in positives:
+            if not 0 < sum(p * c for p, c in zip(point, root)) < self.scale:
                 raise RootDataError("alcove representative point must be interior")
 
-        self._leq = tuple(
-            tuple(all(b >= a for a, b in zip(positives[i], positives[j]))
-                  for j in range(self.nroots))
-            for i in range(self.nroots))
         self._rank2: tuple[Rank2Subsystem, ...] | None = None
         self._ideals: tuple[PosetIdeal, ...] | None = None
+
+    @cached_property
+    def _leq(self) -> tuple[tuple[bool, ...], ...]:
+        """``_leq[i][j]``: positive root i is below j, coordinatewise;
+        built on first use by the poset and ideal code."""
+        positives = self.positive_roots
+        return tuple(tuple(all(b >= a for a, b in zip(positives[i], positives[j]))
+                           for j in range(self.nroots))
+                     for i in range(self.nroots))
 
     # ---------------------------------------------------------------- basics
 
@@ -307,11 +341,6 @@ class RootSystem:
     def inner(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
         n = self.rank
         return sum(x[i] * self.gram[i][j] * y[j] for i in range(n) for j in range(n))
-
-    def inner_fraction(self, x, y) -> Fraction:
-        n = self.rank
-        return sum((x[i] * self.gram[i][j] * y[j] for i in range(n) for j in range(n)),
-                   Fraction(0))
 
     def norm(self, root: tuple[int, ...]) -> int:
         return self.inner(root, root)
@@ -336,7 +365,7 @@ class RootSystem:
         """Matrix of the reflection in ``root`` acting on root coordinates."""
         n = self.rank
         row = self.gram_image(root)
-        nrm = self.norm(root)
+        nrm = sum(x * y for x, y in zip(row, root))
         mat = []
         for r in range(n):
             out = []
@@ -475,11 +504,12 @@ class RootSystem:
         coords: list[tuple[int, int]] = []
         for m in members:
             solution = solve_two_unknowns(s1, s2, roots[m])
-            if solution is None or any(c.denominator != 1 or c < 0 for c in solution):
+            if solution is None or any(c % solution[2] or c // solution[2] < 0
+                                       for c in solution[:2]):
                 raise RootDataError(f"root {roots[m]} is not a nonnegative integer "
                                     f"combination of the subsystem simples {s1}, {s2}")
-            x, y = solution
-            coords.append((int(x), int(y)))
+            x, y, det = solution
+            coords.append((x // det, y // det))
         order = sorted(range(len(members)),
                        key=lambda t: (sum(coords[t]), tuple(-c for c in coords[t])))
         return Rank2Subsystem(
@@ -523,12 +553,3 @@ def root_system(family: str, rank: int) -> RootSystem:
     """Convenience constructor from a family letter and rank."""
     return RootSystem(CartanType(family, rank))
 
-
-def barycenter_denominator(system: RootSystem) -> int:
-    """Least common multiple clearing the alcove representative point.
-
-    The scale also absorbs the symmetrizer so that coroot coordinates and
-    translation pairings stay integral after scaling.
-    """
-    denominators = [c.denominator for c in system.barycenter]
-    return lcm(*denominators, *system.symmetrizer)

@@ -303,3 +303,20 @@ def test_no_module_reads_the_environment(module):
              or isinstance(node, ast.ImportFrom) and node.module == "os"
              and any(alias.name in _ENVIRONMENT for alias in node.names)]
     assert not lines, f"{path.name}: environment reads at lines {lines}"
+
+
+_RATIONALS = {"fractions", "decimal"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_fractions_or_decimal(module):
+    """Root data and the matrix action are integers over one denominator,
+    so no module imports ``fractions`` or ``decimal``, whose import alone
+    adds milliseconds to every process."""
+    path = SRC / "shilow" / f"{module}.py"
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] in _RATIONALS for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and node.level == 0
+             and node.module.split(".")[0] in _RATIONALS]
+    assert not lines, f"{path.name}: imports of fractions or decimal at lines {lines}"

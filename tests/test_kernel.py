@@ -12,6 +12,7 @@ refused before it is compiled.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from functools import cache
@@ -21,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shilow import AffineWeylGroup, elements, root_system, sign_of_shi
+from shilow import (AffineRoot, AffineWeylGroup, certified_scan, elements, is_low,
+                    root_system, sign_of_shi)
 from shilow.elements import _left_apply
 
 TYPES = ("A2", "B2", "G2", "A3", "B3")
@@ -127,6 +129,98 @@ def test_a_bad_table_raises_under_python_o(letter, entry, replacement, message):
     assert message in proc.stdout
 
 
+@pytest.mark.parametrize("name", TYPES)
+def test_inverse_is_the_reversed_word(name):
+    """The fraction-free inverse of the matrix action equals the element
+    of the reversed word, on seeded random words."""
+    group = _group(name)
+    rng = random.Random(22)
+    for _ in range(60):
+        word = [rng.randrange(len(group.letters)) for _ in range(rng.randrange(15))]
+        w = group.element_from_word(word)
+        assert group.inverse(w) == group.element_from_word(word[::-1]), word
+
+
+def _counted_checks(monkeypatch) -> list:
+    """Record each ``check_left_table`` call."""
+    calls = []
+    check = AffineWeylGroup.check_left_table
+    monkeypatch.setattr(AffineWeylGroup, "check_left_table",
+                        lambda group, t, table: calls.append(t) or check(group, t, table))
+    return calls
+
+
+@pytest.mark.parametrize("name", ("A2", "B2", "G2"))
+def test_reflection_tables_are_checked_on_first_use(monkeypatch, name):
+    """Building and scanning a group checks its n+1 generator tables only;
+    the first read of reflection data checks the 2N reflection tables at
+    levels 0 and 1, and later reads check nothing."""
+    calls = _counted_checks(monkeypatch)
+    group = AffineWeylGroup(root_system(name[0], int(name[1:])))
+    certified_scan(group)
+    assert len(calls) == 3
+    group.reflected_lengths
+    assert len(calls) == 3 + 2 * group.system.nroots
+    for word in ((0, 1, 2, 1, 0), (0,) + (1, 2) * 4):
+        w = group.element_from_word(word)
+        is_low(group, w.shi)
+        group.basis_of_inversion_set(w)
+    group.reflection_table(AffineRoot(group.system.positive_roots[0], -1))
+    assert len(calls) == 3 + 2 * group.system.nroots
+
+
+_BAD_DATUM = """
+from shilow import AffineRoot, AffineWeylGroup, KernelError, is_low, root_system
+
+reflection_data = AffineWeylGroup._reflection_data
+
+
+def corrupted(data):
+    pairs, base, slope = data
+    return pairs, base, (slope[0] + 1,) + slope[1:]
+
+
+def corrupt_highest(group, root):
+    data = reflection_data(group, root)
+    return corrupted(data) if root == group.system.highest_root else data
+
+
+try:
+    {use}
+except KernelError as exc:
+    print("KernelError:", exc)
+"""
+
+_CORRUPT_ROOT_2 = """group = AffineWeylGroup(root_system("B", 2))
+    data = list(group.reflection_data)
+    data[2] = corrupted(data[2])
+    group.reflection_data = tuple(data)
+    """
+
+
+@pytest.mark.parametrize("use", [
+    # s0's table is built from the highest root's reflection data.
+    'AffineWeylGroup._reflection_data = corrupt_highest\n'
+    '    AffineWeylGroup(root_system("B", 2))',
+    _CORRUPT_ROOT_2 + "is_low(group, group.identity.shi)",
+    _CORRUPT_ROOT_2 + "group.reflect_left(AffineRoot((1, 0), 0), group.identity)",
+], ids=["generator-at-construction", "reflection-at-is_low", "reflection-at-reflect_left"])
+def test_a_corrupted_reflection_datum_raises_before_use_under_python_o(use):
+    """One slope off in the reflection data of a generator's root raises
+    ``KernelError`` when the group is built; off in another root's, at the
+    first ``is_low`` or ``reflect_left``, before the datum is read.  The
+    checks are explicit raises, so ``-O`` keeps them."""
+    script = _BAD_DATUM.format(use=use)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC),
+                                                       os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("KernelError: left table of"), proc.stdout
+    assert "offset" in proc.stdout
+
+
 # (type, radius) of the balls the compiled closures are compared on.
 BALLS = (("A2", 8), ("B2", 8), ("G2", 8), ("A3", 7), ("B3", 6), ("C3", 6),
          ("A4", 5), ("D4", 5))
@@ -202,14 +296,17 @@ def test_compiled_closures_equal_the_tables_on_any_vector(case):
 
 def test_constructing_a_group_compiles_nothing(monkeypatch):
     """The closures are compiled on first use: a group that only exists
-    compiles nothing; one walk compiles ``extend`` alone."""
+    compiles nothing and builds no reflection or facet data; one walk
+    compiles ``extend`` alone."""
     compiled = []
     compile_ = elements._compile
     monkeypatch.setattr(elements, "_compile",
                         lambda sources, name: compiled.append(name) or compile_(sources, name))
     group = AffineWeylGroup(root_system("B", 3))
     assert compiled == []
-    assert not {"apply", "extend", "reflected_lengths", "sign_type"} & set(vars(group))
+    assert not {"apply", "extend", "reflected_lengths", "sign_type", "reflection_data",
+                "_checked_reflection_data", "facet_data"} & set(vars(group))
+    assert "_leq" not in vars(group.system)
     next(group.shells())
     next(group.shells())
     assert compiled == ["letter steps"]

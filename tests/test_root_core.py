@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -130,20 +131,82 @@ def test_coxeter_number_and_exponents(system):
 
 
 def test_coweights_dual_to_simples(system):
+    # The coweights are the columns of adj / det: adj's column i pairs to
+    # det with alpha_i and to 0 with the other simples.
+    adj, det = rootdata.integer_inverse(system.gram)
     n = system.rank
     for i in range(n):
+        coweight = tuple(adj[r][i] for r in range(n))
         for j in range(n):
-            pairing = system.inner_fraction(system.coweights[i],
-                                            system.positive_roots[j])
-            assert pairing == (1 if i == j else 0)
+            pairing = system.inner(coweight, system.positive_roots[j])
+            assert pairing == (det if i == j else 0)
 
 
 def test_barycenter_strictly_inside_alcove(system):
-    # every positive-root pairing lies strictly between the walls at 0 and 1
-    bary = system.barycenter
+    # every positive-root pairing lies strictly between the walls at 0 and
+    # 1, which sit at 0 and ``scale`` for the scaled barycenter
+    bary = system.barycenter_int
     for beta in system.positive_roots:
-        value = system.inner_fraction(bary, beta)
-        assert 0 < value < 1
+        value = system.inner(bary, beta)
+        assert 0 < value < system.scale
+
+
+# Every irreducible type up to rank 8.
+_ALL_TYPES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+              + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+              + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def _fraction_inverse(rows):
+    """Exact inverse by Gauss-Jordan elimination over ``Fraction``."""
+    n = len(rows)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [x / work[col][col] for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+@pytest.mark.parametrize("family, rank", _ALL_TYPES,
+                         ids=[f"{family}{rank}" for family, rank in _ALL_TYPES])
+def test_integer_root_data_match_a_fraction_reference(family, rank):
+    """The symmetrizer, the Catalan number, ``scale``, ``barycenter_int``
+    and every interior pairing equal their values computed over
+    ``Fraction``: the symmetrizer by walking the diagram, the barycenter
+    as the mean of the alcove's vertices 0 and coweight_i / theta_i."""
+    system = root_system(family, rank)
+    n, cartan = system.rank, system.cartan
+    d = [None] * n
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if i != j and cartan[i][j] and d[j] is None:
+                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                stack.append(j)
+    assert system.symmetrizer == tuple(x / min(d) for x in d)
+    catalan = math.prod(Fraction(system.coxeter_number + e + 1, e + 1)
+                        for e in system.exponents)
+    assert system.catalan_number == catalan
+    inverse = _fraction_inverse(system.gram)
+    high = system.highest_root
+    barycenter = [sum(inverse[j][i] / high[i] for i in range(n)) / (n + 1)
+                  for j in range(n)]
+    scale = math.lcm(*(c.denominator for c in barycenter), *system.symmetrizer)
+    assert system.scale == scale
+    assert system.barycenter_int == tuple(c * scale for c in barycenter)
+    for beta in system.positive_roots:
+        pairing = sum(barycenter[i] * system.gram[i][j] * beta[j]
+                      for i in range(n) for j in range(n))
+        assert 0 < pairing < 1
+        assert Fraction(system.inner(system.barycenter_int, beta), system.scale) == pairing
 
 
 def test_poset_leq_is_componentwise_cover_chain(system):

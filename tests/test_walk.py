@@ -139,8 +139,11 @@ def test_the_scan_makes_elements_of_the_minima_only(monkeypatch):
 
 def test_the_low_walk_makes_elements_of_the_low_elements_only(monkeypatch):
     """The B3 low walk tests 445 candidates as vectors and makes at most
-    one element per low element."""
+    one element per low element.  The group's reflection tables are
+    checked first: that check, run once on the first read of reflection
+    data, builds its 2N reflections, which are not the walk's."""
     group = _group("B3")
+    group.reflected_lengths
     built = _elements_built(monkeypatch)
     assert len(enumerate_low(group)) == 343
     assert len(built) <= 343
