@@ -21,7 +21,7 @@ from .automaton import (Automaton, build_automaton, count_by_length,
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
                       ScanResult, SmallRoots, certified_scan, enumerate_low,
-                      is_low, is_low_by_cone, sign_of_shi)
+                      is_low, is_low_by_cone, region_walk, sign_of_shi)
 from .ratlp import CertificateError
 from .regions import (RegionTable, ShiRegion, descent_root_set,
                       dominant_pairs, enumerate_regions,
@@ -82,6 +82,7 @@ __all__ = [
     "parse_sign_string",
     "rank2_admissible_table",
     "rank2_tables_json",
+    "region_walk",
     "root_system",
     "run_suite",
     "separation_set",

@@ -13,19 +13,18 @@ independent oracle.  The non-small inversions sit
 only at coefficients ``m`` with ``|m| >= 2``: (-alpha, j) for
 ``2 <= j <= m`` and (alpha, j) for ``1 <= j <= -m-1``.
 
-Both enumerations read the one walk ``AffineWeylGroup.shells()`` on the
-Shi-vector kernel of ``elements``, without matrices; the walk carries
-bare Shi vectors and builds each once, from its canonical parent.
-``certified_scan`` reads the whole ball until every sign type holds a
-certified shortest vector, with one sign tuple (the group's compiled
-``sign_type``) and at most two set probes per visited vector, and makes
-elements of the minima alone; the checks that need other members of a
-sign type read them from ``regions.RegionTable.members``, which walks
-the same ball again.
-``enumerate_low`` reads the walk pruned to low vectors by ``is_low``,
-and makes elements of those alone: every left quotient of a low element
-is low (the low set is a Garside shadow, after Dyer and Hohlweg), so
-each low element extends its canonical parent.
+``region_walk`` and ``certified_scan`` both read the one walk
+``AffineWeylGroup.shells()`` on bare Shi vectors, without matrices, and
+make elements of the minima alone.  ``region_walk``, the production
+walk, is pruned to the candidates of a new sign type and yields the
+region minima and the low set at once: on every candidate, "new sign
+type" must equal ``is_low``, and the low set is closed under left
+quotients (a Garside shadow, after Dyer and Hohlweg), so each low
+element extends its canonical parent and none is missed.
+``enumerate_low`` reads it.  ``certified_scan`` reads the whole ball
+until every sign type holds a certified shortest vector; it is the
+oracle ``main-theorem`` compares the walk with where that ball fits the
+budget, and it gives the rank-2 admissibility tables.
 
 Soundness of the cone test's finite window: every nonzero nonnegative
 combination of positive affine roots pairs strictly positively with the
@@ -40,11 +39,9 @@ increasing order of h * delta + height, which is positive on every
 positive affine root, so each root comes after its differences with the
 generators and a sum of generators is certified without an LP.
 
-The enumerations cross-check themselves, and a failed cross-check raises
+The walks cross-check themselves, and a failed cross-check raises
 ``CertificationError`` (an explicit raise, so ``python -O`` keeps it).
-The scan certifies each sign type's minimum once; ``enumerate_low``
-checks every low element against those minima by lookup.  Whether an
-element has a right descent inside its sign type
+Whether an element has a right descent inside its sign type
 (``right_descent_within_sign_type``) is read off its Shi vector alone, by
 ``AffineWeylGroup.is_facet`` at the coefficients with ``|k| >= 2``.
 """
@@ -69,9 +66,9 @@ class BudgetExceededError(RuntimeError):
 
 class CertificationError(RuntimeError):
     """A certified enumeration failed one of its own cross-checks: a sign
-    type with two shortest elements, a count off (h+1)^n, a low element
-    that is not the scan's certified minimum of its sign type, or a
-    region table whose scan disagrees with the sign-type combinatorics."""
+    type with two shortest elements, a count off (h+1)^n, a candidate
+    whose lowness and sign-type novelty disagree, or a region table whose
+    minima disagree with the sign-type combinatorics."""
 
 
 class SmallRoots:
@@ -192,13 +189,17 @@ def is_low_by_cone(group: AffineWeylGroup, small: SmallRoots, w: GroupElement) -
 
 @dataclass
 class ScanResult:
-    """Output of a certified breadth-first alcove scan.
+    """Output of a certified breadth-first walk: ``region_walk`` or the
+    full-ball ``certified_scan``.
 
-    ``minima`` maps each sign type to its unique shortest element;
-    ``stop_length`` is the last fully processed shell and ``visited`` the
-    number of elements in shells 0..stop_length.  The other members of
-    each sign type are not kept: ``regions.RegionTable.members`` walks
-    the same ball again when a check needs them.
+    ``minima`` maps each sign type to its unique shortest element, and
+    ``stop_length`` is the length of the longest minimum.  ``visited``
+    counts the vectors the walk weighed: for ``certified_scan``, every
+    element of shells 0..stop_length; for ``region_walk``, the identity
+    and every candidate whose lowness and sign-type novelty it compared.
+    The other members of each sign type are not kept:
+    ``regions.RegionTable.members`` walks the ball out to ``stop_length``
+    when a check needs them.
     """
 
     group: AffineWeylGroup
@@ -274,32 +275,59 @@ def certified_scan(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET) -> Scan
                       minima={zeta: GroupElement(group, shi) for zeta, shi in minima.items()})
 
 
-def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET,
-                  certificate_scan: ScanResult | None = None) -> list[GroupElement]:
-    """All low elements: the shells of ``group.shells()`` pruned to low
-    elements, which the suffix-closure of the low set makes complete.
+def region_walk(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET) -> ScanResult:
+    """The region minima, which are the low elements, from one walk of
+    ``group.shells()`` pruned to the candidates whose sign type is new.
 
-    The walk ends at the first length with no low element.  The budget
-    bounds the low elements found: a shell that takes their count past
-    it raises ``BudgetExceededError``.  When a certified scan is
-    supplied, each low element must be the scan's certified minimum of
-    its sign type, else ``CertificationError``; that minimum already lies
-    in the scan's range and has no right descent inside its type.
-    Whether the low set *equals* the set of per-type minima is left to
-    the verification suites.
+    On every candidate "its sign type is new" must equal ``is_low``, and
+    no shell may hold two vectors of one new sign type; the kept count
+    must be (h+1)^n.  Each failure raises ``CertificationError`` (the
+    first two naming the vector).  The budget bounds the kept vectors: a
+    shell that takes their count past it raises ``BudgetExceededError``.
+    That a kept vector is the shortest of its whole region, not only of
+    the walk, is ``regions.enumerate_regions``' check that it has no
+    right descent inside its sign type.
     """
-    low: list[tuple[int, ...]] = []
-    for shell in group.shells(keep=lambda shi: is_low(group, shi)):
-        low.extend(shell)
-        if len(low) > budget:
-            raise BudgetExceededError(
-                budget, "low-element enumeration exceeded its budget")
+    target_count = group.system.region_count
+    sign_type = group.sign_type
+    identity = group.identity.shi
+    minima = {sign_type(identity): identity}
+    fresh: set[tuple[int, ...]] = set()  # the new sign types of the shell being built
+    rejected = 0
 
-    result = sorted((GroupElement(group, shi) for shi in low), key=GroupElement.sort_key)
-    if certificate_scan is not None:
-        for w in result:
-            if certificate_scan.minima.get(sign_of_shi(w.shi)) != w:
-                raise CertificationError(
-                    f"low element {w.shi} is not the certified minimum of its "
-                    f"sign type")
-    return result
+    def keep(shi: tuple[int, ...]) -> bool:
+        nonlocal rejected
+        zeta = sign_type(shi)
+        if zeta in fresh:
+            raise CertificationError(f"sign type {zeta} has two shortest elements in "
+                                     f"one shell: {minima[zeta]} and {shi}")
+        new = zeta not in minima
+        if new != is_low(group, shi):
+            raise CertificationError(
+                f"candidate {shi}: its sign type is {'new' if new else 'already met'}, "
+                f"but it is {'not ' if new else ''}low")
+        if new:
+            minima[zeta] = shi
+            fresh.add(zeta)
+        else:
+            rejected += 1
+        return new
+
+    kept = 0
+    for length, shell in enumerate(group.shells(keep=keep)):
+        kept += len(shell)
+        if kept > budget:
+            raise BudgetExceededError(
+                budget, "the region walk kept more elements than its budget")
+        fresh.clear()
+    if kept != target_count:
+        raise CertificationError(f"the region walk found {kept} sign types, "
+                                 f"not (h+1)^n = {target_count}")
+    return ScanResult(group=group, stop_length=length, visited=kept + rejected,
+                      minima={zeta: GroupElement(group, shi) for zeta, shi in minima.items()})
+
+
+def enumerate_low(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET) -> list[GroupElement]:
+    """All low elements, in ``GroupElement.sort_key`` order: the kept
+    vectors of ``region_walk``, whose budget bounds them."""
+    return sorted(region_walk(group, budget).minima.values(), key=GroupElement.sort_key)

@@ -1,22 +1,30 @@
 """Shi regions: minimal elements, separation sets, descent walls, the dominant case.
 
-A region is determined by its sign type.  The table builder takes a
-certified scan, attaches the shortest element of each region, and
-cross-checks the scan against the sign-type combinatorics: every
-region's sign type must be admissible, its separation set must match the
-minimal element's small inversion set, and right-multiplying the minimal
-element by any descent generator must leave the region, which the facet
-test reads off the minimum's Shi vector without a reduced word
-(``lowness.right_descent_within_sign_type``).  A failed cross-check
-raises ``lowness.CertificationError``.
+A region is determined by its sign type.  The table builder takes the
+minima of a walk (by default ``lowness.region_walk``; the full-ball
+``lowness.certified_scan`` gives the same), attaches the shortest element
+of each region, and cross-checks them against the sign-type
+combinatorics: every region's sign type must be admissible, its
+separation set must match the minimal element's small inversion set, and
+right-multiplying the minimal element by any descent generator must
+leave the region, which the facet test reads off the minimum's Shi
+vector without a reduced word
+(``lowness.right_descent_within_sign_type``).  Shi regions are convex,
+hence gated, so an element of a region with no right descent inside it
+is the region's minimum: this last check is what makes each kept vector
+of the pruned walk its region's minimum.  A failed cross-check raises
+``lowness.CertificationError``.
 
-The other members of each region within the scanned ball are read only
-on demand: ``RegionTable.members`` walks ``group.shells()`` once more,
-up to the scan's stop length, and keeps per sign type the componentwise
-minimum of the coefficient magnitudes and the first ``SAMPLE_SIZE``
-members, the only vectors of the walk it makes elements of.  The walk
-must see exactly the scan's visited count, with the region minimum
-first in each sign type, else ``CertificationError``.
+The other members of each region within the ball out to the walk's stop
+length are read only on demand: ``RegionTable.members`` walks
+``group.shells()`` up to that length and keeps per sign type the
+componentwise minimum of the coefficient magnitudes and the first
+``SAMPLE_SIZE`` members, the only vectors of the walk it makes elements
+of.  The ball's size is known beforehand from Bott's series
+(``RegionTable.ball``): a ball over the table's budget is refused before
+walking, with ``BudgetExceededError``, and the walk must see exactly that
+many elements, with the region minimum first in each sign type, else
+``CertificationError``.
 Building the table, the minima and the exports never walk it: the
 region members' least magnitudes are the minimum's own, which the
 ``descent-walls`` suite checks against this walk.
@@ -41,7 +49,8 @@ from itertools import islice
 
 from . import signtypes
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, word_text
-from .lowness import (CertificationError, ScanResult, SmallRoots, certified_scan,
+from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
+                      ScanResult, SmallRoots, region_walk,
                       right_descent_within_sign_type, sign_of_shi)
 from .rootdata import PosetIdeal, RootSystem
 
@@ -68,7 +77,7 @@ class ShiRegion:
 
 @dataclass(frozen=True)
 class RegionMembers:
-    """The members of one region in the scanned ball: the componentwise
+    """The members of one region in the table's ball: the componentwise
     minimum of their coefficient magnitudes, and the first few of them in
     walk order, the region minimum first."""
 
@@ -80,14 +89,14 @@ class RegionMembers:
 class RegionTable:
     """All regions of one affine type, sorted by minimal length then sign.
 
-    ``stop_length`` and ``visited`` describe the certified scan's ball:
-    its last shell and its element count."""
+    ``stop_length`` is the length of the longest minimum, and ``budget``
+    bounds the ball that ``members`` walks out to it."""
 
     group: AffineWeylGroup
     small: SmallRoots
     regions: tuple[ShiRegion, ...]
     stop_length: int
-    visited: int
+    budget: int = DEFAULT_BUDGET
     by_sign: dict[tuple[int, ...], ShiRegion] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -107,14 +116,28 @@ class RegionTable:
     def dominant_regions(self) -> list[ShiRegion]:
         return [r for r in self.regions if r.is_dominant]
 
+    @property
+    def ball(self) -> int:
+        """The number of elements of length at most ``stop_length``, by
+        Bott's series; ``BudgetExceededError`` when it exceeds the budget,
+        so the member walk is refused before it starts."""
+        ball = sum(self.group.system.affine_length_counts(self.stop_length))
+        if ball > self.budget:
+            raise BudgetExceededError(
+                self.budget, f"the member walk to length {self.stop_length} would visit "
+                             f"{ball} elements, more than the element budget")
+        return ball
+
     @cached_property
     def members(self) -> dict[tuple[int, ...], RegionMembers]:
-        """Each sign type's members in the scan's ball, from one walk of
-        ``group.shells()`` up to ``stop_length``, built on first read.
+        """Each sign type's members in the ball out to ``stop_length``,
+        from one walk of ``group.shells()``, built on first read.
 
-        Raises ``CertificationError`` unless the walk sees ``visited``
-        elements, every one in a region of the table, with each region's
-        minimum as the first member of its sign type."""
+        Refused with ``BudgetExceededError`` when ``ball`` exceeds the
+        budget.  Raises ``CertificationError`` unless the walk sees
+        ``ball`` elements, every one in a region of the table, with each
+        region's minimum as the first member of its sign type."""
+        ball = self.ball
         group = self.group
         sign_type = group.sign_type
         buckets: dict[tuple[int, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
@@ -133,9 +156,9 @@ class RegionTable:
                         low[i] = abs(k)
                 if len(samples) < SAMPLE_SIZE:
                     samples.append(shi)
-        if seen != self.visited:
+        if seen != ball:
             raise CertificationError(f"the member walk to length {self.stop_length} "
-                                     f"saw {seen} elements, the scan {self.visited}")
+                                     f"saw {seen} elements, Bott's series {ball}")
         for zeta, (_, samples) in buckets.items():
             region = self.by_sign.get(zeta)
             if region is None or samples[0] != region.minimal.shi:
@@ -149,11 +172,14 @@ class RegionTable:
                 for zeta, (low, samples) in buckets.items()}
 
 
-def enumerate_regions(group: AffineWeylGroup,
-                      scan: ScanResult | None = None) -> RegionTable:
+def enumerate_regions(group: AffineWeylGroup, scan: ScanResult | None = None,
+                      budget: int = DEFAULT_BUDGET) -> RegionTable:
+    """The region table of ``scan``'s minima (by default those of
+    ``region_walk(group, budget)``), each certified as above; ``budget``
+    also bounds the table's member walk."""
     system = group.system
     if scan is None:
-        scan = certified_scan(group)
+        scan = region_walk(group, budget)
     small = SmallRoots(group)
     found = []
     for zeta, minimal in scan.minima.items():
@@ -176,7 +202,7 @@ def enumerate_regions(group: AffineWeylGroup,
                for zeta, mask, minimal in found]
     regions.sort(key=lambda r: (r.minimal.length, r.sign_string))
     return RegionTable(group=group, small=small, regions=tuple(regions),
-                       stop_length=scan.stop_length, visited=scan.visited)
+                       stop_length=scan.stop_length, budget=budget)
 
 
 def descent_root_set(table: RegionTable, region: ShiRegion) -> frozenset[AffineRoot]:

@@ -9,7 +9,9 @@ Five suites, each returning a structured pass/fail report:
 * ``descent-walls``  -- the descent-wall equality ND_R(min) = descent
   roots of the region, wall-crossing transforms, and the minimality
   characterisation by descent walls, over the region members in the
-  scanned ball (``RegionTable.members``, the suite's one extra walk).
+  ball out to the walk's stop length (``RegionTable.members``, the
+  suite's one extra walk, refused when Bott's series puts that ball over
+  the budget).
 * ``recurrences``    -- exhaustive sweeps of the coefficient recurrences
   (the kernel's vectors against products taken through the matrix
   action), inversion-set transition rules, and the two lowness oracles.
@@ -29,7 +31,11 @@ Five suites, each returning a structured pass/fail report:
 Each suite takes a ``DeskContext`` (``desk_context`` makes a new one per
 call) and reads its type and budget from it; its group, scan, low set,
 region table and automaton are built on first read, and its ball is
-sliced from one walk of ``AffineWeylGroup.shells()``.  Suites given the
+sliced from one walk of ``AffineWeylGroup.shells()``.  The scan is the
+pruned ``lowness.region_walk``, and the low set is its minima: one walk
+gives both.  ``main-theorem`` compares it with the full-ball
+``certified_scan`` wherever Bott's series puts that ball within the
+budget, and says in its detail which oracle ran.  Suites given the
 same context share what they read.  A suite takes only the settings it
 reads besides the context, and its report records them: ``recurrences``
 its sweep bound, ``automaton`` its word bound and seed, the others
@@ -56,9 +62,8 @@ from .elements import (AffineRoot, AffineWeylGroup, GroupElement, KernelError,
                        word_text)
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
                       ScanResult, SmallRoots, certified_scan,
-                      cone_window_members, enumerate_low, is_low,
-                      is_low_by_cone, positive_roots_window,
-                      right_descent_within_sign_type, sign_of_shi)
+                      cone_window_members, is_low, is_low_by_cone,
+                      positive_roots_window, region_walk, sign_of_shi)
 from .ratlp import CertificateError
 from .report import Report
 from .rootdata import RootSystem, root_system
@@ -90,22 +95,23 @@ class DeskContext:
 
     @cached_property
     def scan(self) -> ScanResult:
-        """The certified scan; a failed scan raises its error again on
-        every read instead of running a second time."""
+        """The region walk; a failed walk raises its error again on every
+        read instead of running a second time."""
         if self._scan_error is None:
             try:
-                return certified_scan(self.group, budget=self.budget)
+                return region_walk(self.group, self.budget)
             except (BudgetExceededError, CertificationError) as exc:
                 self._scan_error = exc
         raise self._scan_error
 
     @cached_property
     def low(self) -> list[GroupElement]:
-        return enumerate_low(self.group, budget=self.budget, certificate_scan=self.scan)
+        """The low elements: the walk's minima, in ``sort_key`` order."""
+        return sorted(self.scan.minima.values(), key=GroupElement.sort_key)
 
     @cached_property
     def table(self) -> regionlib.RegionTable:
-        return regionlib.enumerate_regions(self.group, scan=self.scan)
+        return regionlib.enumerate_regions(self.group, scan=self.scan, budget=self.budget)
 
     @cached_property
     def machine(self) -> automata.Automaton:
@@ -207,11 +213,20 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
     report.add("admissible_set_equals_region_signs",
                set(admissible) == set(ctx.table.by_sign))
 
+    # The walk certified low = minima candidate by candidate; where the
+    # full ball out to its stop length fits the budget, the full-ball scan
+    # gives the minima independently.
+    walk = ctx.scan
+    if sum(system.affine_length_counts(walk.stop_length)) <= ctx.budget:
+        oracle, name = certified_scan(group, ctx.budget), "full-ball scan"
+    else:
+        oracle, name = walk, "walk"
     low_set = set(ctx.low)
-    minima_set = set(ctx.scan.minima.values())
+    minima_set = set(oracle.minima.values())
     report.add("low_equals_region_minima", low_set == minima_set,
                detail={"low": len(low_set), "minima": len(minima_set),
-                       "symmetric_difference": len(low_set ^ minima_set)})
+                       "symmetric_difference": len(low_set ^ minima_set),
+                       "oracle": name, "compared": oracle.visited})
 
     masks = {ctx.small.sigma_mask(w) for w in ctx.low}
     report.add("sigma_injective_on_low", len(masks) == len(ctx.low))
@@ -288,8 +303,9 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
     family, rank = system.cartan_type.family, system.rank
     report = Report(suite="descent-walls", family=family, rank=rank)
     # The checks that read other members of the regions than the minima
-    # read them from the table's member index, built on first read.
-    ball = {"members": table.visited, "stop_length": table.stop_length}
+    # read them from the table's member index, built on first read; a
+    # ball over the budget is refused here, before any check runs.
+    ball = {"members": table.ball, "stop_length": table.stop_length}
 
     def wall_theorem(region):
         nd = group.right_descent_roots(region.minimal)
@@ -394,9 +410,15 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
     _check_each(report, "level_one_basis_descents", table,
                 basis_descents, where=_at_region)
 
+    # Right descents from the reduced word and products through the matrix
+    # action: a cross-check of the facet test the table was certified by.
     def eq_star(region):
-        i = right_descent_within_sign_type(group, region.minimal)
-        return None if i is None else {"wall": system.root_name(i)}
+        w = region.minimal
+        for g in sorted(group.right_descents(w)):
+            if sign_of_shi(group.matrix_multiply(w, group.generators[g]).shi) \
+                    == region.sign_type:
+                return {"letter": g}
+        return None
     _check_each(report, "right_descents_change_region", table, eq_star, where=_at_region)
 
     def minstar(region):
@@ -864,15 +886,18 @@ def verify_tables(ctx: DeskContext) -> Report:
                 for p, t in enumerate(signtypes.parse_sign_string(row[1])):
                     trits[layout[p]] = t
                 by_letter.setdefault(row[0], set()).add(tuple(trits))
-            complete = True
-            for s in range(1, rank + 1):
+            def block_complete(s):
                 expect = {trits for trits in table.by_sign if trits[s - 1] == -1
                           and all(signtypes.is_admissible(
                               system, signtypes.reflect_sign_type(system, trits, s - 1, fill))
                               for fill in (0, 1))}
-                if by_letter.get(s, set()) != expect:
-                    complete = False
-            report.add("row_catalog_blocks_complete", complete)
+                got = by_letter.get(s, set())
+                if got == expect:
+                    return None
+                return {"missing": sorted(map(signtypes.sign_string, expect - got)),
+                        "extra": sorted(map(signtypes.sign_string, got - expect))}
+            _check_each(report, "row_catalog_blocks_complete", range(1, rank + 1),
+                        block_complete, where=lambda s: {"letter": s})
         else:
             report.add("row_catalog_rows_validate", False,
                        detail={"note": "no unique layout; rows not validated"})
@@ -929,18 +954,25 @@ def verify_tables(ctx: DeskContext) -> Report:
                                    "fixture left as transcribed"})
 
         true_r1, true_r2 = worked["true_r1"], worked["true_r2"]
-        decode_ok = True
-        for trits, printed in ((true_r1, worked["printed_sigma_r1"]),
-                               (true_r2, worked["printed_sigma_r2"])):
+
+        def at_sign_type(item):
+            return {"sign_type": signtypes.sign_string(item[0])}
+
+        def decodes(item):
+            trits, printed = item
             region = table.by_sign.get(trits)
-            if region is None or _relabel_simple_swap(
-                    system, regionlib.separation_set(table, region)) != printed:
-                decode_ok = False
-        report.add("reference_sigma_simple_swap_decodes", decode_ok,
-                   detail={"note": "both transcribed separation sets equal "
-                                   "computed region separations after swapping "
-                                   "the two simple root names; swap recorded, "
-                                   "fixtures unchanged"})
+            if region is None:
+                return {"issue": "not a region"}
+            swapped = _relabel_simple_swap(system, regionlib.separation_set(table, region))
+            return None if swapped == printed else {"swapped": _root_names(group, swapped)}
+        _check_each(report, "reference_sigma_simple_swap_decodes",
+                    ((true_r1, worked["printed_sigma_r1"]),
+                     (true_r2, worked["printed_sigma_r2"])),
+                    decodes, where=at_sign_type,
+                    detail={"note": "both transcribed separation sets equal "
+                                    "computed region separations after swapping "
+                                    "the two simple root names; swap recorded, "
+                                    "fixtures unchanged"})
 
         r2_region = table.by_sign.get(true_r2)
         dr2_ok = r2_region is not None and \
@@ -972,18 +1004,21 @@ def verify_tables(ctx: DeskContext) -> Report:
                         "the alternate reading; reported, not corrected",
             })
 
-        zero_ok = True
-        for trits, display in ((true_r1, worked["zeroed_r1_display"]),
-                               (true_r2, worked["zeroed_r2_display"])):
+        def zeroed_variant(item):
+            trits, display = item
             zeroed = (0,) + trits[1:]
             if signtypes.is_admissible(system, zeroed):
-                zero_ok = False
+                return {"issue": "zeroed variant admissible"}
             if _display(zeroed, _B2_DISPLAY) != display:
-                zero_ok = False
+                return {"displayed": signtypes.sign_string(_display(zeroed, _B2_DISPLAY))}
             if signtypes.condition_star(system, trits, 0):
-                zero_ok = False
-        report.add("reference_zeroed_variants", zero_ok,
-                   detail={"display_order": list(_B2_DISPLAY)})
+                return {"issue": "condition star holds"}
+            return None
+        _check_each(report, "reference_zeroed_variants",
+                    ((true_r1, worked["zeroed_r1_display"]),
+                     (true_r2, worked["zeroed_r2_display"])),
+                    zeroed_variant, where=at_sign_type,
+                    detail={"display_order": list(_B2_DISPLAY)})
 
         canonical_k = [0] * 4
         for slot, p in enumerate(_B2_DISPLAY):

@@ -1,15 +1,17 @@
 """The enumerations' own cross-checks raise ``CertificationError``.
 
-Each certifying check of ``certified_scan``, ``enumerate_low`` and
+Each certifying check of ``region_walk``, ``certified_scan`` and
 ``enumerate_regions`` is an explicit raise, so an injected fault still
 surfaces under ``python -O``; the CLI exits 4 on it and a suite check
-fails on it.
+fails on it.  The ``main-theorem`` suite's comparison of the walk with
+the full-ball scan fails on a scan whose minima differ.
 """
 from __future__ import annotations
 
 import ast
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import types
@@ -19,7 +21,7 @@ import pytest
 
 from shilow import (AffineWeylGroup, CertificationError, GroupElement, certified_scan,
                     cli, condition_star, enumerate_low, enumerate_regions, lowness,
-                    regions, root_system, sign_of_shi, signtypes, verify)
+                    region_walk, regions, root_system, sign_of_shi, signtypes, verify)
 from shilow.report import Report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -73,22 +75,29 @@ def _swapped_minimum(scan: lowness.ScanResult) -> lowness.ScanResult:
                                     ZETA: _second_member(scan.group, ZETA)})
 
 
-def test_a_low_element_that_is_not_its_types_minimum_is_caught():
-    group = _group()
-    scan = _swapped_minimum(certified_scan(group))
-    with pytest.raises(CertificationError,
-                       match=r"low element \(1, 0, 1\) is not the certified minimum"):
-        enumerate_low(group, certificate_scan=scan)
+def _oracle_check(monkeypatch, oracle: lowness.ScanResult):
+    """``low_equals_region_minima`` of A2 with ``oracle`` as the full-ball scan."""
+    monkeypatch.setattr(verify, "certified_scan", lambda *args, **kwargs: oracle)
+    report = verify.verify_main_theorem(verify.desk_context("A", 2))
+    return {c.name: c for c in report.checks}["low_equals_region_minima"]
 
 
-def test_a_low_element_of_a_type_missing_from_the_scan_is_caught():
-    group = _group()
-    scan = certified_scan(group)
+def test_a_low_element_that_is_not_its_types_minimum_is_caught(monkeypatch):
+    """A full-ball scan whose minimum of one sign type is another member
+    of it disagrees with the walk's low set in two elements."""
+    check = _oracle_check(monkeypatch, _swapped_minimum(certified_scan(_group())))
+    assert not check.passed
+    assert check.detail == {"low": 16, "minima": 16, "symmetric_difference": 2,
+                            "oracle": "full-ball scan", "compared": 31}
+
+
+def test_a_low_element_of_a_type_missing_from_the_scan_is_caught(monkeypatch):
+    scan = certified_scan(_group())
     missing = _scan_with_minima(
         scan, {z: w for z, w in scan.minima.items() if z != ZETA})
-    with pytest.raises(CertificationError,
-                       match=r"low element \(1, 0, 1\) is not the certified minimum"):
-        enumerate_low(group, certificate_scan=missing)
+    check = _oracle_check(monkeypatch, missing)
+    assert not check.passed
+    assert check.detail["symmetric_difference"] == 1
 
 
 def test_the_member_index_rejects_a_swapped_minimum(monkeypatch):
@@ -102,11 +111,23 @@ def test_the_member_index_rejects_a_swapped_minimum(monkeypatch):
         table.members
 
 
-def test_the_member_index_rejects_a_ball_of_another_size():
+def test_the_member_index_rejects_a_ball_of_another_size(monkeypatch):
+    """The member walk must see the ball size of Bott's series."""
     table = enumerate_regions(_group())
-    short = dataclasses.replace(table, visited=table.visited + 1)
-    with pytest.raises(CertificationError, match="saw 31 elements, the scan 32"):
-        short.members
+    counts = table.group.system.affine_length_counts
+    monkeypatch.setattr(table.group.system, "affine_length_counts",
+                        lambda bound: [*counts(bound)[:-1], counts(bound)[-1] + 1])
+    with pytest.raises(CertificationError, match="saw 31 elements, Bott's series 32"):
+        table.members
+
+
+def test_the_member_walk_is_refused_over_the_budget():
+    """A table whose ball exceeds its budget refuses the member walk
+    before walking, naming it."""
+    table = enumerate_regions(_group(), budget=30)
+    with pytest.raises(lowness.BudgetExceededError,
+                       match=r"the member walk to length 4 would visit 31 elements"):
+        table.members
 
 
 @pytest.mark.parametrize("module, name, fault, message", [
@@ -151,47 +172,81 @@ def test_check_each_fails_a_check_on_a_certification_error():
 
 
 _INJECTED = """
-from itertools import islice
-
-from shilow import (AffineWeylGroup, CertificationError, GroupElement, certified_scan,
-                    cli, enumerate_low, enumerate_regions, lowness, regions,
-                    root_system, sign_of_shi, verify)
+from shilow import (AffineWeylGroup, CertificationError, cli, enumerate_regions,
+                    lowness, regions, root_system)
 
 regions.right_descent_within_sign_type = lambda group, w: 0
-group = AffineWeylGroup(root_system("A", 2))
-scan = certified_scan(group)
-zeta = (1, 0, 1)
-second = GroupElement(group, [shi for shell in islice(group.shells(), scan.stop_length + 1)
-                             for shi in shell if sign_of_shi(shi) == zeta][1])
-swapped = lowness.ScanResult(group=group, stop_length=scan.stop_length,
-                             minima={**scan.minima, zeta: second},
-                             visited=scan.visited)
-for enumeration in (lambda: enumerate_low(group, certificate_scan=swapped),
-                    lambda: enumerate_regions(group, scan=scan)):
-    try:
-        enumeration()
-    except CertificationError as exc:
-        print("CertificationError:", exc)
-verify.certified_scan = lambda *args, **kwargs: swapped
+try:
+    enumerate_regions(AffineWeylGroup(root_system("A", 2)))
+except CertificationError as exc:
+    print("CertificationError:", exc)
+real = lowness.is_low
+lowness.is_low = lambda group, shi: real(group, shi) != (shi == (1, 0, 1))
 print("exit", cli.main(["enumerate", "low", "--type", "A", "--rank", "2"]))
 """
 
 
 def test_an_injected_fault_raises_under_python_o():
-    """With a scan whose minimum of one sign type is another element, the
-    low enumeration raises and ``enumerate low`` exits 4; with
-    ``right_descent_within_sign_type`` answering s0 for every element,
-    the region table raises.  Both hold under ``-O``, which strips
-    asserts."""
+    """With ``right_descent_within_sign_type`` answering s0 for every
+    element, the region table raises; with ``is_low`` wrong on one
+    candidate, the walk raises and ``enumerate low`` exits 4 naming it.
+    Both hold under ``-O``, which strips asserts."""
     proc = _python_o(_INJECTED)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 3
-    assert "not the certified minimum of its sign type" in lines[0]
-    assert "right descent inside the sign type" in lines[1]
-    assert lines[2] == f"exit {cli.EXIT_CERTIFICATION}"
-    assert proc.stderr == ("error: low element (1, 0, 1) is not the certified "
-                           "minimum of its sign type\n")
+    assert len(lines) == 2
+    assert "right descent inside the sign type" in lines[0]
+    assert lines[1] == f"exit {cli.EXIT_CERTIFICATION}"
+    assert proc.stderr == ("error: candidate (1, 0, 1): its sign type is new, "
+                           "but it is not low\n")
+
+
+# Each fault is injected into the A2 walk before it runs.  The vector
+# (1, 0, 1) is the low minimum of its sign type; doubling the last
+# letter's extension lists s2, of vector (0, -1, 0), twice in shell 1;
+# (1, 1, 2) is a low element of the greatest length, so no other low
+# element extends it.
+_WALK_FAULTS = {
+    "is_low disagrees": (
+        "real = lowness.is_low\n"
+        "lowness.is_low = lambda group, shi: real(group, shi) != (shi == (1, 0, 1))\n",
+        r"candidate \(1, 0, 1\): its sign type is new, but it is not low"),
+    "two new vectors of one sign type in a shell": (
+        "group.extend = group.extend + group.extend[-1:]\n",
+        r"sign type \(0, -1, 0\) has two shortest elements in one shell: "
+        r"\(0, -1, 0\) and \(0, -1, 0\)"),
+    "a region dropped": (
+        "group.extend = tuple((lambda step: lambda shi: None if step(shi) == (1, 1, 2) "
+        "else step(shi))(step) for step in group.extend)\n",
+        r"the region walk found 15 sign types, not \(h\+1\)\^n = 16"),
+}
+
+
+@pytest.mark.parametrize("fault", _WALK_FAULTS)
+def test_a_walk_fault_raises_under_python_o(fault):
+    """Each of the walk's three certificates raises ``CertificationError``
+    under ``-O``: lowness against sign-type novelty, one new vector per
+    sign type and shell, and the count (h+1)^n."""
+    inject, message = _WALK_FAULTS[fault]
+    proc = _python_o(
+        "from shilow import AffineWeylGroup, CertificationError, lowness, root_system\n"
+        "group = AffineWeylGroup(root_system('A', 2))\n"
+        + inject +
+        "try:\n"
+        "    lowness.region_walk(group)\n"
+        "except CertificationError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(message, proc.stdout.strip()), proc.stdout
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4"])
+def test_the_walk_minima_equal_the_full_ball_minima(name):
+    group = _group(name[0], int(name[1:]))
+    walk, scan = region_walk(group), certified_scan(group)
+    assert walk.minima == scan.minima
+    assert walk.stop_length == scan.stop_length
+    assert enumerate_low(group) == sorted(scan.minima.values(), key=GroupElement.sort_key)
 
 
 def _python_o(script: str) -> subprocess.CompletedProcess:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from shilow import (AffineWeylGroup, certified_scan, cli, enumerate_regions, regions,
+from shilow import (AffineWeylGroup, cli, enumerate_regions, region_walk, regions,
                     report, root_system, rootdata, signtypes, verify)
 from shilow.elements import KernelError
 from shilow.ratlp import CertificateError
@@ -74,10 +74,10 @@ def test_the_dominant_export_builds_words_for_the_dominant_regions_only(
     """``enumerate dominant`` on B3 prints its 20 regions and makes one
     reduced word for each of them, not one for each of the 343 regions."""
     group = AffineWeylGroup(root_system("B", 3))
-    scan = certified_scan(group)
+    scan = region_walk(group)
     table = enumerate_regions(group, scan=scan)
-    monkeypatch.setattr(verify, "certified_scan", lambda *args, **kwargs: scan)
-    monkeypatch.setattr(regions, "enumerate_regions", lambda group, scan: table)
+    monkeypatch.setattr(verify, "region_walk", lambda *args, **kwargs: scan)
+    monkeypatch.setattr(regions, "enumerate_regions", lambda group, scan, budget: table)
     calls = []
     word = AffineWeylGroup.word_from_element
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+from collections import Counter
+from itertools import islice
 
 import pytest
 from conftest import context, suite_report
 
-from shilow import (AffineWeylGroup, BudgetExceededError, Report, SmallRoots,
-                    lowness, ratlp, regions, run_suite, signtypes, verify)
+from shilow import (AffineWeylGroup, BudgetExceededError, GroupElement, Report,
+                    SmallRoots, lowness, ratlp, regions, run_suite, signtypes, verify)
 from shilow.elements import word_text
 
 
@@ -62,8 +64,27 @@ def test_count_details_name_their_numbers():
     checks = {c.name: c for c in suite_report("main-theorem", "A", 2).checks}
     assert checks["low_element_count"].detail == {"low": 16, "expected": 16}
     assert checks["low_equals_region_minima"].detail == \
-        {"low": 16, "minima": 16, "symmetric_difference": 0}
+        {"low": 16, "minima": 16, "symmetric_difference": 0,
+         "oracle": "full-ball scan", "compared": 31}
     assert checks["dominant_low_catalan"].detail == {"dominant_low": 5, "catalan": 5}
+
+
+@pytest.mark.parametrize("budget, oracle, compared", [
+    (500_000, "full-ball scan", 791), (700, "walk", 181)])
+def test_low_equals_minima_names_its_oracle(monkeypatch, budget, oracle, compared):
+    """The A3 ball out to the walk's stop length holds 791 elements.  Under
+    a budget that holds it the full-ball scan is compared; under one that
+    does not, the check reads the walk's 181 weighed vectors and runs no
+    full-ball scan."""
+    calls = []
+    scan = verify.certified_scan
+    monkeypatch.setattr(verify, "certified_scan",
+                        lambda *args: calls.append(args) or scan(*args))
+    report = verify.verify_main_theorem(verify.desk_context("A", 3, budget))
+    check = {c.name: c for c in report.checks}["low_equals_region_minima"]
+    assert report.passed
+    assert (check.detail["oracle"], check.detail["compared"]) == (oracle, compared)
+    assert len(calls) == (oracle == "full-ball scan")
 
 
 def test_tables_suite_covers_rank4_pair():
@@ -80,6 +101,14 @@ def test_tables_suite_covers_rank4_pair():
 def test_a_small_budget_fails_the_descent_walls_scan():
     with pytest.raises(BudgetExceededError):
         run_suite("descent-walls", "A", 2, budget=10)
+
+
+def test_descent_walls_refuses_its_member_walk_before_any_check():
+    """At budget 20 the A2 walk keeps its 16 minima, but the ball of 31
+    elements that the member walk would read is refused up front."""
+    with pytest.raises(BudgetExceededError,
+                       match="the member walk to length 4 would visit 31 elements"):
+        run_suite("descent-walls", "A", 2, budget=20)
 
 
 def test_ball_walk_is_held_to_the_budget():
@@ -267,10 +296,7 @@ def test_descent_walls_suite_reads_the_recorded_walls(monkeypatch):
     assert len(calls) <= 2 * len(ctx.table)
 
 
-@pytest.mark.parametrize("suite", ["main-theorem", "descent-walls"])
-def test_a_passing_suite_reads_no_reduced_word(monkeypatch, suite):
-    """Descents, descent roots and minimality are read off the Shi vector,
-    so a passing run on a context built inside it reads no reduced word."""
+def _word_reads(monkeypatch) -> list:
     calls = []
     word = AffineWeylGroup.word_from_element
 
@@ -278,20 +304,68 @@ def test_a_passing_suite_reads_no_reduced_word(monkeypatch, suite):
         calls.append(w.shi)
         return word(self, w)
     monkeypatch.setattr(AffineWeylGroup, "word_from_element", counted)
+    return calls
+
+
+@pytest.mark.parametrize("suite", ["main-theorem"])
+def test_a_passing_suite_reads_no_reduced_word(monkeypatch, suite):
+    """Descents, descent roots and minimality are read off the Shi vector,
+    so a passing run on a context built inside it reads no reduced word."""
+    calls = _word_reads(monkeypatch)
     assert run_suite(suite, "A", 3).passed
     assert calls == []
+
+
+def test_descent_walls_reads_reduced_words_of_the_minima_only(monkeypatch):
+    """``right_descents_change_region`` reads each minimum's right
+    descents off its reduced word and multiplies through the matrix
+    action, which reads the word once more; no other check reads one."""
+    calls = _word_reads(monkeypatch)
+    ctx = verify.desk_context("A", 3)
+    assert verify.verify_descent_walls(ctx).passed
+    assert set(calls) == {region.minimal.shi for region in ctx.table}
+    assert max(Counter(calls).values()) == 2
+
+
+def test_right_descents_change_region_cross_checks_the_facet_test(monkeypatch):
+    """With the facet test blinded, a table takes a swapped A2 minimum;
+    the check, reading descents off the reduced word, still fails it."""
+    monkeypatch.setattr(AffineWeylGroup, "is_facet", lambda self, shi, i: False)
+    ctx = verify.desk_context("A", 2)
+    scan = lowness.certified_scan(ctx.group)
+    zeta = (1, 0, 1)
+    members = [shi for shell in islice(ctx.group.shells(), scan.stop_length + 1)
+               for shi in shell if lowness.sign_of_shi(shi) == zeta]
+    ctx.scan = dataclasses.replace(
+        scan, minima={**scan.minima, zeta: GroupElement(ctx.group, members[1])})
+    check = {c.name: c for c in verify.verify_descent_walls(ctx).checks}[
+        "right_descents_change_region"]
+    assert not check.passed
+    assert check.counterexample["sign_type"] == "+0+"
+
+
+def test_a_corrupted_catalog_row_names_its_letter(monkeypatch):
+    """An A2 row catalog whose first row is replaced by the second still
+    has one layout, but letter 1's block then misses the first row's
+    sign type; the counterexample names the letter and the sign type."""
+    rows = verify._ROW_CATALOGS["A", 2]
+    monkeypatch.setitem(verify._ROW_CATALOGS, ("A", 2), [rows[1], *rows[1:]])
+    report = verify.verify_tables(verify.desk_context("A", 2))
+    assert [c.name for c in report.failures()] == ["row_catalog_blocks_complete"]
+    assert report.failures()[0].counterexample == {
+        "letter": 1, "missing": ["-++"], "extra": []}
 
 
 def test_a_failed_scan_is_raised_again_without_a_rerun(monkeypatch):
     """A context keeps its scan's error: a second suite given the same
     context raises the same error without running the scan again."""
     calls = []
-    scan = verify.certified_scan
+    walk = verify.region_walk
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return scan(*args, **kwargs)
-    monkeypatch.setattr(verify, "certified_scan", counted)
+        return walk(*args, **kwargs)
+    monkeypatch.setattr(verify, "region_walk", counted)
     ctx = verify.desk_context("A", 3, budget=100)
     with pytest.raises(BudgetExceededError) as first:
         verify.verify_main_theorem(ctx)
@@ -303,14 +377,15 @@ def test_a_failed_scan_is_raised_again_without_a_rerun(monkeypatch):
 
 def test_main_theorem_tests_descents_once_per_region(monkeypatch):
     """Only the region table looks for a right descent inside a sign type;
-    the low set is checked against the scan's minima by lookup."""
+    the walk certifies the low set by comparing lowness with sign-type
+    novelty, and the full-ball scan by comparing sets."""
     calls = []
     route = lowness.right_descent_within_sign_type
 
     def counted(*args):
         calls.append(args)
         return route(*args)
-    for module in (lowness, regions, verify):
+    for module in (lowness, regions):
         monkeypatch.setattr(module, "right_descent_within_sign_type", counted)
     assert run_suite("main-theorem", "A", 3).passed
     assert len(calls) == 125
@@ -355,7 +430,7 @@ def test_member_checks_fail_on_a_broken_member_walk(monkeypatch):
     report = verify.verify_descent_walls(ctx)
     assert {c.name for c in report.failures()} == set(MEMBER_CHECKS)
     for check in report.failures():
-        assert "the scan 31" in check.counterexample["certification_error"]
+        assert "Bott's series 31" in check.counterexample["certification_error"]
 
 
 def test_main_theorem_builds_no_member_index():
