@@ -21,23 +21,28 @@ eight sign positions per lookup, from a table filled as pieces occur.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import attrgetter
 
 from .elements import AffineWeylGroup
 from .lowness import DEFAULT_BUDGET, BudgetExceededError, SmallRoots
+from .rootdata import Record
 from .signtypes import sign_string
 
 _CHUNK = 8  # bits per table lookup in transitions and labels
 
 
-@dataclass(frozen=True)
-class Automaton:
-    group: AffineWeylGroup
-    small: SmallRoots
-    states: tuple[int, ...]
-    transitions: tuple[tuple[int | None, ...], ...]
+class Automaton(Record):
+    # No __slots__: ``labels`` and ``order`` are cached in the __dict__.
+    _values = attrgetter("group", "small", "states", "transitions")
+
+    def __init__(self, group: AffineWeylGroup, small: SmallRoots, states: tuple[int, ...],
+                 transitions: tuple[tuple[int | None, ...], ...]):
+        self.group = group
+        self.small = small
+        self.states = states
+        self.transitions = transitions
 
     @property
     def letter_count(self) -> int:

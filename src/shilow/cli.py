@@ -19,12 +19,14 @@ import-time objects move to the permanent generation, which neither the
 cyclic collector nor the shutdown collection traverses.  Objects a
 command creates afterwards, garbage cycles included, are still collected
 as usual.  Importing this module changes no collector state; only a call
-of ``main`` does.
+of ``main`` does.  The import itself stays lean: the package's records
+are plain classes, so no process loads ``dataclasses`` (with ``inspect``
+and its chain) or generates methods with ``exec``, and ``csv`` is
+imported by the CSV exports alone.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
 import json
@@ -285,6 +287,8 @@ def cmd_automaton(args: argparse.Namespace) -> int:
 
 
 def _csv_text(rows: list[list[str]]) -> str:
+    import csv  # here, not at module level: only CSV exports read it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)

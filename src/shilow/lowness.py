@@ -48,8 +48,6 @@ Whether an element has a right descent inside its sign type
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError
 from .ratlp import cone_members
 
@@ -187,7 +185,6 @@ def is_low_by_cone(group: AffineWeylGroup, small: SmallRoots, w: GroupElement) -
     return cone_window_members(sigma, positive_roots_window(group, reach)) == inversions
 
 
-@dataclass
 class ScanResult:
     """Output of a certified breadth-first walk: ``region_walk`` or the
     full-ball ``certified_scan``.
@@ -202,10 +199,14 @@ class ScanResult:
     when a check needs them.
     """
 
-    group: AffineWeylGroup
-    stop_length: int
-    minima: dict[tuple[int, ...], GroupElement]
-    visited: int
+    __slots__ = ("group", "stop_length", "minima", "visited")
+
+    def __init__(self, group: AffineWeylGroup, stop_length: int,
+                 minima: dict[tuple[int, ...], GroupElement], visited: int):
+        self.group = group
+        self.stop_length = stop_length
+        self.minima = minima
+        self.visited = visited
 
 
 def sign_of_shi(shi: tuple[int, ...]) -> tuple[int, ...]:

@@ -39,8 +39,8 @@ only a target neither settles goes to ``in_cone``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from operator import mul
-from typing import Iterable, Sequence
 
 
 class CertificateError(RuntimeError):

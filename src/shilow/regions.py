@@ -21,7 +21,8 @@ length are read only on demand: ``RegionTable.members`` walks
 componentwise minimum of the coefficient magnitudes and the first
 ``SAMPLE_SIZE`` members, the only vectors of the walk it makes elements
 of.  The ball's size is known beforehand from Bott's series
-(``RegionTable.ball``): a ball over the table's budget is refused before
+(``member_ball``, from the type and the stop length alone, so also before
+the table is built): a ball over the budget is refused before
 walking, with ``BudgetExceededError``, and the walk must see exactly that
 many elements, with the region minimum first in each sign type, else
 ``CertificationError``.
@@ -43,28 +44,32 @@ table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+from operator import attrgetter
 
 from . import signtypes
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, word_text
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
                       ScanResult, SmallRoots, region_walk,
                       right_descent_within_sign_type, sign_of_shi)
-from .rootdata import PosetIdeal, RootSystem
+from .rootdata import PosetIdeal, Record, RootSystem
 
 SAMPLE_SIZE = 8  # members kept per sign type by ``RegionTable.members``
 
 
-@dataclass(frozen=True)
-class ShiRegion:
+class ShiRegion(Record):
     """One region of the Shi arrangement with its certified data."""
 
-    sign_type: tuple[int, ...]
-    separation_mask: int
-    descent_mask: int
-    minimal: GroupElement
+    __slots__ = ("sign_type", "separation_mask", "descent_mask", "minimal")
+    _values = attrgetter(*__slots__)
+
+    def __init__(self, sign_type: tuple[int, ...], separation_mask: int,
+                 descent_mask: int, minimal: GroupElement):
+        self.sign_type = sign_type
+        self.separation_mask = separation_mask
+        self.descent_mask = descent_mask
+        self.minimal = minimal
 
     @property
     def is_dominant(self) -> bool:
@@ -75,33 +80,47 @@ class ShiRegion:
         return signtypes.sign_string(self.sign_type)
 
 
-@dataclass(frozen=True)
-class RegionMembers:
+class RegionMembers(Record):
     """The members of one region in the table's ball: the componentwise
     minimum of their coefficient magnitudes, and the first few of them in
     walk order, the region minimum first."""
 
-    min_abs: tuple[int, ...]
-    samples: tuple[GroupElement, ...]
+    __slots__ = ("min_abs", "samples")
+    _values = attrgetter(*__slots__)
+
+    def __init__(self, min_abs: tuple[int, ...], samples: tuple[GroupElement, ...]):
+        self.min_abs = min_abs
+        self.samples = samples
 
 
-@dataclass
+def member_ball(system: RootSystem, stop_length: int, budget: int) -> int:
+    """The number of elements of length at most ``stop_length``, by Bott's
+    series; ``BudgetExceededError`` when it exceeds ``budget``, so a member
+    walk is refused before it starts, and before a table is built for it."""
+    ball = sum(system.affine_length_counts(stop_length))
+    if ball > budget:
+        raise BudgetExceededError(
+            budget, f"the member walk to length {stop_length} would visit "
+                    f"{ball} elements, more than the element budget")
+    return ball
+
+
 class RegionTable:
     """All regions of one affine type, sorted by minimal length then sign.
 
     ``stop_length`` is the length of the longest minimum, and ``budget``
     bounds the ball that ``members`` walks out to it."""
 
-    group: AffineWeylGroup
-    small: SmallRoots
-    regions: tuple[ShiRegion, ...]
-    stop_length: int
-    budget: int = DEFAULT_BUDGET
-    by_sign: dict[tuple[int, ...], ShiRegion] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.by_sign = {r.sign_type: r for r in self.regions}
-        if len(self.by_sign) != len(self.regions):
+    def __init__(self, group: AffineWeylGroup, small: SmallRoots,
+                 regions: tuple[ShiRegion, ...], stop_length: int,
+                 budget: int = DEFAULT_BUDGET):
+        self.group = group
+        self.small = small
+        self.regions = regions
+        self.stop_length = stop_length
+        self.budget = budget
+        self.by_sign = {r.sign_type: r for r in regions}
+        if len(self.by_sign) != len(regions):
             raise CertificationError("two regions of the table share a sign type")
 
     def __iter__(self):
@@ -118,15 +137,8 @@ class RegionTable:
 
     @property
     def ball(self) -> int:
-        """The number of elements of length at most ``stop_length``, by
-        Bott's series; ``BudgetExceededError`` when it exceeds the budget,
-        so the member walk is refused before it starts."""
-        ball = sum(self.group.system.affine_length_counts(self.stop_length))
-        if ball > self.budget:
-            raise BudgetExceededError(
-                self.budget, f"the member walk to length {self.stop_length} would visit "
-                             f"{ball} elements, more than the element budget")
-        return ball
+        """``member_ball`` of the table's type, stop length and budget."""
+        return member_ball(self.group.system, self.stop_length, self.budget)
 
     @cached_property
     def members(self) -> dict[tuple[int, ...], RegionMembers]:

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Check:
     """One named verification step.
 
@@ -15,24 +13,31 @@ class Check:
     still carry information (inferred layouts, flagged readings, ...).
     """
 
-    name: str
-    status: str  # "pass" | "fail"
-    counterexample: dict | None = None
-    detail: dict | None = None
+    __slots__ = ("name", "status", "counterexample", "detail")
+
+    def __init__(self, name: str, status: str, counterexample: dict | None = None,
+                 detail: dict | None = None):
+        self.name = name
+        self.status = status  # "pass" | "fail"
+        self.counterexample = counterexample
+        self.detail = detail
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass
 class Report:
-    suite: str
-    family: str
-    rank: int
-    bound: int | None = None
-    seed: int | None = None
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("suite", "family", "rank", "bound", "seed", "checks")
+
+    def __init__(self, suite: str, family: str, rank: int, bound: int | None = None,
+                 seed: int | None = None, checks: list[Check] | None = None):
+        self.suite = suite
+        self.family = family
+        self.rank = rank
+        self.bound = bound
+        self.seed = seed
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, ok: bool, counterexample: dict | None = None,
             detail: dict | None = None) -> Check:

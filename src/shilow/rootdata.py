@@ -19,11 +19,11 @@ under ``python -O``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 
-_FAMILIES = "ABCDEFG"
+_FAMILIES = tuple("ABCDEFG")  # a tuple: "in" on a string would accept "AB" or ""
 
 
 class RootDataError(RuntimeError):
@@ -46,21 +46,38 @@ _RANK_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class CartanType:
+class Record:
+    """Equality and hash by value for the package's immutable records: a
+    subclass sets ``_values`` to an ``attrgetter`` of its fields.  Records
+    of different classes never compare equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+
+class CartanType(Record):
     """Family letter plus rank of an irreducible crystallographic type."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
+    _values = attrgetter(*__slots__)
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+    def __init__(self, family: str, rank: int):
+        if family not in _FAMILIES:
             raise ValueError(
-                f"unknown family {self.family!r}; expected one of {', '.join(_FAMILIES)}")
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
-            raise ValueError(f"rank must be an integer, got {self.rank!r}")
-        if not _RANK_RULES[self.family](self.rank):
-            raise ValueError(f"invalid rank {self.rank} for family {self.family}")
+                f"unknown family {family!r}; expected one of {', '.join(_FAMILIES)}")
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise ValueError(f"rank must be an integer, got {rank!r}")
+        if not _RANK_RULES[family](rank):
+            raise ValueError(f"invalid rank {rank} for family {family}")
+        self.family = family
+        self.rank = rank
 
     @property
     def name(self) -> str:
@@ -218,8 +235,7 @@ def solve_two_unknowns(u: tuple[int, ...], v: tuple[int, ...],
     return numerators[0], numerators[1], pivot[2]
 
 
-@dataclass(frozen=True)
-class Rank2Subsystem:
+class Rank2Subsystem(Record):
     """A rank-2 irreducible subsystem of a larger system.
 
     ``positions`` lists the parent indices of the subsystem's positive roots
@@ -227,22 +243,31 @@ class Rank2Subsystem:
     so position p here corresponds to position p of that system's tables.
     """
 
-    kind: str  # "A2" | "B2" | "G2"
-    positions: tuple[int, ...]
-    simple_positions: tuple[int, int]
-    internal_coords: tuple[tuple[int, int], ...]
+    __slots__ = ("kind", "positions", "simple_positions", "internal_coords")
+    _values = attrgetter(*__slots__)
+
+    def __init__(self, kind: str, positions: tuple[int, ...],
+                 simple_positions: tuple[int, int],
+                 internal_coords: tuple[tuple[int, int], ...]):
+        self.kind = kind  # "A2" | "B2" | "G2"
+        self.positions = positions
+        self.simple_positions = simple_positions
+        self.internal_coords = internal_coords
 
 
-@dataclass(frozen=True)
-class PosetIdeal:
+class PosetIdeal(Record):
     """An upward-closed subset of the positive-root poset.
 
     Both fields hold sorted indices into ``positive_roots``; ``antichain``
     is the set of minimal elements, which determines the ideal.
     """
 
-    ideal: tuple[int, ...]
-    antichain: tuple[int, ...]
+    __slots__ = ("ideal", "antichain")
+    _values = attrgetter(*__slots__)
+
+    def __init__(self, ideal: tuple[int, ...], antichain: tuple[int, ...]):
+        self.ideal = ideal
+        self.antichain = antichain
 
 
 _KIND_BY_SIZE = {3: "A2", 4: "B2", 6: "G2"}

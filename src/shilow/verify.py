@@ -10,8 +10,8 @@ Five suites, each returning a structured pass/fail report:
   roots of the region, wall-crossing transforms, and the minimality
   characterisation by descent walls, over the region members in the
   ball out to the walk's stop length (``RegionTable.members``, the
-  suite's one extra walk, refused when Bott's series puts that ball over
-  the budget).
+  suite's one extra walk, refused before the region table is built when
+  Bott's series puts that ball over the budget).
 * ``recurrences``    -- exhaustive sweeps of the coefficient recurrences
   (the kernel's vectors against products taken through the matrix
   action), inversion-set transition rules, and the two lowness oracles.
@@ -299,13 +299,17 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
 # --------------------------------------------------------------------------
 
 def verify_descent_walls(ctx: DeskContext) -> Report:
-    system, group, small, table = ctx.system, ctx.group, ctx.small, ctx.table
+    system, group, small = ctx.system, ctx.group, ctx.small
     family, rank = system.cartan_type.family, system.rank
     report = Report(suite="descent-walls", family=family, rank=rank)
     # The checks that read other members of the regions than the minima
     # read them from the table's member index, built on first read; a
-    # ball over the budget is refused here, before any check runs.
-    ball = {"members": table.ball, "stop_length": table.stop_length}
+    # ball over the budget is refused here, from the walk's stop length,
+    # before the table is built and before any check runs.
+    stop_length = ctx.scan.stop_length
+    ball = {"members": regionlib.member_ball(system, stop_length, ctx.budget),
+            "stop_length": stop_length}
+    table = ctx.table
 
     def wall_theorem(region):
         nd = group.right_descent_roots(region.minimal)

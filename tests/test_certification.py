@@ -9,7 +9,6 @@ the full-ball scan fails on a scan whose minima differ.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import os
 import re
 import subprocess
@@ -57,7 +56,7 @@ ZETA = (1, 0, 1)  # an A2 sign type with minimum (1, 0, 1) and more members
 
 
 def _scan_with_minima(scan: lowness.ScanResult, minima: dict) -> lowness.ScanResult:
-    return dataclasses.replace(scan, minima=minima)
+    return lowness.ScanResult(scan.group, scan.stop_length, minima, scan.visited)
 
 
 def _second_member(group: AffineWeylGroup, zeta: tuple[int, ...]):
@@ -294,7 +293,8 @@ def test_the_region_layer_raises_named_errors(monkeypatch):
     group = _group()
     table = enumerate_regions(group)
     with pytest.raises(CertificationError, match="share a sign type"):
-        dataclasses.replace(table, regions=table.regions + table.regions[:1])
+        regions.RegionTable(table.group, table.small, table.regions + table.regions[:1],
+                            table.stop_length, table.budget)
     whole = group.system.poset_ideals()[-1]
     monkeypatch.setattr(group.system, "coxeter_number", 1)
     with pytest.raises(CertificationError, match="the sums reach level 2 > h"):
@@ -360,7 +360,14 @@ def test_no_module_reads_the_environment(module):
     assert not lines, f"{path.name}: environment reads at lines {lines}"
 
 
-_RATIONALS = {"fractions", "decimal"}
+def _import_lines(module: str, packages: set[str]) -> list[int]:
+    """The lines of ``module`` that import one of ``packages``."""
+    path = SRC / "shilow" / f"{module}.py"
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] in packages for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] in packages]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -368,10 +375,14 @@ def test_no_module_imports_fractions_or_decimal(module):
     """Root data and the matrix action are integers over one denominator,
     so no module imports ``fractions`` or ``decimal``, whose import alone
     adds milliseconds to every process."""
-    path = SRC / "shilow" / f"{module}.py"
-    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Import)
-             and any(alias.name.split(".")[0] in _RATIONALS for alias in node.names)
-             or isinstance(node, ast.ImportFrom) and node.level == 0
-             and node.module.split(".")[0] in _RATIONALS]
-    assert not lines, f"{path.name}: imports of fractions or decimal at lines {lines}"
+    lines = _import_lines(module, {"fractions", "decimal"})
+    assert not lines, f"{module}.py: imports of fractions or decimal at lines {lines}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_dataclasses(module):
+    """The records are plain classes: ``dataclasses`` would load
+    ``inspect`` and its chain and generate each class's methods with
+    ``exec`` at import, in every process."""
+    lines = _import_lines(module, {"dataclasses"})
+    assert not lines, f"{module}.py: imports of dataclasses at lines {lines}"

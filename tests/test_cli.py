@@ -44,6 +44,14 @@ def test_roots_rank_zero_is_usage_error(capsys):
     assert "invalid rank" in err
 
 
+@pytest.mark.parametrize("family", ["AB", ""])
+def test_roots_family_of_several_or_no_letters_is_usage_error(capsys, family):
+    code, out, err = run_cli(capsys, "roots", "--type", family, "--rank", "2")
+    assert code == 2
+    assert not out
+    assert f"unknown family {family!r}" in err
+
+
 def test_roots_json(capsys):
     code, out, _ = run_cli(capsys, "roots", "--type", "G", "--rank", "2",
                            "--format", "json")
@@ -295,24 +303,55 @@ print(json.dumps([imported, first, second, codes, ref() is None]))
 """
 
 
+def _fresh_python(program: str) -> str:
+    """The standard output of ``program`` run by a fresh interpreter that
+    imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src,
+                                                       os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_main_freezes_the_import_time_heap_once_per_process():
     """Importing the CLI leaves the collector alone; the first ``main``
     freezes the heap, a second one freezes nothing more, and a cycle made
     afterwards is still reclaimed.  A fresh interpreter, since a freeze
     lasts for the process."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src,
-                                                       os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _FREEZE], capture_output=True,
-                          text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    imported, first, second, codes, reclaimed = json.loads(proc.stdout)
+    imported, first, second, codes, reclaimed = json.loads(_fresh_python(_FREEZE))
     assert imported == 0
     assert first > 0
     assert second == first
     assert codes == [0, 0]
     assert reclaimed
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_csv():
+    """A fresh ``import shilow.cli`` loads neither ``dataclasses`` nor the
+    ``inspect`` chain behind it, and not ``csv``, which only a CSV export
+    imports.  (``typing`` and ``re`` go unasserted: ``site`` may load them.)"""
+    program = ("import sys\nimport shilow.cli\n"
+               "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
+    assert _fresh_python(program) == "[]\n"
+
+
+def test_descent_walls_refuses_its_member_walk_before_building_the_table(
+        capsys, monkeypatch):
+    """At budget 20 the A2 walk keeps its 16 minima, but the member walk's
+    ball of 31 elements is refused, exit 3, before any region table is
+    built."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("enumerate_regions called")
+    monkeypatch.setattr(regions, "enumerate_regions", no_table)
+    code, out, err = run_cli(capsys, "verify", "descent-walls", "--type", "A",
+                             "--rank", "2", "--budget", "20")
+    assert code == cli.EXIT_BUDGET
+    assert out == ""
+    assert err == ("error: the member walk to length 4 would visit 31 elements, "
+                   "more than the element budget (bound: 20)\n")
 
 
 def test_output_file(tmp_path, capsys):

@@ -49,6 +49,24 @@ def test_invalid_types_rejected():
         root_system("E", 9)
     with pytest.raises(ValueError):
         CartanType("A", "2")  # type: ignore[arg-type]
+    for family in ("AB", ""):
+        with pytest.raises(ValueError, match="unknown family"):
+            CartanType(family, 2)
+
+
+def test_records_compare_and_hash_by_value():
+    """A ``CartanType`` keys the per-type rank-2 tables and is compared by
+    ``multiply``, so equal fields make equal, alike-hashing records; a
+    tuple of the same fields is not equal to one."""
+    b3 = CartanType("B", 3)
+    assert b3 == CartanType("B", 3) and hash(b3) == hash(CartanType("B", 3))
+    assert {b3: 1}[CartanType("B", 3)] == 1
+    assert b3 != CartanType("C", 3) and b3 != ("B", 3)
+    first, second = root_system("B", 3), root_system("B", 3)
+    assert first.poset_ideals() == second.poset_ideals()
+    assert first.rank2_subsystems() == second.rank2_subsystems()
+    assert len(set(first.poset_ideals())) == len(first.poset_ideals())
+    assert rootdata.PosetIdeal((0,), (0,)) != rootdata.PosetIdeal((0,), ())
 
 
 def test_cartan_matrix_shape(system):

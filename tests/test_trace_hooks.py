@@ -6,12 +6,11 @@ traced benchmark run fails.
 """
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
-from shilow import ScanResult
+from shilow import AffineWeylGroup, region_walk, root_system
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,5 +33,8 @@ def test_every_trace_target_resolves():
 
 
 def test_scan_result_keeps_the_traced_fields():
-    fields = {field.name for field in dataclasses.fields(ScanResult)}
-    assert {"group", "visited", "stop_length", "minima"} <= fields
+    group = AffineWeylGroup(root_system("A", 2))
+    scan = region_walk(group)
+    assert scan.group is group
+    assert isinstance(scan.visited, int) and isinstance(scan.stop_length, int)
+    assert len(scan.minima) == group.system.region_count

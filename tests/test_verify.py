@@ -1,7 +1,6 @@
 """Verification suites run clean on every desk-scale type."""
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import json
 from collections import Counter
@@ -10,7 +9,7 @@ from itertools import islice
 import pytest
 from conftest import context, suite_report
 
-from shilow import (AffineWeylGroup, BudgetExceededError, GroupElement, Report,
+from shilow import (AffineWeylGroup, Automaton, BudgetExceededError, GroupElement, Report,
                     SmallRoots, lowness, ratlp, regions, run_suite, signtypes, verify)
 from shilow.elements import word_text
 
@@ -174,7 +173,9 @@ def test_automaton_suite_catches_a_redirected_transition():
     ctx = verify.desk_context("A", 2)
     rows = [list(row) for row in ctx.machine.transitions]
     rows[0][0] = rows[0][1]
-    ctx.machine = dataclasses.replace(ctx.machine, transitions=tuple(map(tuple, rows)))
+    machine = ctx.machine
+    ctx.machine = Automaton(machine.group, machine.small, machine.states,
+                            tuple(map(tuple, rows)))
     checks = {c.name: c for c in verify.verify_automaton(ctx).checks}
     check = checks["reduced_word_verdicts_match_length_oracle"]
     assert not check.passed
@@ -336,8 +337,9 @@ def test_right_descents_change_region_cross_checks_the_facet_test(monkeypatch):
     zeta = (1, 0, 1)
     members = [shi for shell in islice(ctx.group.shells(), scan.stop_length + 1)
                for shi in shell if lowness.sign_of_shi(shi) == zeta]
-    ctx.scan = dataclasses.replace(
-        scan, minima={**scan.minima, zeta: GroupElement(ctx.group, members[1])})
+    ctx.scan = lowness.ScanResult(
+        scan.group, scan.stop_length,
+        {**scan.minima, zeta: GroupElement(ctx.group, members[1])}, scan.visited)
     check = {c.name: c for c in verify.verify_descent_walls(ctx).checks}[
         "right_descents_change_region"]
     assert not check.passed
