@@ -15,8 +15,7 @@ automaton recognizes the reduced words.
 """
 from __future__ import annotations
 
-from .automaton import (Automaton, build_automaton, count_by_length,
-                        element_counts_by_length, export_dot, parse_dot,
+from .automaton import (Automaton, build_automaton, export_dot, parse_dot,
                         transition_table_json)
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
@@ -65,11 +64,9 @@ __all__ = [
     "build_automaton",
     "certified_scan",
     "condition_star",
-    "count_by_length",
     "descent_mask",
     "descent_root_set",
     "dominant_pairs",
-    "element_counts_by_length",
     "enumerate_low",
     "enumerate_regions",
     "export_dot",

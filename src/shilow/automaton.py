@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import islice
 from operator import attrgetter
 
 from .elements import AffineWeylGroup
@@ -182,23 +181,6 @@ def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
         frontier = next_frontier
     return Automaton(group=group, small=small, states=tuple(states),
                      transitions=tuple(transitions))
-
-
-def element_counts_by_length(group: AffineWeylGroup, max_length: int) -> list[int]:
-    """Ball growth: the sizes of the group's length shells."""
-    return [len(shell) for shell in islice(group.shells(), max_length + 1)]
-
-
-def count_by_length(automaton: Automaton,
-                    max_length: int) -> tuple[list[int], list[int]]:
-    """Reduced-word counts (state DP) and element counts (length shells).
-
-    The automaton accepts every reduced word, so several words may spell
-    the same element; the two lists therefore differ from length 2 on.
-    """
-    words = automaton.word_counts_by_length(max_length)
-    elements = element_counts_by_length(automaton.group, max_length)
-    return words, elements
 
 
 def export_dot(automaton: Automaton) -> str:

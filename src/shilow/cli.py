@@ -31,13 +31,14 @@ import gc
 import io
 import json
 import sys
+from itertools import islice
 
 from . import automaton as automaton_mod
 from . import regions as regions_mod
 from . import signtypes, verify
 from .elements import KernelError, word_text
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
-                      sign_of_shi)
+                      ball_within_budget, sign_of_shi)
 from .ratlp import CertificateError
 from .rootdata import RootDataError, root_system
 from .signtypes import sign_string
@@ -271,8 +272,12 @@ def cmd_automaton(args: argparse.Namespace) -> int:
         _emit(json.dumps(automaton_mod.transition_table_json(machine),
                          indent=2), args.output)
         return EXIT_PASS
+    # Several reduced words may spell one element, so the two counts
+    # differ from length 2 on.
     bound = args.bound if args.bound is not None else 8
-    words, elements = automaton_mod.count_by_length(machine, bound)
+    ball_within_budget(ctx.system, bound, ctx.budget, "ball walk")
+    elements = [len(shell) for shell in islice(ctx.group.shells(), bound + 1)]
+    words = machine.word_counts_by_length(bound)
     name = ctx.system.cartan_type.name
     lines = [
         f"reduced-word automaton for affine {name}: "

@@ -26,6 +26,16 @@ until every sign type holds a certified shortest vector; it is the
 oracle ``main-theorem`` compares the walk with where that ball fits the
 budget, and it gives the rank-2 admissibility tables.
 
+Every enumeration is held to an element budget.  A walk of the unpruned
+ball out to a length known in advance asks ``ball_within_budget`` first,
+which reads the ball's size off Bott's series and refuses an oversized
+ball with ``BudgetExceededError`` before any walk starts: the sweeps of
+``verify.DeskContext.shells``, the member walk of
+``regions.RegionTable.members``, ``main-theorem``'s choice of its
+full-ball oracle and the shell counts of the ``automaton`` text summary.  ``certified_scan``, whose radius is not known in
+advance, counts the elements shell by shell, and ``region_walk`` counts
+the vectors it keeps.
+
 Soundness of the cone test's finite window: every nonzero nonnegative
 combination of positive affine roots pairs strictly positively with the
 fundamental-alcove barycenter, so such a combination is never a negative
@@ -50,6 +60,7 @@ from __future__ import annotations
 
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError
 from .ratlp import cone_members
+from .rootdata import RootSystem
 
 DEFAULT_BUDGET = 500_000
 
@@ -60,6 +71,18 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, bound: int, message: str):
         super().__init__(f"{message} (bound: {bound})")
         self.bound = bound
+
+
+def ball_within_budget(system: RootSystem, length: int, budget: int, walk: str) -> int:
+    """The number of elements of length at most ``length``, by Bott's
+    series; ``BudgetExceededError`` naming ``walk`` when it exceeds
+    ``budget`` (see the module notes on budgets)."""
+    ball = sum(system.affine_length_counts(length))
+    if ball > budget:
+        raise BudgetExceededError(
+            budget, f"the {walk} to length {length} would visit "
+                    f"{ball} elements, more than the element budget")
+    return ball
 
 
 class CertificationError(RuntimeError):

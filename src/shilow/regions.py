@@ -21,11 +21,11 @@ length are read only on demand: ``RegionTable.members`` walks
 componentwise minimum of the coefficient magnitudes and the first
 ``SAMPLE_SIZE`` members, the only vectors of the walk it makes elements
 of.  The ball's size is known beforehand from Bott's series
-(``member_ball``, from the type and the stop length alone, so also before
-the table is built): a ball over the budget is refused before
-walking, with ``BudgetExceededError``, and the walk must see exactly that
-many elements, with the region minimum first in each sign type, else
-``CertificationError``.
+(``lowness.ball_within_budget``, from the type and the stop length alone,
+so also before the table is built): a ball over the budget is refused
+before walking, with ``BudgetExceededError``, and the walk must see
+exactly that many elements, with the region minimum first in each sign
+type, else ``CertificationError``.
 Building the table, the minima and the exports never walk it: the
 region members' least magnitudes are the minimum's own, which the
 ``descent-walls`` suite checks against this walk.
@@ -50,8 +50,8 @@ from operator import attrgetter
 
 from . import signtypes
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, word_text
-from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
-                      ScanResult, SmallRoots, region_walk,
+from .lowness import (DEFAULT_BUDGET, CertificationError, ScanResult, SmallRoots,
+                      ball_within_budget, region_walk,
                       right_descent_within_sign_type, sign_of_shi)
 from .rootdata import PosetIdeal, Record, RootSystem
 
@@ -93,18 +93,6 @@ class RegionMembers(Record):
         self.samples = samples
 
 
-def member_ball(system: RootSystem, stop_length: int, budget: int) -> int:
-    """The number of elements of length at most ``stop_length``, by Bott's
-    series; ``BudgetExceededError`` when it exceeds ``budget``, so a member
-    walk is refused before it starts, and before a table is built for it."""
-    ball = sum(system.affine_length_counts(stop_length))
-    if ball > budget:
-        raise BudgetExceededError(
-            budget, f"the member walk to length {stop_length} would visit "
-                    f"{ball} elements, more than the element budget")
-    return ball
-
-
 class RegionTable:
     """All regions of one affine type, sorted by minimal length then sign.
 
@@ -135,22 +123,19 @@ class RegionTable:
     def dominant_regions(self) -> list[ShiRegion]:
         return [r for r in self.regions if r.is_dominant]
 
-    @property
-    def ball(self) -> int:
-        """``member_ball`` of the table's type, stop length and budget."""
-        return member_ball(self.group.system, self.stop_length, self.budget)
-
     @cached_property
     def members(self) -> dict[tuple[int, ...], RegionMembers]:
         """Each sign type's members in the ball out to ``stop_length``,
         from one walk of ``group.shells()``, built on first read.
 
-        Refused with ``BudgetExceededError`` when ``ball`` exceeds the
-        budget.  Raises ``CertificationError`` unless the walk sees
-        ``ball`` elements, every one in a region of the table, with each
-        region's minimum as the first member of its sign type."""
-        ball = self.ball
+        Refused by ``ball_within_budget`` before walking when the ball
+        exceeds the budget.  Raises ``CertificationError`` unless the walk
+        sees as many elements as Bott's series counts, every one in a
+        region of the table, with each region's minimum as the first
+        member of its sign type."""
         group = self.group
+        ball = ball_within_budget(group.system, self.stop_length, self.budget,
+                                  "member walk")
         sign_type = group.sign_type
         buckets: dict[tuple[int, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
         seen = 0

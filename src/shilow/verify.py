@@ -4,7 +4,8 @@ Five suites, each returning a structured pass/fail report:
 
 * ``main-theorem``   -- four-way count agreement (low elements, region
   minima, automaton states, admissible sign types), the set equality of
-  low elements and region minima, dominant/ideal/Catalan agreement, and
+  low elements and the full-ball scan's region minima where that scan
+  fits the budget, dominant/ideal/Catalan agreement, and
   the closed-form inversion sets of dominant minimal elements.
 * ``descent-walls``  -- the descent-wall equality ND_R(min) = descent
   roots of the region, wall-crossing transforms, and the minimality
@@ -31,11 +32,14 @@ Five suites, each returning a structured pass/fail report:
 Each suite takes a ``DeskContext`` (``desk_context`` makes a new one per
 call) and reads its type and budget from it; its group, scan, low set,
 region table and automaton are built on first read, and its ball is
-sliced from one walk of ``AffineWeylGroup.shells()``.  The scan is the
+sliced from one walk of ``AffineWeylGroup.shells()`` once
+``lowness.ball_within_budget`` has let it in, so a ball over the budget
+is refused from Bott's series before any walk starts.  The scan is the
 pruned ``lowness.region_walk``, and the low set is its minima: one walk
 gives both.  ``main-theorem`` compares it with the full-ball
-``certified_scan`` wherever Bott's series puts that ball within the
-budget, and says in its detail which oracle ran.  Suites given the
+``certified_scan`` wherever the same rule puts that ball within the
+budget; elsewhere it leaves the comparison out, as there is nothing to
+compare the low set with but the walk it was sorted from.  Suites given the
 same context share what they read.  A suite takes only the settings it
 reads besides the context, and its report records them: ``recurrences``
 its sweep bound, ``automaton`` its word bound and seed, the others
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property, partial
+from itertools import islice
 
 from . import automaton as automata
 from . import regions as regionlib
@@ -61,7 +66,7 @@ from . import signtypes
 from .elements import (AffineRoot, AffineWeylGroup, GroupElement, KernelError,
                        word_text)
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
-                      ScanResult, SmallRoots, certified_scan,
+                      ScanResult, SmallRoots, ball_within_budget, certified_scan,
                       cone_window_members, is_low, is_low_by_cone,
                       positive_roots_window, region_walk, sign_of_shi)
 from .ratlp import CertificateError
@@ -81,8 +86,6 @@ class DeskContext:
     def __init__(self, system: RootSystem, budget: int):
         self.system = system
         self.budget = budget
-        self._walk = None
-        self._shells: list[list[GroupElement]] = []
         self._scan_error: BudgetExceededError | CertificationError | None = None
 
     @cached_property
@@ -118,17 +121,12 @@ class DeskContext:
         return automata.build_automaton(self.group, self.small, self.budget)
 
     def shells(self, bound: int) -> list[list[GroupElement]]:
-        """Shells 0..bound of the group ball, read once from ``group.shells()``
-        as elements and held to the element budget."""
-        if self._walk is None:
-            self._walk = self.group.shells()
-        while len(self._shells) <= bound and sum(map(len, self._shells)) <= self.budget:
-            self._shells.append([GroupElement(self.group, shi) for shi in next(self._walk)])
-        shells = self._shells[:bound + 1]
-        if sum(map(len, shells)) > self.budget:
-            raise BudgetExceededError(
-                self.budget, f"the ball of radius {bound} exceeds the element budget")
-        return shells
+        """Shells 0..bound of the group ball as elements, read from
+        ``group.shells()`` once ``ball_within_budget`` has let the ball in."""
+        ball_within_budget(self.system, bound, self.budget, "ball walk")
+        group = self.group
+        return [[GroupElement(group, shi) for shi in shell]
+                for shell in islice(group.shells(), bound + 1)]
 
     def ball(self, bound: int) -> list[GroupElement]:
         return [w for shell in self.shells(bound) for w in shell]
@@ -215,18 +213,20 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
 
     # The walk certified low = minima candidate by candidate; where the
     # full ball out to its stop length fits the budget, the full-ball scan
-    # gives the minima independently.
-    walk = ctx.scan
-    if sum(system.affine_length_counts(walk.stop_length)) <= ctx.budget:
-        oracle, name = certified_scan(group, ctx.budget), "full-ball scan"
-    else:
-        oracle, name = walk, "walk"
+    # gives the minima independently.  Elsewhere no oracle is at hand but
+    # the walk the low set was sorted from, so the check is left out.
     low_set = set(ctx.low)
-    minima_set = set(oracle.minima.values())
-    report.add("low_equals_region_minima", low_set == minima_set,
-               detail={"low": len(low_set), "minima": len(minima_set),
-                       "symmetric_difference": len(low_set ^ minima_set),
-                       "oracle": name, "compared": oracle.visited})
+    try:
+        ball_within_budget(system, ctx.scan.stop_length, ctx.budget, "full-ball scan")
+    except BudgetExceededError:
+        pass
+    else:
+        oracle = certified_scan(group, ctx.budget)
+        minima_set = set(oracle.minima.values())
+        report.add("low_equals_region_minima", low_set == minima_set,
+                   detail={"low": len(low_set), "minima": len(minima_set),
+                           "symmetric_difference": len(low_set ^ minima_set),
+                           "oracle": "full-ball scan", "compared": oracle.visited})
 
     masks = {ctx.small.sigma_mask(w) for w in ctx.low}
     report.add("sigma_injective_on_low", len(masks) == len(ctx.low))
@@ -307,7 +307,7 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
     # ball over the budget is refused here, from the walk's stop length,
     # before the table is built and before any check runs.
     stop_length = ctx.scan.stop_length
-    ball = {"members": regionlib.member_ball(system, stop_length, ctx.budget),
+    ball = {"members": ball_within_budget(system, stop_length, ctx.budget, "member walk"),
             "stop_length": stop_length}
     table = ctx.table
 
@@ -609,6 +609,9 @@ def verify_automaton(ctx: DeskContext, bound: int | None = None,
     seed = 0 if seed is None else seed
     report = Report(suite="automaton", family=family, rank=rank,
                     bound=word_bound, seed=seed)
+    # The matrix-action walk below covers the same ball as these shells:
+    # read them first, so an oversized ball is refused before either walk.
+    shell_counts = [len(s) for s in ctx.shells(word_bound)]
 
     report.add("state_count_formula",
                len(machine.states) == system.region_count,
@@ -659,7 +662,6 @@ def verify_automaton(ctx: DeskContext, bound: int | None = None,
     dp_words = machine.word_counts_by_length(word_bound)
     report.add("word_counts_match_exhaustive_walk", dp_words == word_counts,
                detail={"counts": dp_words})
-    shell_counts = [len(s) for s in ctx.shells(word_bound)]
     report.add("element_counts_match_bfs", shell_counts == walk_elements,
                detail={"counts": shell_counts})
     report.add("element_counts_match_shells",

@@ -8,14 +8,14 @@ import os
 import subprocess
 import sys
 from functools import cache
+from itertools import islice
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shilow import (AffineWeylGroup, SmallRoots, build_automaton, count_by_length,
-                    element_counts_by_length, export_dot, parse_dot,
+from shilow import (AffineWeylGroup, SmallRoots, build_automaton, export_dot, parse_dot,
                     parse_sign_string, root_system, transition_table_json)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,12 +103,13 @@ def test_verdicts_match_length_oracle(desk):
 
 def test_word_and_element_counts(desk):
     machine = desk.machine
-    words, elements = count_by_length(machine, 6)
+    words = machine.word_counts_by_length(6)
+    elements = [len(s) for s in islice(desk.group.shells(), 7)]
     assert words[0] == elements[0] == 1
     assert words[1] == elements[1] == machine.letter_count
     # elements are never more numerous than the words spelling them
     assert all(e <= w for w, e in zip(words, elements))
-    assert elements == element_counts_by_length(desk.group, 6)
+    assert elements == desk.system.affine_length_counts(6)
     shell_sizes = [len(s) for s in desk.shells(6)]
     assert elements == shell_sizes
 
@@ -117,7 +118,7 @@ def test_word_counts_match_exhaustive_enumeration(desk):
     machine = desk.machine
     letters = range(machine.letter_count)
     bound = 5 if desk.system.rank == 2 else 4
-    words, _ = count_by_length(machine, bound)
+    words = machine.word_counts_by_length(bound)
     for length in range(bound + 1):
         brute = sum(1 for word in itertools.product(letters, repeat=length)
                     if machine.is_reduced(word))

@@ -303,15 +303,19 @@ print(json.dumps([imported, first, second, codes, ref() is None]))
 """
 
 
+def _checkout_env() -> dict[str, str]:
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src,
+                                                        os.environ.get("PYTHONPATH"))))}
+
+
 def _fresh_python(program: str) -> str:
     """The standard output of ``program`` run by a fresh interpreter that
     imports this checkout's package."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src,
-                                                       os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
-                          text=True, timeout=120, env=env)
+                          text=True, timeout=120, env=_checkout_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -352,6 +356,38 @@ def test_descent_walls_refuses_its_member_walk_before_building_the_table(
     assert out == ""
     assert err == ("error: the member walk to length 4 would visit 31 elements, "
                    "more than the element budget (bound: 20)\n")
+
+
+@pytest.mark.parametrize("argv, ball", [
+    (("verify", "recurrences", "--budget", "10"), "to length 10 would visit 166"),
+    (("verify", "automaton", "--budget", "20"), "to length 10 would visit 166"),
+    (("verify", "descent-walls", "--budget", "20"), "to length 4 would visit 31"),
+    (("automaton", "--format", "text", "--bound", "150", "--budget", "100"),
+     "to length 150 would visit 33976"),
+], ids=["recurrences", "automaton-suite", "descent-walls", "automaton-text"])
+def test_every_full_ball_walk_is_refused_from_bott_series(capsys, monkeypatch,
+                                                           argv, ball):
+    """Each A2 walk of the whole ball to a known length is refused, exit 3,
+    from Bott's series before the walk takes a step.  An unpruned walk
+    counts when it takes its first step; the pruned region walk behind
+    the low set is not the refused ball."""
+    shells = AffineWeylGroup.shells
+    walks = []
+
+    def counted(group, keep=None):
+        def walk():
+            if keep is None:
+                walks.append(group)
+            yield from shells(group, keep=keep)
+        return walk()
+    monkeypatch.setattr(AffineWeylGroup, "shells", counted)
+    code, out, err = run_cli(capsys, *argv, "--type", "A", "--rank", "2")
+    budget = argv[argv.index("--budget") + 1]
+    assert code == cli.EXIT_BUDGET
+    assert out == ""
+    assert err.endswith(f"{ball} elements, more than the element budget "
+                        f"(bound: {budget})\n")
+    assert walks == []
 
 
 def test_output_file(tmp_path, capsys):
@@ -405,7 +441,7 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "shilow.cli", "roots", "--type", "A",
          "--rank", "2"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=_checkout_env())
     assert proc.returncode == 0
     assert "3 positive roots" in proc.stdout
 

@@ -61,7 +61,8 @@ def test_member_index_buckets_the_scanned_ball(family, rank):
     for shell in islice(table.group.shells(), table.stop_length + 1):
         for shi in shell:
             direct.setdefault(sign_of_shi(shi), []).append(GroupElement(table.group, shi))
-    assert sum(map(len, direct.values())) == table.ball
+    assert sum(map(len, direct.values())) == \
+        sum(table.group.system.affine_length_counts(table.stop_length))
     assert set(table.members) == set(direct) == set(table.by_sign)
     for zeta, members in direct.items():
         index = table.members[zeta]

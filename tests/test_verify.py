@@ -69,21 +69,36 @@ def test_count_details_name_their_numbers():
 
 
 @pytest.mark.parametrize("budget, oracle, compared", [
-    (500_000, "full-ball scan", 791), (700, "walk", 181)])
+    (500_000, "full-ball scan", 791), (700, None, None)])
 def test_low_equals_minima_names_its_oracle(monkeypatch, budget, oracle, compared):
     """The A3 ball out to the walk's stop length holds 791 elements.  Under
     a budget that holds it the full-ball scan is compared; under one that
-    does not, the check reads the walk's 181 weighed vectors and runs no
-    full-ball scan."""
+    does not, no full-ball scan runs and the check, which could only
+    compare the low set with the walk it was sorted from, is left out."""
     calls = []
     scan = verify.certified_scan
     monkeypatch.setattr(verify, "certified_scan",
                         lambda *args: calls.append(args) or scan(*args))
     report = verify.verify_main_theorem(verify.desk_context("A", 3, budget))
-    check = {c.name: c for c in report.checks}["low_equals_region_minima"]
+    check = {c.name: c for c in report.checks}.get("low_equals_region_minima")
     assert report.passed
-    assert (check.detail["oracle"], check.detail["compared"]) == (oracle, compared)
-    assert len(calls) == (oracle == "full-ball scan")
+    if oracle is None:
+        assert check is None
+    else:
+        assert (check.detail["oracle"], check.detail["compared"]) == (oracle, compared)
+    assert len(calls) == (oracle is not None)
+
+
+def test_main_theorem_compares_no_walk_with_itself_on_b4(monkeypatch):
+    """The B4 ball out to the walk's stop length exceeds the default
+    budget, so no full-ball scan runs, and no check reports the walk as
+    the oracle of the low set it was sorted from."""
+    calls = []
+    monkeypatch.setattr(verify, "certified_scan", lambda *args: calls.append(args))
+    report = verify.verify_main_theorem(verify.desk_context("B", 4))
+    assert report.passed, report.to_text()
+    assert "low_equals_region_minima" not in {c.name for c in report.checks}
+    assert not calls
 
 
 def test_tables_suite_covers_rank4_pair():
