@@ -47,18 +47,18 @@ first.  Its ``keep`` predicate, which reads a vector, prunes it to a
 subset closed under left quotients, such as the finite Weyl group or the
 low elements.  A ``GroupElement`` is made only of what a caller returns.
 
-Right descents are read off the Shi vector alone.  Shi's inequalities
-``k(w, b) + k(w, c) <= k(w, b + c) <= k(w, b) + k(w, c) + 1``, over the
-positive roots b, c with b + c a root, characterise the vectors of
-alcoves (Shi, J. London Math. Soc. 1987).  For k = k(w, alpha_i) != 0,
-the wall of the w-alcove on the hyperplane of alpha_i nearest the
-fundamental alcove (level k when k >= 1, k + 1 when k <= -1) is a facet
-exactly when the vector with coordinate i moved one step towards zero
-keeps every inequality that involves i: the two alcoves are then
-separated by that hyperplane alone.  These facets are the walls of the
-right descents g, and w * s_g differs from w only in coordinate i.
-``facet_data`` lists, per positive root, the inequalities that involve
-it; like the reflection data, it is built on first use.
+Right descents are read off the Shi vector alone.  Shi's inequalities,
+stated once in ``rootdata`` over the root sums ``RootSystem.root_sums``,
+characterise the vectors of alcoves (Shi, J. London Math. Soc. 1987).
+For k = k(w, alpha_i) != 0, the wall of the w-alcove on the hyperplane
+of alpha_i nearest the fundamental alcove (level k when k >= 1, k + 1
+when k <= -1) is a facet exactly when the vector with coordinate i moved
+one step towards zero keeps every inequality that involves i: the two
+alcoves are then separated by that hyperplane alone.  These facets are
+the walls of the right descents g, and w * s_g differs from w only in
+coordinate i.  ``facet_data`` lists, per positive root, the inequalities
+that involve it, read off the root sums; like the reflection data, it is
+built on first use.
 """
 
 from __future__ import annotations
@@ -371,9 +371,18 @@ class AffineWeylGroup:
 
     @cached_property
     def facet_data(self) -> tuple:
-        """(splits, joins) per positive root, see ``_facet_data``; built on
-        first use (by ``is_facet``)."""
-        return tuple(self._facet_data(r) for r in self.system.positive_roots)
+        """The Shi inequalities that involve each positive root i, read off
+        ``RootSystem.root_sums`` on first use (by ``is_facet``): its splits,
+        the index pairs (b, c), b < c, with alpha_i = alpha_b + alpha_c,
+        and its joins, the pairs (b, c) with alpha_i + alpha_b = alpha_c,
+        each in order of b."""
+        splits: list[list[tuple[int, int]]] = [[] for _ in self.system.positive_roots]
+        joins: list[list[tuple[int, int]]] = [[] for _ in self.system.positive_roots]
+        for b, c, t in self.system.root_sums:
+            splits[t].append((b, c))
+            joins[b].append((c, t))
+            joins[c].append((b, t))
+        return tuple((tuple(split), tuple(sorted(join))) for split, join in zip(splits, joins))
 
     def _reflection_data(self, root: tuple[int, ...]) -> tuple:
         """Root data of the reflections with finite root ``root``.
@@ -403,21 +412,6 @@ class AffineWeylGroup:
                 base.append(0)
             slope.append(pairing)
         return tuple(pairs), tuple(base), tuple(slope)
-
-    def _facet_data(self, root: tuple[int, ...]) -> tuple:
-        """The Shi inequalities that involve the coordinate of ``root``:
-        the index pairs (b, c), b < c, with root = alpha_b + alpha_c, and
-        the pairs (b, c) with root + alpha_b = alpha_c."""
-        index = self.system.root_index
-        splits, joins = [], []
-        for b, beta in enumerate(self.system.positive_roots):
-            c = index.get(tuple(x - y for x, y in zip(root, beta)))
-            if c is not None and b < c:
-                splits.append((b, c))
-            c = index.get(tuple(x + y for x, y in zip(root, beta)))
-            if c is not None:
-                joins.append((b, c))
-        return tuple(splits), tuple(joins)
 
     def reflection_table(self, beta: AffineRoot) -> tuple:
         """The left table of the reflection in the affine root ``beta``."""

@@ -24,7 +24,7 @@ element extends its canonical parent and none is missed.
 ``enumerate_low`` reads it.  ``certified_scan`` reads the whole ball
 until every sign type holds a certified shortest vector; it is the
 oracle ``main-theorem`` compares the walk with where that ball fits the
-budget, and it gives the rank-2 admissibility tables.
+budget, and the package runs it nowhere else.
 
 Every enumeration is held to an element budget.  A walk of the unpruned
 ball out to a length known in advance asks ``ball_within_budget`` first,
@@ -32,9 +32,10 @@ which reads the ball's size off Bott's series and refuses an oversized
 ball with ``BudgetExceededError`` before any walk starts: the sweeps of
 ``verify.DeskContext.shells``, the member walk of
 ``regions.RegionTable.members``, ``main-theorem``'s choice of its
-full-ball oracle and the shell counts of the ``automaton`` text summary.  ``certified_scan``, whose radius is not known in
-advance, counts the elements shell by shell, and ``region_walk`` counts
-the vectors it keeps.
+full-ball oracle and the shell counts of the ``automaton`` text
+summary.  ``certified_scan``, whose radius is not known in advance,
+counts the elements shell by shell, and ``region_walk`` counts the
+vectors it keeps.
 
 Soundness of the cone test's finite window: every nonzero nonnegative
 combination of positive affine roots pairs strictly positively with the

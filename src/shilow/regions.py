@@ -169,6 +169,18 @@ class RegionTable:
                 for zeta, (low, samples) in buckets.items()}
 
 
+def _descent_bits(mask: int, realized: set[int]) -> int:
+    """The set bits of ``mask`` whose removal leaves a realized mask,
+    each set bit read once."""
+    descents, rest = 0, mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if mask ^ bit in realized:
+            descents |= bit
+    return descents
+
+
 def enumerate_regions(group: AffineWeylGroup, scan: ScanResult | None = None,
                       budget: int = DEFAULT_BUDGET) -> RegionTable:
     """The region table of ``scan``'s minima (by default those of
@@ -184,18 +196,18 @@ def enumerate_regions(group: AffineWeylGroup, scan: ScanResult | None = None,
             raise CertificationError(f"scanned sign type {zeta} is not admissible")
         mask = small.mask_from_shi(zeta)
         if mask != small.sigma_mask(minimal):
-            raise CertificationError(f"sign type {zeta}: its separation mask is not "
-                                     f"the small inversion set of its minimum")
+            raise CertificationError(
+                f"sign type {zeta}: its separation mask is not the small inversion "
+                f"set of its minimum (the compiled sign_type and the signs of the "
+                f"minimum's vector disagree, or the scan keys the minimum under "
+                f"another sign type)")
         if right_descent_within_sign_type(group, minimal) is not None:
             raise CertificationError(f"sign type {zeta}: its minimum has a right "
                                      f"descent inside the sign type")
         found.append((zeta, mask, minimal))
     realized = {mask for _, mask, _ in found}
-    bits = [1 << i for i in range(2 * small.count)]
     regions = [ShiRegion(sign_type=zeta, separation_mask=mask,
-                         descent_mask=sum(b for b in bits if mask & b
-                                          and (mask ^ b) in realized),
-                         minimal=minimal)
+                         descent_mask=_descent_bits(mask, realized), minimal=minimal)
                for zeta, mask, minimal in found]
     regions.sort(key=lambda r: (r.minimal.length, r.sign_string))
     return RegionTable(group=group, small=small, regions=tuple(regions),

@@ -15,13 +15,20 @@ integral reflections, the root counts and the Catalan number, an interior
 alcove point, the shape of each rank-2 subsystem) is checked by an explicit
 raise of ``RootDataError``, so an inconsistent datum is reported also
 under ``python -O``.
+
+Shi's inequalities, which characterise the coefficient vectors of
+alcoves, are stated here once: ``root_sums`` lists the root sums they
+range over, and ``alcove_vectors`` the integer vectors that satisfy them.
+The kernel's facet test and the rank-2 admissibility tables read them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
+from itertools import count, product
 from math import gcd, lcm
-from operator import attrgetter
+from operator import add, attrgetter
 
 _FAMILIES = tuple("ABCDEFG")  # a tuple: "in" on a string would accept "AB" or ""
 
@@ -357,6 +364,51 @@ class RootSystem:
         return tuple(tuple(all(b >= a for a, b in zip(positives[i], positives[j]))
                            for j in range(self.nroots))
                      for i in range(self.nroots))
+
+    # ----------------------------------------------------- Shi's inequalities
+
+    @cached_property
+    def root_sums(self) -> tuple[tuple[int, int, int], ...]:
+        """The index triples (b, c, t), b < c, with alpha_b + alpha_c =
+        alpha_t, in (b, c) order; built on first use.
+
+        Shi's inequalities k_b + k_c <= k_t <= k_b + k_c + 1, one pair per
+        triple, characterise the coefficient vectors k of alcoves (Shi,
+        J. London Math. Soc. 1987).  Every positive root that is not simple
+        is the sum of two positive roots, so each such t appears here."""
+        index, positives = self.root_index, self.positive_roots
+        sums = tuple((b, c, t) for b in range(self.nroots) for c in range(b + 1, self.nroots)
+                     if (t := index.get(tuple(map(add, positives[b], positives[c]))))
+                     is not None)
+        if {t for _, _, t in sums} != set(range(self.rank, self.nroots)):
+            raise RootDataError(f"the root sums of {self.cartan_type.name} do not "
+                                f"reach every non-simple positive root")
+        return sums
+
+    def alcove_vectors(self) -> Iterator[list[tuple[int, ...]]]:
+        """The integer vectors that satisfy Shi's inequalities over
+        ``root_sums``, hence the alcoves' coefficient vectors, as one list
+        per radius R = 0, 1, ...: the vectors whose simple coordinates
+        have largest absolute value R.  It never ends; the caller stops it.
+
+        Each further coordinate t, in height order, runs through
+        [max(k_b + k_c), min(k_b + k_c) + 1] over the triples that end in
+        t.  Both parts of a sum come before it, so every inequality is
+        tested once, where its sum is assigned, and no vector is missed."""
+        n = self.rank
+        splits: list[list[tuple[int, int]]] = [[] for _ in range(self.nroots)]
+        for b, c, t in self.root_sums:
+            splits[t].append((b, c))
+        for radius in count():
+            vectors = [simple for simple in product(range(-radius, radius + 1), repeat=n)
+                       if max(map(abs, simple)) == radius]
+            for pairs in splits[n:]:
+                grown = []
+                for vector in vectors:
+                    sums = [vector[b] + vector[c] for b, c in pairs]
+                    grown.extend(vector + (k,) for k in range(max(sums), min(sums) + 2))
+                vectors = grown
+            yield vectors
 
     # ---------------------------------------------------------------- basics
 

@@ -4,9 +4,12 @@ A sign type assigns -/0/+ to every positive root; the admissible ones are
 exactly the componentwise sign patterns of alcove coefficient vectors and
 index the regions of the Shi arrangement.  Admissibility is local: a sign
 type is admissible iff its restriction to every irreducible rank-2
-subsystem is (Shi 1987), and the rank-2 tables are generated from
-certified scans of the three rank-2 affine groups rather than transcribed
-from pictures.  ``_restrictions`` indexes those restrictions once per
+subsystem is (Shi 1987).  The three rank-2 tables are generated from root
+data alone, as the sign patterns of the integer vectors that satisfy
+Shi's inequalities (``RootSystem.alcove_vectors``), rather than
+transcribed from pictures; no walk of an affine group is read, so the
+region minima that ``main-theorem`` compares them with come from an
+independent route.  ``_restrictions`` indexes those restrictions once per
 type; ``violating_subsystems`` and the backtracking enumeration
 ``admissible_sign_types`` read it.  ``descent_mask`` derives a region's
 descent walls from admissibility alone, independently of the region table.
@@ -18,9 +21,8 @@ from collections.abc import Iterator
 from functools import cache
 from operator import itemgetter
 
-from .elements import AffineWeylGroup
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
-                      SmallRoots, certified_scan)
+                      SmallRoots, sign_of_shi)
 from .rootdata import CartanType, Rank2Subsystem, RootSystem, root_system
 
 _SIGN_CHAR = {-1: "-", 0: "0", 1: "+"}
@@ -43,18 +45,31 @@ def parse_sign_string(text: str) -> tuple[int, ...]:
 def rank2_admissible_table(kind: str) -> frozenset[tuple[int, ...]]:
     """All admissible sign types of a standalone rank-2 system.
 
-    Generated by a certified scan of the corresponding affine group: the
-    scan stops only after (h+1)^2 distinct sign patterns each hold a
-    shortest element, so the table is complete by the region count.
+    The sign patterns of ``RootSystem.alcove_vectors``, read radius by
+    radius until they number (h+1)^2.  Each vector satisfies Shi's
+    inequalities, so it is an alcove's and each pattern found is
+    realised; reaching the region count closes the table.  A search that
+    examines more than ``DEFAULT_BUDGET`` vectors first, or ends with
+    another count, raises ``CertificationError``.
     """
     if kind not in ("A2", "B2", "G2"):
         raise ValueError(f"not an irreducible rank-2 kind: {kind!r}")
     system = root_system(kind[0], 2)
-    table = frozenset(certified_scan(AffineWeylGroup(system)).minima)
+    table: set[tuple[int, ...]] = set()
+    examined = 0
+    for vectors in system.alcove_vectors():
+        examined += len(vectors)
+        if examined > DEFAULT_BUDGET:
+            raise CertificationError(
+                f"the {kind} table search examined {examined} vectors, more than "
+                f"{DEFAULT_BUDGET}, and found {len(table)} sign types")
+        table.update(map(sign_of_shi, vectors))
+        if len(table) >= system.region_count:
+            break
     if len(table) != system.region_count:
         raise CertificationError(f"the {kind} table holds {len(table)} sign types, "
                                  f"not (h+1)^2 = {system.region_count}")
-    return table
+    return frozenset(table)
 
 
 def restrict_to_subsystem(sub: Rank2Subsystem, trits: tuple[int, ...]) -> tuple[int, ...]:

@@ -120,16 +120,15 @@ class DeskContext:
     def machine(self) -> automata.Automaton:
         return automata.build_automaton(self.group, self.small, self.budget)
 
-    def shells(self, bound: int) -> list[list[GroupElement]]:
-        """Shells 0..bound of the group ball as elements, read from
-        ``group.shells()`` once ``ball_within_budget`` has let the ball in."""
+    def shells(self, bound: int) -> list[list[tuple[int, ...]]]:
+        """Shells 0..bound of the group ball as bare Shi vectors, read from
+        ``group.shells()`` once ``ball_within_budget`` has let the ball in;
+        a suite makes a ``GroupElement`` only of the vectors it reads."""
         ball_within_budget(self.system, bound, self.budget, "ball walk")
-        group = self.group
-        return [[GroupElement(group, shi) for shi in shell]
-                for shell in islice(group.shells(), bound + 1)]
+        return list(islice(self.group.shells(), bound + 1))
 
-    def ball(self, bound: int) -> list[GroupElement]:
-        return [w for shell in self.shells(bound) for w in shell]
+    def ball(self, bound: int) -> list[tuple[int, ...]]:
+        return [shi for shell in self.shells(bound) for shi in shell]
 
 
 def desk_context(family: str, rank: int, budget: int = DEFAULT_BUDGET) -> DeskContext:
@@ -467,7 +466,8 @@ def verify_recurrences(ctx: DeskContext, bound: int | None = None) -> Report:
     family, rank = system.cartan_type.family, system.rank
     sweep_bound = bound if bound is not None else _SWEEP_BOUNDS.get(rank, 6)
     report = Report(suite="recurrences", family=family, rank=rank, bound=sweep_bound)
-    shells = ctx.shells(sweep_bound)
+    shells = [[GroupElement(group, shi) for shi in shell]
+              for shell in ctx.shells(sweep_bound)]
     sweep = [w for shell in shells for w in shell]
     at = partial(_counterexample, group)
     signed_roots = [list(r) for r in system.positive_roots]
@@ -929,11 +929,10 @@ def verify_tables(ctx: DeskContext) -> Report:
                            "canonical": signtypes.sign_string(canonical_spot)})
 
         target = worked["k_vector"]
-        hits = [w for w in ctx.ball(sum(abs(k) for k in target))
-                if w.shi == target]
+        hits = [shi for shi in ctx.ball(sum(abs(k) for k in target)) if shi == target]
         k_ok = len(hits) == 1
         if k_ok:
-            w = hits[0]
+            w = GroupElement(group, hits[0])
             k_ok = (group.inversion_set(w) == worked["k_inversions"]
                     and ctx.small.sigma(w) == worked["k_sigma"])
         report.add("worked_alcove_coefficients", k_ok,
@@ -1030,17 +1029,17 @@ def verify_tables(ctx: DeskContext) -> Report:
         for slot, p in enumerate(_B2_DISPLAY):
             canonical_k[p] = worked["k_display"][slot]
         canonical_k = tuple(canonical_k)
-        hits = [w for w in ctx.ball(sum(abs(k) for k in canonical_k))
-                if w.shi == canonical_k]
         literal = worked["k_display"]
-        literal_hits = [w for w in ctx.ball(sum(abs(k) for k in literal))
-                        if w.shi == literal]
+        # The two readings permute one vector, so one ball of their common
+        # length holds every element either could be.
+        ball = ctx.ball(sum(abs(k) for k in literal))
+        hits = [shi for shi in ball if shi == canonical_k]
+        literal_hits = [shi for shi in ball if shi == literal]
         k_ok = len(hits) == 1 and not literal_hits
         if k_ok:
-            w = hits[0]
-            k_ok = (_display(tuple(w.shi), _B2_DISPLAY) == worked["k_display"]
-                    and _display(sign_of_shi(w.shi), _B2_DISPLAY)
-                    == worked["zeta_display"])
+            shi = hits[0]
+            k_ok = (_display(shi, _B2_DISPLAY) == worked["k_display"]
+                    and _display(sign_of_shi(shi), _B2_DISPLAY) == worked["zeta_display"])
         report.add(
             "reference_alcove_coefficients", k_ok,
             detail={"display_order": list(_B2_DISPLAY),

@@ -5,11 +5,11 @@ import itertools
 
 import pytest
 
-from shilow import AffineRoot, AffineWeylGroup, root_system
+from shilow import AffineRoot, AffineWeylGroup, GroupElement, root_system
 
 
 def _ball(ctx, radius: int):
-    return ctx.ball(radius)
+    return [GroupElement(ctx.group, shi) for shi in ctx.ball(radius)]
 
 
 def test_generators_are_involutions(desk):

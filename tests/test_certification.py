@@ -13,7 +13,6 @@ import os
 import re
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -301,10 +300,47 @@ def test_the_region_layer_raises_named_errors(monkeypatch):
         regions.ideal_closed_form_inversions(group, whole)
     with pytest.raises(ValueError, match="needs a '\\+' at a simple root"):
         condition_star(group.system, (0, 0, 0), 0)
-    monkeypatch.setattr(signtypes, "certified_scan",
-                        lambda group: types.SimpleNamespace(minima={(0, 0, 0): None}))
-    with pytest.raises(CertificationError, match="A2 table holds 1 sign types"):
-        signtypes.rank2_admissible_table.__wrapped__("A2")
+
+
+def test_the_rank2_table_search_raises_named_errors(monkeypatch):
+    """A search that passes the region count, or that examines more vectors
+    than the budget first, names the kind."""
+    def tampered(family, rank):
+        system = root_system(family, rank)
+        system.region_count -= 1
+        return system
+    with monkeypatch.context() as patch:
+        patch.setattr(signtypes, "root_system", tampered)
+        with pytest.raises(CertificationError, match="A2 table holds 16 sign types, "
+                                                     "not \\(h\\+1\\)\\^2 = 15"):
+            signtypes.rank2_admissible_table.__wrapped__("A2")
+    monkeypatch.setattr(signtypes, "DEFAULT_BUDGET", 40)
+    with pytest.raises(CertificationError, match="G2 table search examined 108 vectors"):
+        signtypes.rank2_admissible_table.__wrapped__("G2")
+
+
+def test_the_sign_type_layer_does_not_read_the_kernel():
+    """``signtypes`` builds its rank-2 tables from root data alone, so the
+    region minima that ``main-theorem`` checks against them come from an
+    independent route: it imports nothing from ``elements`` and never
+    names ``certified_scan``."""
+    tree = ast.parse((SRC / "shilow" / "signtypes.py").read_text())
+
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return [module] + [f"{module}.{alias.name}" for alias in node.names]
+        return []
+    kernel_imports = [node.lineno for node in ast.walk(tree)
+                      if any("elements" in name.split(".") for name in imported(node))]
+    scan_names = [node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "certified_scan"
+                  or isinstance(node, ast.alias) and node.name == "certified_scan"
+                  or isinstance(node, ast.Attribute) and node.attr == "certified_scan"]
+    assert not kernel_imports, f"signtypes.py imports .elements at lines {kernel_imports}"
+    assert not scan_names, f"signtypes.py names certified_scan at lines {scan_names}"
 
 
 MODULES = sorted(path.stem for path in (SRC / "shilow").glob("*.py"))

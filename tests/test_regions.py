@@ -34,7 +34,8 @@ def test_all_sign_types_admissible(desk):
 
 def test_region_of_respects_sign_vector(desk):
     table = desk.table
-    for w in desk.ball(4):
+    for shi in desk.ball(4):
+        w = GroupElement(desk.group, shi)
         region = table.region_of(w)
         assert region.sign_type == sign_of_shi(w.shi)
         min_abs = table.members[region.sign_type].min_abs

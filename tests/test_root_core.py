@@ -1,6 +1,7 @@
 """Finite root system construction: matrices, roots, invariants, posets."""
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -274,6 +275,43 @@ def test_rank2_subsystems_are_span_intersections(system):
         for q, root in enumerate(system.positive_roots):
             in_span = solve_two_unknowns(s1, s2, root) is not None
             assert (q in member_set) == in_span
+
+
+def test_root_sums_list_every_sum_of_two_positive_roots(system):
+    roots = system.positive_roots
+    expected = {(b, c, system.root_index[tuple(x + y for x, y in zip(roots[b], roots[c]))])
+                for b in range(system.nroots) for c in range(b + 1, system.nroots)
+                if system.is_root(tuple(x + y for x, y in zip(roots[b], roots[c])))}
+    assert set(system.root_sums) == expected
+    assert list(system.root_sums) == sorted(system.root_sums)
+    assert root_system("B", 2).root_sums == ((0, 1, 2), (0, 2, 3))
+
+
+def test_a_root_no_sum_reaches_raises_root_data_error(monkeypatch):
+    system = root_system("A", 2)
+    monkeypatch.setattr(system, "root_index", {(1, 0): 0, (0, 1): 1})
+    with pytest.raises(RootDataError, match="do not reach every non-simple"):
+        system.root_sums
+
+
+@pytest.mark.parametrize("family", ["A", "B", "G"])
+def test_alcove_vectors_are_the_solutions_of_shi_inequalities(family):
+    """Squares 0..2 of the search hold each solution once, at its radius;
+    on A2 and B2 they hold every solution, against a brute-force box
+    (|k_t| <= height(t) * 3 bounds each coordinate of those squares)."""
+    system = root_system(family, 2)
+    squares = list(itertools.islice(system.alcove_vectors(), 3))
+    for radius, vectors in enumerate(squares):
+        assert len(set(vectors)) == len(vectors)
+        for k in vectors:
+            assert max(abs(k[0]), abs(k[1])) == radius
+            assert all(k[b] + k[c] <= k[t] <= k[b] + k[c] + 1 for b, c, t in system.root_sums)
+    if family != "G":
+        box = [range(-3 * h, 3 * h + 1) for h in system.heights]
+        box[:2] = [range(-2, 3)] * 2
+        brute = {k for k in itertools.product(*box)
+                 if all(k[b] + k[c] <= k[t] <= k[b] + k[c] + 1 for b, c, t in system.root_sums)}
+        assert brute == {k for vectors in squares for k in vectors}
 
 
 def test_root_names_and_json(system):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shilow import (BudgetExceededError, admissible_sign_types, condition_star,
-                    descent_mask, is_admissible, parse_sign_string,
+from shilow import (AffineWeylGroup, BudgetExceededError, admissible_sign_types,
+                    certified_scan, condition_star, descent_mask, is_admissible, parse_sign_string,
                     rank2_admissible_table, rank2_tables_json, root_system,
                     sign_string)
 from shilow.signtypes import restrict_to_subsystem, violating_subsystem
@@ -38,6 +38,14 @@ def test_rank2_table_sizes():
     assert len(rank2_admissible_table("A2")) == 16
     assert len(rank2_admissible_table("B2")) == 25
     assert len(rank2_admissible_table("G2")) == 49
+
+
+@pytest.mark.parametrize("kind", ["A2", "B2", "G2"])
+def test_rank2_table_equals_the_certified_scan(kind):
+    """The tables come from Shi's inequalities alone; the full-ball scan of
+    the rank-2 affine group stays their independent oracle."""
+    scan = certified_scan(AffineWeylGroup(root_system(kind[0], 2)))
+    assert rank2_admissible_table(kind) == frozenset(scan.minima)
 
 
 def test_rank2_tables_contain_constant_types():

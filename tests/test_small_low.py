@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from shilow import (AffineRoot, AffineWeylGroup, BudgetExceededError,
+from shilow import (AffineRoot, AffineWeylGroup, BudgetExceededError, GroupElement,
                     SmallRoots, certified_scan, enumerate_low, is_low,
                     is_low_by_cone, root_system, sign_of_shi)
 
@@ -49,7 +49,8 @@ def test_sigma_of_identity_is_empty(desk):
 
 def test_sigma_is_small_part_of_inversions(desk):
     group, small = desk.group, desk.small
-    for w in desk.ball(4):
+    for shi in desk.ball(4):
+        w = GroupElement(group, shi)
         expected = frozenset(b for b in group.inversion_set(w) if b in small)
         assert small.sigma(w) == expected
 
@@ -152,14 +153,14 @@ def test_low_elements_have_distinct_sign_types(desk):
 def test_low_membership_predicate(desk):
     group = desk.group
     low_set = set(desk.low)
-    for w in desk.ball(4):
-        assert is_low(group, w.shi) == (w in low_set)
+    for shi in desk.ball(4):
+        assert is_low(group, shi) == (GroupElement(group, shi) in low_set)
 
 
 def test_low_oracle_agreement_small_ball(a2):
     group, small = a2.group, a2.small
-    for w in a2.ball(6):
-        assert is_low(group, w.shi) == is_low_by_cone(group, small, w)
+    for shi in a2.ball(6):
+        assert is_low(group, shi) == is_low_by_cone(group, small, GroupElement(group, shi))
 
 
 def test_enumerate_low_fresh_run_matches_cached(a2):
