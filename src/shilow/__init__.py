@@ -15,8 +15,8 @@ automaton recognizes the reduced words.
 """
 from __future__ import annotations
 
-from .automaton import (Automaton, build_automaton, export_dot, parse_dot,
-                        transition_table_json)
+from .automaton import (Automaton, build_automaton, dot_chunks, export_dot,
+                        json_chunks, parse_dot, transition_table_json)
 from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
                       ScanResult, SmallRoots, certified_scan, enumerate_low,
@@ -67,6 +67,7 @@ __all__ = [
     "descent_mask",
     "descent_root_set",
     "dominant_pairs",
+    "dot_chunks",
     "enumerate_low",
     "enumerate_regions",
     "export_dot",
@@ -75,6 +76,7 @@ __all__ = [
     "is_admissible",
     "is_low",
     "is_low_by_cone",
+    "json_chunks",
     "parse_dot",
     "parse_sign_string",
     "rank2_admissible_table",

@@ -14,13 +14,18 @@ The construction and the labels read masks eight bits at a time.
 its images under all the letters side by side in one integer, so the
 transitions of a state cost one lookup per chunk; the labels decode
 eight sign positions per lookup, from a table filled as pieces occur.
-``Automaton.order`` sorts the states by label once, and both exports
-(DOT and the JSON transition table) walk that order.
+``Automaton.order`` sorts the states by label once and keeps the result
+compact, as one ``array("i")``; both exports (DOT and the JSON
+transition table) walk that order.  Each export is written in chunks,
+one per state (``dot_chunks``, ``json_chunks``), so a caller can stream
+it without holding the whole text; ``export_dot`` joins the DOT chunks.
 """
 
 from __future__ import annotations
 
+import json
 import re
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 from operator import attrgetter
 
@@ -75,10 +80,14 @@ class Automaton(Record):
         return tuple(labels)
 
     @cached_property
-    def order(self) -> tuple[int, ...]:
-        """The state indices sorted by label: the order of both exports."""
+    def order(self) -> Sequence[int]:
+        """The state indices sorted by label, the order of both exports, as
+        a compact ``array("i")``: one machine int per state instead of one
+        int object."""
+        from array import array  # here: importing the CLI need not load it
+
         labels = self.labels
-        return tuple(sorted(range(len(labels)), key=labels.__getitem__))
+        return array("i", sorted(range(len(labels)), key=labels.__getitem__))
 
     def state_label(self, state: int) -> str:
         """The label of one state; see ``labels``."""
@@ -183,31 +192,54 @@ def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
                      transitions=tuple(transitions))
 
 
-def export_dot(automaton: Automaton) -> str:
-    """Deterministic DOT rendering: nodes sorted by label, edges by
+def _dot_pieces(automaton: Automaton) -> Iterator[str]:
+    """The lines of the DOT export, without their newlines, grouped per
+    state: the header, one node line per state, the out-edges of each
+    state, and the closing brace.  Nodes are sorted by label, edges by
     (source label, letter)."""
     labels = automaton.labels
     order = automaton.order
-    lines = ["digraph reduced_words {", "  rankdir=LR;",
-             "  node [shape=circle];"]
+    transitions = automaton.transitions
+    yield "digraph reduced_words {\n  rankdir=LR;\n  node [shape=circle];"
     for state in order:
-        shape = ' [shape=doublecircle]' if state == 0 else ""
-        lines.append(f'  "{labels[state]}"{shape};')
+        shape = " [shape=doublecircle]" if state == 0 else ""
+        yield f'  "{labels[state]}"{shape};'
+    ends = [f'" [label="s{g}"];' for g in range(automaton.letter_count)]
     for state in order:
-        source = labels[state]
-        for g, target in enumerate(automaton.transitions[state]):
-            if target is not None:
-                lines.append(f'  "{source}" -> "{labels[target]}" [label="s{g}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        start = f'  "{labels[state]}" -> "'
+        yield "\n".join([start + labels[target] + ends[g]
+                         for g, target in enumerate(transitions[state])
+                         if target is not None])
+    yield "}"
+
+
+def dot_chunks(automaton: Automaton) -> Iterator[str]:
+    """The DOT export in per-state chunks, each ending with a newline."""
+    for piece in _dot_pieces(automaton):
+        yield piece + "\n"
+
+
+def export_dot(automaton: Automaton) -> str:
+    """Deterministic DOT rendering: the chunks of ``dot_chunks`` joined."""
+    # The pieces are kept in a list while the text is joined and then
+    # copied with its closing newline.  Joining the chunks directly saves
+    # that copy, yet it raised the peak RSS of rank4-enumerate by 0.4 MB:
+    # once the first text is freed, glibc's malloc serves the large
+    # blocks of a following ``json.dumps`` from the heap's free space
+    # instead of mapping new pages.
+    pieces = list(_dot_pieces(automaton))
+    return "\n".join(pieces) + "\n"
 
 
 # One line of the export: a node ``"label" [attributes];`` (groups 2 and
-# 3 empty) or an edge ``"source" -> "target" [label="s<g>"]``.  The
-# pattern starts at the newline before the line, not at ``^``: a literal
-# first character lets the search skip ahead.
-_DOT_LINE = re.compile(r'\n[ \t]*"([-0+]+)"(?:[ \t]*->[ \t]*"([-0+]+)"[ \t]*'
-                       r'\[label="s(\d+)"\]|(?:[ \t]*\[[^]\n]*\])?;)')
+# 3 empty) or an edge ``"source" -> "target" [label="s<g>"]``.
+_DOT_ITEM = (r'[ \t]*"([-0+]+)"(?:[ \t]*->[ \t]*"([-0+]+)"[ \t]*'
+             r'\[label="s(\d+)"\]|(?:[ \t]*\[[^]\n]*\])?;)')
+# ``parse_dot`` searches the whole text, so its pattern starts at the
+# newline before the line, not at ``^``: a literal first character lets
+# the search skip ahead.  ``match_dot_line`` reads one line at a time.
+_DOT_LINE = re.compile("\n" + _DOT_ITEM)
+match_dot_line = re.compile(_DOT_ITEM).match
 
 
 def parse_dot(text: str) -> tuple[list[str], dict[tuple[str, int], str]]:
@@ -234,18 +266,45 @@ def parse_dot(text: str) -> tuple[list[str], dict[tuple[str, int], str]]:
     return labels, edges
 
 
+def _table_head(automaton: Automaton) -> dict:
+    """The fields of the JSON transition table before ``transitions``."""
+    cartan_type = automaton.group.system.cartan_type
+    return {
+        "type": cartan_type.family,
+        "rank": cartan_type.rank,
+        "states": len(automaton.states),
+        "start": automaton.labels[0],
+    }
+
+
 def transition_table_json(automaton: Automaton) -> dict:
-    system = automaton.group.system
     labels = automaton.labels
     transitions = automaton.transitions
     letters = [f"s{g}" for g in range(automaton.letter_count)]
     table = {labels[i]: {letter: labels[target] for letter, target
                          in zip(letters, transitions[i]) if target is not None}
              for i in automaton.order}
-    return {
-        "type": system.cartan_type.family,
-        "rank": system.cartan_type.rank,
-        "states": len(labels),
-        "start": labels[0],
-        "transitions": table,
-    }
+    return {**_table_head(automaton), "transitions": table}
+
+
+def json_chunks(automaton: Automaton) -> Iterator[str]:
+    """``json.dumps(transition_table_json(automaton), indent=2)``, piece by
+    piece, without building the table: the head fields and the opening of
+    ``transitions``, one piece per state, and the closing braces.
+
+    A label is written between quotes as it is: it is a string over
+    ``-0+``, which JSON needs no escape for.  Every state has a legal
+    letter (an affine Weyl group is infinite), so no row is empty."""
+    labels = automaton.labels
+    transitions = automaton.transitions
+    head = json.dumps(_table_head(automaton), indent=2)
+    yield head[:-2] + ',\n  "transitions": {'
+    starts = [f'\n      "s{g}": "' for g in range(automaton.letter_count)]
+    separator = "\n"
+    for state in automaton.order:
+        row = ",".join([starts[g] + labels[target] + '"'
+                        for g, target in enumerate(transitions[state])
+                        if target is not None])
+        yield f'{separator}    "{labels[state]}": {{{row}\n    }}'
+        separator = ",\n"
+    yield "\n  }\n}"

@@ -31,6 +31,7 @@ import gc
 import io
 import json
 import sys
+from collections.abc import Iterable
 from itertools import islice
 
 from . import automaton as automaton_mod
@@ -128,16 +129,29 @@ def _add_output(parser: argparse.ArgumentParser,
 
 
 def _emit(text: str, output: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+    _emit_chunks((text,), output)
+
+
+def _emit_chunks(chunks: Iterable[str], output: str | None) -> None:
+    """Write the chunks as they are produced, to the file ``output`` or
+    else to the ``sys.stdout`` of the moment, ending with a newline."""
+    if not output:
+        _write_chunks(sys.stdout, chunks)
+        return
+    try:
+        with open(output, "w", encoding="utf-8") as handle:
+            _write_chunks(handle, chunks)
+    except OSError as exc:
+        raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
+
+
+def _write_chunks(stream: io.TextIOBase, chunks: Iterable[str]) -> None:
+    last = ""
+    for chunk in chunks:
+        stream.write(chunk)
+        last = chunk or last
+    if not last.endswith("\n"):
+        stream.write("\n")
 
 
 def _usage_error(message: str) -> int:
@@ -266,11 +280,10 @@ def cmd_automaton(args: argparse.Namespace) -> int:
     ctx = verify.desk_context(args.family, args.rank, args.budget)
     machine = ctx.machine
     if args.format == "dot":
-        _emit(automaton_mod.export_dot(machine), args.output)
+        _emit_chunks(automaton_mod.dot_chunks(machine), args.output)
         return EXIT_PASS
     if args.format == "json":
-        _emit(json.dumps(automaton_mod.transition_table_json(machine),
-                         indent=2), args.output)
+        _emit_chunks(automaton_mod.json_chunks(machine), args.output)
         return EXIT_PASS
     # Several reduced words may spell one element, so the two counts
     # differ from length 2 on.

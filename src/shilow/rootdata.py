@@ -404,9 +404,16 @@ class RootSystem:
                        if max(map(abs, simple)) == radius]
             for pairs in splits[n:]:
                 grown = []
-                for vector in vectors:
-                    sums = [vector[b] + vector[c] for b, c in pairs]
-                    grown.extend(vector + (k,) for k in range(max(sums), min(sums) + 2))
+                if len(pairs) == 1:
+                    # One split: the range is just k_b + k_c and k_b + k_c + 1.
+                    (b, c), = pairs
+                    for vector in vectors:
+                        k = vector[b] + vector[c]
+                        grown += (vector + (k,), vector + (k + 1,))
+                else:
+                    for vector in vectors:
+                        sums = [vector[b] + vector[c] for b, c in pairs]
+                        grown.extend(vector + (k,) for k in range(max(sums), min(sums) + 2))
                 vectors = grown
             yield vectors
 

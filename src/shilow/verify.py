@@ -20,7 +20,8 @@ Five suites, each returning a structured pass/fail report:
   against the length oracle (walked over (element, state) pairs through
   the matrix action; the pairs decide every word's verdict), growth
   counts against the kernel's shells and Bott's series, and
-  serialization round trips.
+  serialization round trips, read from the streamed exports without
+  holding either whole.
 * ``tables``         -- conformance fixtures: transcribed wall-crossing
   row catalogs for the two smallest affine types (root-position layout
   inferred by the harness and recorded in the report), worked single
@@ -56,9 +57,11 @@ library's own (``signtypes.reflect_sign_type``, ``SmallRoots``,
 
 from __future__ import annotations
 
+import json
 import random
+from collections.abc import Iterator
 from functools import cached_property, partial
-from itertools import islice
+from itertools import islice, zip_longest
 
 from . import automaton as automata
 from . import regions as regionlib
@@ -601,6 +604,66 @@ def verify_recurrences(ctx: DeskContext, bound: int | None = None) -> Report:
 # Suite: automaton
 # --------------------------------------------------------------------------
 
+def _dot_items(machine: automata.Automaton) -> Iterator[tuple[str, str | None, str | None]]:
+    """The nodes, then the edges, of the machine in export order, in the
+    form of ``automaton.match_dot_line``'s groups: (label, None, None) for
+    a node, (source, target, letter) for an edge."""
+    labels, order = machine.labels, machine.order
+    for state in order:
+        yield labels[state], None, None
+    letters = [str(g) for g in range(machine.letter_count)]
+    for state in order:
+        source = labels[state]
+        for letter, target in zip(letters, machine.transitions[state]):
+            if target is not None:
+                yield source, labels[target], letter
+
+
+def _dot_item_json(item: tuple[str, str | None, str | None] | None) -> dict | None:
+    """One item of ``_dot_items`` as a counterexample field."""
+    if item is None:
+        return None
+    source, target, letter = item
+    if target is None:
+        return {"node": source}
+    return {"source": source, "letter": int(letter), "target": target}
+
+
+def _lines(chunks: Iterator[str]) -> Iterator[str]:
+    """The lines of a text streamed in chunks, without their newlines,
+    wherever the chunks break."""
+    rest = ""
+    for chunk in chunks:
+        *lines, rest = (rest + chunk).split("\n")
+        yield from lines
+    if rest:
+        yield rest
+
+
+def _dot_round_trip(machine: automata.Automaton,
+                    lines: Iterator[str]) -> tuple[dict | None, dict]:
+    """Read DOT lines, in the grammar of ``automaton.parse_dot``, against
+    the machine's nodes and edges in export order.  Returns the first
+    line that is not the item expected there (a duplicated, missing,
+    extra or wrong line), or the first item no line gave, and the numbers
+    of nodes and edges read back before it."""
+    expected = _dot_items(machine)
+    counts = {"nodes": 0, "edges": 0}
+    number = 0
+    for number, text in enumerate(lines, 1):
+        line = automata.match_dot_line(text)
+        if line is None:
+            continue
+        item, want = line.groups(), next(expected, None)
+        if item != want:
+            return {"line": number, "text": text, "expected": _dot_item_json(want)}, counts
+        counts["edges" if item[1] else "nodes"] += 1
+    want = next(expected, None)
+    if want is not None:
+        return {"line": number + 1, "text": None, "expected": _dot_item_json(want)}, counts
+    return None, counts
+
+
 def verify_automaton(ctx: DeskContext, bound: int | None = None,
                      seed: int | None = None) -> Report:
     system, group, machine = ctx.system, ctx.group, ctx.machine
@@ -676,19 +739,31 @@ def verify_automaton(ctx: DeskContext, bound: int | None = None,
                 == (group.element_from_word(word).length == len(word))
                 else {"word": list(word)})
 
-    dot = automata.export_dot(machine)
-    labels, edges = automata.parse_dot(dot)
-    name = machine.labels
-    expect_edges = {(name[state], g): name[target]
-                    for state, row in enumerate(machine.transitions)
-                    for g, target in enumerate(row) if target is not None}
-    report.add("dot_round_trip", sorted(labels) == sorted(name) and edges == expect_edges)
-    report.add("dot_deterministic", dot == automata.export_dot(machine))
+    # Two DOT exports are read in lockstep: the first line by line against
+    # the machine, the second chunk by chunk against the first.  Neither
+    # export is kept whole, and no edge map is built.
+    same = True
 
-    table_json = automata.transition_table_json(machine)
+    def first_of_two() -> Iterator[str]:
+        nonlocal same
+        for chunk, twin in zip_longest(automata.dot_chunks(machine),
+                                       automata.dot_chunks(machine)):
+            same = same and chunk == twin
+            yield chunk or ""
+    stream = first_of_two()
+    mismatch, counts = _dot_round_trip(machine, _lines(stream))
+    for _ in stream:  # the rest of both exports, for ``dot_deterministic``
+        pass
+    report.add("dot_round_trip", mismatch is None, counterexample=mismatch,
+               detail=counts)
+    report.add("dot_deterministic", same)
+
+    # The first chunk opens the table and its ``transitions``; closed, it
+    # parses to the head fields.
+    head = json.loads(next(automata.json_chunks(machine)) + "}}")
     report.add("json_transition_table",
-               table_json["states"] == len(machine.states)
-               and table_json["start"] == machine.labels[0])
+               head["states"] == len(machine.states)
+               and head["start"] == machine.labels[0])
     return report
 
 

@@ -1,12 +1,15 @@
 """Reduced-word automaton: construction, recognition, counting, export."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+from array import array
 from functools import cache
 from itertools import islice
 from pathlib import Path
@@ -15,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shilow import (AffineWeylGroup, SmallRoots, build_automaton, export_dot, parse_dot,
-                    parse_sign_string, root_system, transition_table_json)
+from shilow import (AffineWeylGroup, SmallRoots, build_automaton, cli, export_dot,
+                    parse_dot, parse_sign_string, root_system, transition_table_json)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -237,6 +240,7 @@ def test_every_label_round_trips_to_its_state(name):
 
 def test_order_sorts_states_by_label(desk):
     machine = desk.machine
+    assert isinstance(machine.order, array)
     assert [machine.labels[i] for i in machine.order] == sorted(machine.labels)
 
 
@@ -250,6 +254,36 @@ def test_rank_four_exports_match_recorded_digests(name):
     for key, text in digests.items():
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
             == expected["exports"][name][key]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B4", "C4", "D4"])
+def test_streamed_cli_exports_equal_the_library_exports(tmp_path, name, fmt):
+    """``shilow automaton`` writes its export chunk by chunk, to stdout and
+    to ``--output``; both give the library export's bytes (the JSON with
+    the CLI's closing newline), and on the rank-four types the digests
+    the benchmark checks."""
+    machine = _machine(name)
+    if fmt == "dot":
+        expected = export_dot(machine)
+    else:
+        expected = json.dumps(transition_table_json(machine), indent=2) + "\n"
+    argv = ["automaton", "--type", name[0], "--rank", name[1:], "--format", fmt]
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.main(argv) == 0
+    target = tmp_path / f"{name}.{fmt}"
+    assert cli.main([*argv, "--output", str(target)]) == 0
+    assert buffer.getvalue() == expected
+    assert target.read_text(encoding="utf-8") == expected
+    if name.endswith("4"):
+        recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+        text = expected if fmt == "dot" else expected.removesuffix("\n")
+        assert _sha256(text) == recorded["exports"][name][f"{fmt}_sha256"]
 
 
 _DUPLICATE_EDGE = (

@@ -336,9 +336,12 @@ def test_main_freezes_the_import_time_heap_once_per_process():
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_csv():
     """A fresh ``import shilow.cli`` loads neither ``dataclasses`` nor the
     ``inspect`` chain behind it, and not ``csv``, which only a CSV export
-    imports.  (``typing`` and ``re`` go unasserted: ``site`` may load them.)"""
+    imports; nor ``hashlib``, nor ``array``, which ``Automaton.order``
+    imports on first use.  (``typing`` and ``re`` go unasserted: ``site``
+    may load them.)"""
     program = ("import sys\nimport shilow.cli\n"
-               "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
+               "print(sorted({'dataclasses', 'inspect', 'csv', 'hashlib', 'array'}"
+               " & set(sys.modules)))")
     assert _fresh_python(program) == "[]\n"
 
 
@@ -429,6 +432,17 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert not out
     assert str(target) in err
+
+
+def test_unwritable_output_of_a_streamed_export_is_usage_error(tmp_path, capsys):
+    """The automaton exports are written as they are produced; an output
+    that cannot be opened is still a usage error, before any chunk."""
+    target = tmp_path / "missing" / "machine.dot"
+    code, out, err = run_cli(capsys, "automaton", "--format", "dot",
+                             "--output", str(target))
+    assert code == 2
+    assert not out
+    assert err.startswith(f"error: cannot write {target}")
 
 
 def test_unknown_subcommand_rejected(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import re
 from collections import Counter
 from itertools import islice
 
@@ -10,7 +11,8 @@ import pytest
 from conftest import context, suite_report
 
 from shilow import (AffineWeylGroup, Automaton, BudgetExceededError, GroupElement, Report,
-                    SmallRoots, lowness, ratlp, regions, run_suite, signtypes, verify)
+                    SmallRoots, automaton, cli, lowness, ratlp, regions, run_suite,
+                    signtypes, verify)
 from shilow.elements import word_text
 
 
@@ -196,6 +198,60 @@ def test_automaton_suite_catches_a_redirected_transition():
     assert not check.passed
     assert check.counterexample == {"prefix": word_text((0,)), "letter": 0}
     assert checks["empty_state_transitions"].counterexample == {"letter": 0}
+
+
+@pytest.mark.parametrize("tamper, line, read, want", [
+    ("duplicate", 21, 19, 20), ("drop", 20, 20, 19), ("retarget", 20, None, 19)])
+def test_a_tampered_dot_stream_fails_the_round_trip(monkeypatch, capsys,
+                                                    tamper, line, read, want):
+    """A duplicated, dropped or retargeted edge line in the DOT chunks fails
+    ``dot_round_trip`` (exit 1) rather than raising; the counterexample
+    names the line read and the edge expected there.  Both exports of the
+    suite are tampered alike, so ``dot_deterministic`` still passes.  On
+    A2 the header and the 16 nodes fill lines 1-19 (indices 0-18)."""
+    lines = automaton.export_dot(context("A", 2).machine).splitlines()
+    # The start state "000" has no incoming edge.
+    retargeted = re.sub(r'-> "[-0+]+"', '-> "000"', lines[19], count=1)
+    dot_chunks = automaton.dot_chunks
+
+    def tampered(machine):
+        chunks = dot_chunks(machine)
+        for chunk in chunks:
+            if " -> " in chunk:
+                first, rest = chunk.split("\n", 1)
+                yield {"duplicate": f"{first}\n{first}\n{rest}", "drop": rest,
+                       "retarget": f"{retargeted}\n{rest}"}[tamper]
+                break
+            yield chunk
+        yield from chunks
+    monkeypatch.setattr(automaton, "dot_chunks", tampered)
+    code = cli.main(["verify", "automaton", "--format", "json"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == cli.EXIT_FAIL
+    assert [name for name, c in checks.items() if c["status"] == "fail"] == ["dot_round_trip"]
+    source, target, letter = automaton.match_dot_line(lines[want]).groups()
+    assert checks["dot_round_trip"]["counterexample"] == {
+        "line": line, "text": retargeted if read is None else lines[read],
+        "expected": {"source": source, "letter": int(letter), "target": target}}
+
+
+def test_the_round_trip_reads_lines_across_chunk_breaks(monkeypatch):
+    """The suite reads the DOT stream by lines, not by chunks: the same
+    export cut every seven characters still passes, with every node and
+    edge read back."""
+    dot_chunks = automaton.dot_chunks
+
+    def recut(machine):
+        text = "".join(dot_chunks(machine))
+        return (text[i:i + 7] for i in range(0, len(text), 7))
+    monkeypatch.setattr(automaton, "dot_chunks", recut)
+    ctx = context("B", 2)
+    checks = {c.name: c for c in verify.verify_automaton(ctx).checks}
+    assert checks["dot_round_trip"].status == "pass"
+    assert checks["dot_deterministic"].status == "pass"
+    edges = sum(t is not None for row in ctx.machine.transitions for t in row)
+    assert checks["dot_round_trip"].detail == {"nodes": len(ctx.machine.states),
+                                               "edges": edges}
 
 
 def _corrupt_first_offset(monkeypatch, group: AffineWeylGroup, letter: int) -> None:
