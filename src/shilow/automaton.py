@@ -27,19 +27,16 @@ import json
 import re
 from collections.abc import Iterator, Sequence
 from functools import cached_property
-from operator import attrgetter
 
 from .elements import AffineWeylGroup
 from .lowness import DEFAULT_BUDGET, BudgetExceededError, SmallRoots
-from .rootdata import Record
 from .signtypes import sign_string
 
 _CHUNK = 8  # bits per table lookup in transitions and labels
 
 
-class Automaton(Record):
+class Automaton:
     # No __slots__: ``labels`` and ``order`` are cached in the __dict__.
-    _values = attrgetter("group", "small", "states", "transitions")
 
     def __init__(self, group: AffineWeylGroup, small: SmallRoots, states: tuple[int, ...],
                  transitions: tuple[tuple[int | None, ...], ...]):

@@ -9,8 +9,18 @@ automaton   export the reduced-word automaton (DOT, JSON, or a text summary)
 
 Exit codes: 0 success (all selected checks passed), 1 verification failure
 (or a kernel fault, a failed cone certificate or an inconsistent root datum
-outside any check), 2 usage error, 3 budget exceeded, 4 a certified
-enumeration failed its own cross-check (``CertificationError``).
+outside any check), 2 usage error (also a failed write to ``--output``
+or to standard output), 3 budget exceeded, 4 a certified enumeration
+failed its own cross-check (``CertificationError``), 141 standard output
+was a pipe whose reader closed it (quietly, as a shell writer killed by
+SIGPIPE would end).
+
+Listings.  ``enumerate`` writes its four targets through one path: each
+target builds its JSON entries once (``regions.region_entries``,
+``regions.ideal_entries``, or the elements ``lowness.enumerate_low``
+returns, in its order), and one row function per target reads the CSV
+cells and the text fields off those entries, so the JSON envelope, the
+CSV writer and the text footer are each written once.
 
 Process cost.  A command runs in a short process whose imported modules,
 tables and interned objects all live until exit.  ``main`` therefore
@@ -30,6 +40,7 @@ import argparse
 import gc
 import io
 import json
+import os
 import sys
 from collections.abc import Iterable
 from itertools import islice
@@ -39,7 +50,7 @@ from . import regions as regions_mod
 from . import signtypes, verify
 from .elements import KernelError, word_text
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
-                      ball_within_budget, sign_of_shi)
+                      ball_within_budget, enumerate_low, sign_of_shi)
 from .ratlp import CertificateError
 from .rootdata import RootDataError, root_system
 from .signtypes import sign_string
@@ -49,8 +60,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_CERTIFICATION = 4
-
-_ENUM_TARGETS = ("low", "regions", "dominant", "ideals")
+EXIT_PIPE = 141  # the shell's status for a writer whose pipe closed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser(
         "enumerate", help="enumerate low elements, regions, or ideals")
-    p_enum.add_argument("what", choices=_ENUM_TARGETS,
+    p_enum.add_argument("what", choices=tuple(_LISTINGS),
                         help="which family of objects to list")
     _add_type_rank(p_enum)
     _add_budget(p_enum)
@@ -136,7 +146,13 @@ def _emit_chunks(chunks: Iterable[str], output: str | None) -> None:
     """Write the chunks as they are produced, to the file ``output`` or
     else to the ``sys.stdout`` of the moment, ending with a newline."""
     if not output:
-        _write_chunks(sys.stdout, chunks)
+        try:
+            _write_chunks(sys.stdout, chunks)
+            sys.stdout.flush()  # a failed write surfaces here, not at exit
+        except BrokenPipeError:
+            raise  # the reader has gone: ``main`` ends quietly
+        except OSError as exc:
+            raise ValueError(f"cannot write standard output: {exc.strerror}") from exc
         return
     try:
         with open(output, "w", encoding="utf-8") as handle:
@@ -189,80 +205,69 @@ def cmd_roots(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
+def _entries(what: str, ctx: verify.DeskContext) -> list[dict]:
+    """The JSON entries of one ``enumerate`` target."""
+    if what == "low":
+        group = ctx.group
+        return [{**group.element_json(w), "length": w.length,
+                 "sign_type": sign_string(sign_of_shi(w.shi))}
+                for w in enumerate_low(group, ctx.budget)]
+    table = ctx.table
+    if what == "ideals":
+        return regions_mod.ideal_entries(ctx.system, table)
+    regions = table.regions if what == "regions" else table.dominant_regions()
+    return regions_mod.region_entries(table, regions)
+
+
+def _low_cells(entry: dict) -> list[str]:
+    return [word_text(entry["word"]), str(entry["length"]), entry["sign_type"]]
+
+
+def _region_cells(entry: dict) -> list[str]:
+    return [entry["sign_type"], " ".join(entry["separation"]),
+            " ".join(entry["descent_roots"]), word_text(entry["minimal_word"]),
+            str(len(entry["minimal_word"])), "yes" if entry["dominant"] else "no"]
+
+
+def _ideal_cells(entry: dict) -> list[str]:
+    return [" ".join(entry["antichain"]) or "-", " ".join(entry["ideal"]) or "-",
+            entry["sign_type"], word_text(entry["minimal_word"])]
+
+
+# Per target: the JSON list key, the CSV header, the cells of one entry,
+# the text line over those cells, and the text footer before the type.
+_REGION_LISTING = ("regions", "sign_type separation descent_roots minimal_word "
+                   "length dominant", _region_cells,
+                   "sign {0}  min {3:<24} length {4:>2}  dominant {5}")
+_LISTINGS = {
+    "low": ("elements", "word length sign_type", _low_cells,
+            "{0:<24} length {1:>2}  sign {2}", "low elements of affine"),
+    "regions": (*_REGION_LISTING, "regions of affine"),
+    "dominant": (*_REGION_LISTING, "dominant regions of affine"),
+    "ideals": ("pairs", "antichain ideal sign_type minimal_word", _ideal_cells,
+               "antichain {{{0}}}  ideal {{{1}}}  sign {2}  min {3}",
+               "root poset ideals of"),
+}
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     ctx = verify.desk_context(args.family, args.rank, args.budget)
-    if args.what == "low":
-        return _enumerate_low(args, ctx)
-    table = ctx.table
-    if args.what == "regions":
-        return _enumerate_regions(args, table, table.regions, "regions")
-    if args.what == "dominant":
-        return _enumerate_regions(args, table, table.dominant_regions(),
-                                  "dominant regions")
-    return _enumerate_ideals(args, ctx.system, table)
-
-
-def _enumerate_low(args: argparse.Namespace, ctx: verify.DeskContext) -> int:
-    group, low = ctx.group, ctx.low
-    name = group.system.cartan_type.name
+    kind = ctx.system.cartan_type
+    key, header, cells, line, footer = _LISTINGS[args.what]
+    entries = _entries(args.what, ctx)
     if args.format == "json":
-        entries = []
-        for w in low:
-            entry = group.element_json(w)
-            entry["length"] = w.length
-            entry["sign_type"] = sign_string(sign_of_shi(w.shi))
-            entries.append(entry)
-        _emit(json.dumps({"type": name, "rank": group.system.rank,
-                          "count": len(low), "elements": entries}, indent=2),
-              args.output)
-        return EXIT_PASS
-    rows = [[word_text(group.word_from_element(w)), str(w.length),
-             sign_string(sign_of_shi(w.shi))] for w in low]
-    if args.format == "csv":
-        _emit(_csv_text([["word", "length", "sign_type"], *rows]), args.output)
-        return EXIT_PASS
-    lines = [f"{word:<24} length {length:>2}  sign {sign}"
-             for word, length, sign in rows]
-    lines.append(f"low elements of affine {name}: {len(low)}")
-    _emit("\n".join(lines), args.output)
-    return EXIT_PASS
-
-
-def _enumerate_regions(args: argparse.Namespace, table, regions,
-                       label: str) -> int:
-    name = table.group.system.cartan_type.name
-    if args.format == "json":
-        _emit(json.dumps(regions_mod.region_json_dict(table, regions), indent=2),
-              args.output)
-        return EXIT_PASS
-    header, *body = regions_mod.region_csv_rows(table, regions)
-    if args.format == "csv":
-        _emit(_csv_text([header, *body]), args.output)
-        return EXIT_PASS
-    lines = [f"sign {row[0]}  min {row[3]:<24} length {row[4]:>2}  "
-             f"dominant {row[5]}" for row in body]
-    lines.append(f"{label} of affine {name}: {len(body)}")
-    _emit("\n".join(lines), args.output)
-    return EXIT_PASS
-
-
-def _enumerate_ideals(args: argparse.Namespace, system, table) -> int:
-    data = regions_mod.ideal_bijection_json(system, table)
-    if args.format == "json":
+        # The low listing names its type in full ("A2"), the others by family.
+        data = {"type": kind.name if args.what == "low" else kind.family,
+                "rank": kind.rank, "count": len(entries), key: entries}
         _emit(json.dumps(data, indent=2), args.output)
         return EXIT_PASS
-    rows = [[" ".join(p["antichain"]) or "-", " ".join(p["ideal"]) or "-",
-             p["sign_type"], word_text(p["minimal_word"])]
-            for p in data["pairs"]]
+    rows = [cells(entry) for entry in entries]
     if args.format == "csv":
-        _emit(_csv_text([["antichain", "ideal", "sign_type", "minimal_word"],
-                         *rows]), args.output)
-        return EXIT_PASS
-    lines = [f"antichain {{{r[0]}}}  ideal {{{r[1]}}}  sign {r[2]}  min {r[3]}"
-             for r in rows]
-    lines.append(f"root poset ideals of {system.cartan_type.name}: "
-                 f"{data['count']}")
-    _emit("\n".join(lines), args.output)
+        _emit(_csv_text([header.split(), *rows]), args.output)
+    else:
+        lines = [line.format(*row) for row in rows]
+        lines.append(f"{footer} {kind.name}: {len(rows)}")
+        _emit("\n".join(lines), args.output)
     return EXIT_PASS
 
 
@@ -343,6 +348,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CERTIFICATION
     except ValueError as exc:
         return _usage_error(str(exc))
+    except BrokenPipeError:
+        # The reader has gone.  Point fd 1 at the null device, so that the
+        # interpreter's flush at exit has nowhere to fail, and exit quietly.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

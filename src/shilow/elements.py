@@ -698,9 +698,6 @@ class AffineWeylGroup:
             beta for beta in self.inversion_set(w)
             if self.reflect_left(beta, w).length == length - 1)
 
-    def left_descent_roots(self, w: GroupElement) -> frozenset[AffineRoot]:
-        return frozenset(self.simple_affine_root(g) for g in self.left_descents(w))
-
     def right_descent_roots(self, w: GroupElement) -> frozenset[AffineRoot]:
         """-w(alpha_g) for each right descent g, one per facet of the
         w-alcove towards the fundamental alcove: the root (-alpha_i, k) when

@@ -21,7 +21,8 @@ region minima and the low set at once: on every candidate, "new sign
 type" must equal ``is_low``, and the low set is closed under left
 quotients (a Garside shadow, after Dyer and Hohlweg), so each low
 element extends its canonical parent and none is missed.
-``enumerate_low`` reads it.  ``certified_scan`` reads the whole ball
+``enumerate_low`` reads it, and is the one place that orders the low
+set (by ``GroupElement.sort_key``).  ``certified_scan`` reads the whole ball
 until every sign type holds a certified shortest vector; it is the
 oracle ``main-theorem`` compares the walk with where that ball fits the
 budget, and the package runs it nowhere else.

@@ -40,29 +40,32 @@ positive root poset; the inversion set of the minimal element of the
 region attached to an ideal is produced in closed form by an iterated
 sum construction, giving an independent oracle for that corner of the
 table.
+
+The exports are the JSON entries of the listed regions
+(``region_entries``) and of the ideal bijection (``ideal_entries``);
+``shilow enumerate`` prints them as JSON and reads its CSV cells and text
+lines off the same entries.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import islice
-from operator import attrgetter
 
 from . import signtypes
-from .elements import AffineRoot, AffineWeylGroup, GroupElement, word_text
+from .elements import AffineRoot, AffineWeylGroup, GroupElement
 from .lowness import (DEFAULT_BUDGET, CertificationError, ScanResult, SmallRoots,
                       ball_within_budget, region_walk,
                       right_descent_within_sign_type, sign_of_shi)
-from .rootdata import PosetIdeal, Record, RootSystem
+from .rootdata import PosetIdeal, RootSystem
 
 SAMPLE_SIZE = 8  # members kept per sign type by ``RegionTable.members``
 
 
-class ShiRegion(Record):
+class ShiRegion:
     """One region of the Shi arrangement with its certified data."""
 
     __slots__ = ("sign_type", "separation_mask", "descent_mask", "minimal")
-    _values = attrgetter(*__slots__)
 
     def __init__(self, sign_type: tuple[int, ...], separation_mask: int,
                  descent_mask: int, minimal: GroupElement):
@@ -80,13 +83,12 @@ class ShiRegion(Record):
         return signtypes.sign_string(self.sign_type)
 
 
-class RegionMembers(Record):
+class RegionMembers:
     """The members of one region in the table's ball: the componentwise
     minimum of their coefficient magnitudes, and the first few of them in
     walk order, the region minimum first."""
 
     __slots__ = ("min_abs", "samples")
-    _values = attrgetter(*__slots__)
 
     def __init__(self, min_abs: tuple[int, ...], samples: tuple[GroupElement, ...]):
         self.min_abs = min_abs
@@ -271,67 +273,32 @@ def ideal_closed_form_inversions(group: AffineWeylGroup,
     return frozenset(inversions)
 
 
-def _named_walls(table: RegionTable, region: ShiRegion) -> tuple[list[str], ...]:
-    """The names of the region's separation roots and of its descent roots,
-    each sorted by delta level, then finite part."""
-    return tuple([table.group.affine_root_name(b) for b in sorted(
-        table.small.set_from_mask(mask), key=lambda b: (b.delta, b.finite))]
-        for mask in (region.separation_mask, region.descent_mask))
+def region_entries(table: RegionTable, regions) -> list[dict]:
+    """The JSON entries of ``regions``: each region's separation and
+    descent roots, named and sorted by delta level, then finite part, and
+    its minimal element."""
+    group, small = table.group, table.small
+
+    def names(mask: int) -> list[str]:
+        return [group.affine_root_name(b) for b in sorted(
+            small.set_from_mask(mask), key=lambda b: (b.delta, b.finite))]
+    return [{"sign_type": region.sign_string,
+             "separation": names(region.separation_mask),
+             "descent_roots": names(region.descent_mask),
+             "minimal_word": list(group.word_from_element(region.minimal)),
+             "minimal_coefficients": list(region.minimal.shi),
+             "minimum_magnitudes": [abs(k) for k in region.minimal.shi],
+             "dominant": region.is_dominant}
+            for region in regions]
 
 
-def region_csv_rows(table: RegionTable, regions) -> list[list[str]]:
-    """Flat export of ``regions``: sign, separation, descent roots, minimal word."""
+def ideal_entries(system: RootSystem, table: RegionTable) -> list[dict]:
+    """The JSON entries of the ideal bijection: each ideal and its
+    antichain by root name, with its dominant region's sign and minimal
+    word."""
     group = table.group
-    rows = [["sign_type", "separation", "descent_roots", "minimal_word",
-             "length", "dominant"]]
-    for region in regions:
-        rows.append([
-            region.sign_string,
-            *map(" ".join, _named_walls(table, region)),
-            word_text(group.word_from_element(region.minimal)),
-            str(region.minimal.length),
-            "yes" if region.is_dominant else "no",
-        ])
-    return rows
-
-
-def region_json_dict(table: RegionTable, regions) -> dict:
-    """JSON export of ``regions``, each with its walls and minimal element."""
-    group = table.group
-    entries = []
-    for region in regions:
-        separation, descent = _named_walls(table, region)
-        entries.append({
-            "sign_type": region.sign_string,
-            "separation": separation,
-            "descent_roots": descent,
-            "minimal_word": list(group.word_from_element(region.minimal)),
-            "minimal_coefficients": list(region.minimal.shi),
-            "minimum_magnitudes": [abs(k) for k in region.minimal.shi],
-            "dominant": region.is_dominant,
-        })
-    return {
-        "type": group.system.cartan_type.family,
-        "rank": group.system.cartan_type.rank,
-        "count": len(entries),
-        "regions": entries,
-    }
-
-
-def ideal_bijection_json(system: RootSystem, table: RegionTable) -> dict:
-    pairs = dominant_pairs(system, table)
-    group = table.group
-    entries = []
-    for ideal, region in pairs:
-        entries.append({
-            "ideal": [system.root_name(p) for p in ideal.ideal],
-            "antichain": [system.root_name(p) for p in ideal.antichain],
-            "sign_type": region.sign_string,
-            "minimal_word": list(group.word_from_element(region.minimal)),
-        })
-    return {
-        "type": system.cartan_type.family,
-        "rank": system.cartan_type.rank,
-        "count": len(entries),
-        "pairs": entries,
-    }
+    return [{"ideal": [system.root_name(p) for p in ideal.ideal],
+             "antichain": [system.root_name(p) for p in ideal.antichain],
+             "sign_type": region.sign_string,
+             "minimal_word": list(group.word_from_element(region.minimal))}
+            for ideal, region in dominant_pairs(system, table)]

@@ -250,16 +250,12 @@ class Rank2Subsystem(Record):
     so position p here corresponds to position p of that system's tables.
     """
 
-    __slots__ = ("kind", "positions", "simple_positions", "internal_coords")
+    __slots__ = ("kind", "positions")
     _values = attrgetter(*__slots__)
 
-    def __init__(self, kind: str, positions: tuple[int, ...],
-                 simple_positions: tuple[int, int],
-                 internal_coords: tuple[tuple[int, int], ...]):
+    def __init__(self, kind: str, positions: tuple[int, ...]):
         self.kind = kind  # "A2" | "B2" | "G2"
         self.positions = positions
-        self.simple_positions = simple_positions
-        self.internal_coords = internal_coords
 
 
 class PosetIdeal(Record):
@@ -596,12 +592,7 @@ class RootSystem:
             coords.append((x // det, y // det))
         order = sorted(range(len(members)),
                        key=lambda t: (sum(coords[t]), tuple(-c for c in coords[t])))
-        return Rank2Subsystem(
-            kind=kind,
-            positions=tuple(members[t] for t in order),
-            simple_positions=(simples[0], simples[1]),
-            internal_coords=tuple(coords[t] for t in order),
-        )
+        return Rank2Subsystem(kind=kind, positions=tuple(members[t] for t in order))
 
     # -------------------------------------------------------------- exports
 

@@ -31,16 +31,17 @@ Five suites, each returning a structured pass/fail report:
   instead of silently correcting either.
 
 Each suite takes a ``DeskContext`` (``desk_context`` makes a new one per
-call) and reads its type and budget from it; its group, scan, low set,
-region table and automaton are built on first read, and its ball is
+call) and reads its type and budget from it; its group, scan, region
+table and automaton are built on first read, and its ball is
 sliced from one walk of ``AffineWeylGroup.shells()`` once
 ``lowness.ball_within_budget`` has let it in, so a ball over the budget
 is refused from Bott's series before any walk starts.  The scan is the
-pruned ``lowness.region_walk``, and the low set is its minima: one walk
-gives both.  ``main-theorem`` compares it with the full-ball
-``certified_scan`` wherever the same rule puts that ball within the
-budget; elsewhere it leaves the comparison out, as there is nothing to
-compare the low set with but the walk it was sorted from.  Suites given the
+pruned ``lowness.region_walk``, and the low set is its minima
+(``ctx.scan.minima.values()``, unsorted: the suites need no order, and
+``lowness.enumerate_low`` alone sorts it).  ``main-theorem`` compares it
+with the full-ball ``certified_scan`` wherever the same rule puts that
+ball within the budget; elsewhere it leaves the comparison out, as there
+is nothing to compare the low set with but the walk it comes from.  Suites given the
 same context share what they read.  A suite takes only the settings it
 reads besides the context, and its report records them: ``recurrences``
 its sweep bound, ``automaton`` its word bound and seed, the others
@@ -109,11 +110,6 @@ class DeskContext:
             except (BudgetExceededError, CertificationError) as exc:
                 self._scan_error = exc
         raise self._scan_error
-
-    @cached_property
-    def low(self) -> list[GroupElement]:
-        """The low elements: the walk's minima, in ``sort_key`` order."""
-        return sorted(self.scan.minima.values(), key=GroupElement.sort_key)
 
     @cached_property
     def table(self) -> regionlib.RegionTable:
@@ -200,9 +196,10 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
     at = partial(_counterexample, group)
     report = Report(suite="main-theorem", family=family, rank=rank)
     expected = system.region_count
+    low = ctx.scan.minima.values()  # the walk keeps exactly the low elements
 
-    report.add("low_element_count", len(ctx.low) == expected,
-               detail={"low": len(ctx.low), "expected": expected})
+    report.add("low_element_count", len(low) == expected,
+               detail={"low": len(low), "expected": expected})
     report.add("region_minima_count", len(ctx.scan.minima) == expected,
                detail={"minima": len(ctx.scan.minima), "expected": expected})
     report.add("automaton_state_count", len(ctx.machine.states) == expected,
@@ -216,8 +213,8 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
     # The walk certified low = minima candidate by candidate; where the
     # full ball out to its stop length fits the budget, the full-ball scan
     # gives the minima independently.  Elsewhere no oracle is at hand but
-    # the walk the low set was sorted from, so the check is left out.
-    low_set = set(ctx.low)
+    # the walk the low set comes from, so the check is left out.
+    low_set = set(low)
     try:
         ball_within_budget(system, ctx.scan.stop_length, ctx.budget, "full-ball scan")
     except BudgetExceededError:
@@ -230,12 +227,12 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
                            "symmetric_difference": len(low_set ^ minima_set),
                            "oracle": "full-ball scan", "compared": oracle.visited})
 
-    masks = {ctx.small.sigma_mask(w) for w in ctx.low}
-    report.add("sigma_injective_on_low", len(masks) == len(ctx.low))
+    masks = {ctx.small.sigma_mask(w) for w in low}
+    report.add("sigma_injective_on_low", len(masks) == len(low))
     report.add("sigma_image_equals_states", masks == set(ctx.machine.states))
 
     catalan = system.catalan_number
-    dominant_low = [w for w in ctx.low if all(k >= 0 for k in w.shi)]
+    dominant_low = [w for w in low if all(k >= 0 for k in w.shi)]
     dominant_regions = ctx.table.dominant_regions()
     ideals = system.poset_ideals()
     report.add("dominant_low_catalan", len(dominant_low) == catalan,
@@ -247,12 +244,12 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
         dominant = all(k >= 0 for k in w.shi)
         finite_descent = any(1 <= g <= rank for g in group.left_descents(w))
         return None if dominant != finite_descent else {}
-    _check_each(report, "dominant_iff_no_finite_left_descent", ctx.low,
+    _check_each(report, "dominant_iff_no_finite_left_descent", low,
                 dominance, where=at)
 
-    low_shi = {w.shi for w in ctx.low}
+    low_shi = {w.shi for w in low}
     apply = group.apply
-    _check_each(report, "low_set_suffix_closed", ctx.low,
+    _check_each(report, "low_set_suffix_closed", low,
                 lambda w: None if all(
                     apply[g](w.shi) in low_shi
                     for g in group.left_descents(w)) else {},
@@ -681,7 +678,7 @@ def verify_automaton(ctx: DeskContext, bound: int | None = None,
                detail={"states": len(machine.states),
                        "expected": system.region_count})
     report.add("states_equal_low_sigma_sets",
-               set(machine.states) == {ctx.small.sigma_mask(w) for w in ctx.low})
+               set(machine.states) == {ctx.small.sigma_mask(w) for w in ctx.scan.minima.values()})
 
     bits = [machine.small.index[group.simple_affine_root(g)] for g in range(rank + 1)]
     _check_each(report, "empty_state_transitions", range(rank + 1),

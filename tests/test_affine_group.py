@@ -122,8 +122,9 @@ def test_descent_roots_are_inversions(desk):
     group = desk.group
     for w in _ball(desk, 4):
         inv = group.inversion_set(w)
-        assert group.left_descent_roots(w) <= inv
-        for beta in group.left_descent_roots(w):
+        left_roots = {group.simple_affine_root(g) for g in group.left_descents(w)}
+        assert left_roots <= inv
+        for beta in left_roots:
             refl = group.reflection_of_affine_root(beta)
             assert group.multiply(refl, w).length < w.length
 

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shilow import (AffineWeylGroup, SmallRoots, build_automaton, cli, export_dot,
-                    parse_dot, parse_sign_string, root_system, transition_table_json)
+from shilow import (AffineWeylGroup, SmallRoots, build_automaton, cli, enumerate_low,
+                    export_dot, parse_dot, parse_sign_string, root_system,
+                    transition_table_json)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,7 +39,8 @@ def test_start_state_is_empty_set(desk):
 
 def test_states_are_exactly_low_sigma_sets(desk):
     machine = desk.machine
-    assert set(machine.states) == {desk.small.sigma_mask(w) for w in desk.low}
+    assert set(machine.states) == {desk.small.sigma_mask(w)
+                                   for w in enumerate_low(desk.group)}
     assert len(set(machine.states)) == len(machine.states)
 
 

@@ -445,6 +445,51 @@ def test_unwritable_output_of_a_streamed_export_is_usage_error(tmp_path, capsys)
     assert err.startswith(f"error: cannot write {target}")
 
 
+@pytest.mark.parametrize("what", ["low", "regions", "dominant", "ideals"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_enumerate_output_file_holds_the_stdout_bytes(tmp_path, capsys, what, fmt):
+    argv = ("enumerate", what, "--type", "A", "--rank", "2", "--format", fmt)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == cli.EXIT_PASS
+    target = tmp_path / f"{what}.{fmt}"
+    code, printed, _ = run_cli(capsys, *argv, "--output", str(target))
+    assert code == cli.EXIT_PASS
+    assert printed == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "low", "--type", "A", "--rank", "3"),  # fails at the last flush
+    ("automaton", "--type", "B", "--rank", "3"),  # fails mid-stream
+])
+def test_a_closed_pipe_exits_quietly_with_141(argv):
+    """A reader that closed the pipe before reading (as ``| head`` may)
+    ends the command with the shell's status for SIGPIPE, and nothing on
+    standard error: no traceback, no "Exception ignored" at exit."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "shilow.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              timeout=120, env=_checkout_env())
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_PIPE == 141
+    assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_full_standard_output_is_a_write_error():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "shilow.cli", "roots"],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=120, env=_checkout_env())
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: cannot write standard output: ")
+
+
 def test_unknown_subcommand_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["polish"])

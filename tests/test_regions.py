@@ -8,12 +8,11 @@ from itertools import islice
 
 import pytest
 
-from shilow import (AffineWeylGroup, GroupElement, descent_mask, descent_root_set, dominant_pairs,
-                    ideal_closed_form_inversions, enumerate_regions, ideal_sign_type,
-                    is_admissible, root_system, separation_set, sign_of_shi,
-                    verify)
-from shilow.regions import (SAMPLE_SIZE, ideal_bijection_json, region_csv_rows,
-                            region_json_dict)
+from shilow import (AffineWeylGroup, GroupElement, cli, descent_mask, descent_root_set,
+                    dominant_pairs, ideal_closed_form_inversions, enumerate_regions,
+                    ideal_sign_type, is_admissible, root_system, separation_set,
+                    sign_of_shi, verify)
+from shilow.regions import SAMPLE_SIZE, ideal_entries, region_entries
 
 
 def test_region_count(desk):
@@ -137,35 +136,47 @@ def test_ideal_descent_walls_are_antichain_roots(desk):
         assert walls == expected
 
 
-def test_csv_rows_shape(desk):
-    rows = region_csv_rows(desk.table, desk.table.regions)
+def _listing(capsys, desk, what: str, fmt: str) -> str:
+    """The stdout of ``shilow enumerate what`` on the desk type."""
+    kind = desk.system.cartan_type
+    code = cli.main(["enumerate", what, "--type", kind.family,
+                     "--rank", str(kind.rank), "--format", fmt])
+    assert code == cli.EXIT_PASS
+    return capsys.readouterr().out
+
+
+def test_csv_rows_shape(desk, capsys):
+    out = _listing(capsys, desk, "regions", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["sign_type", "separation", "descent_roots",
                        "minimal_word", "length", "dominant"]
     assert len(rows) == len(desk.table) + 1
-    parsed = list(csv.reader(io.StringIO(
-        "\n".join(",".join(f'"{c}"' for c in row) for row in rows))))
-    assert len(parsed) == len(rows)
+    assert len(out.splitlines()) == len(rows)  # no cell spans two lines
     for row, region in zip(rows[1:], desk.table.regions):
         assert row[0] == region.sign_string
         assert row[4] == str(region.minimal.length)
         assert row[5] == ("yes" if region.is_dominant else "no")
 
 
-def test_region_json_dict(desk):
-    data = region_json_dict(desk.table, desk.table.regions)
+def test_region_json_dict(desk, capsys):
+    data = json.loads(_listing(capsys, desk, "regions", "json"))
     assert data["count"] == len(desk.table)
     assert len(data["regions"]) == data["count"]
-    json.dumps(data)  # serializable
-    entry = data["regions"][0]
+    entries = region_entries(desk.table, desk.table.regions)
+    json.dumps(entries)  # serializable
+    assert data["regions"] == entries
+    entry = entries[0]
     assert entry["sign_type"] == desk.table.regions[0].sign_string
     assert entry["minimal_word"] == []
 
 
-def test_ideal_bijection_json(desk):
-    data = ideal_bijection_json(desk.system, desk.table)
+def test_ideal_bijection_json(desk, capsys):
+    data = json.loads(_listing(capsys, desk, "ideals", "json"))
     assert data["count"] == desk.system.catalan_number
-    json.dumps(data)
-    empty = [p for p in data["pairs"] if not p["ideal"]]
+    entries = ideal_entries(desk.system, desk.table)
+    json.dumps(entries)
+    assert data["pairs"] == entries
+    empty = [p for p in entries if not p["ideal"]]
     assert len(empty) == 1
     assert empty[0]["minimal_word"] == []
 

@@ -261,13 +261,16 @@ def test_ideal_count_matches_catalan(system):
 
 
 def test_rank2_subsystems_are_span_intersections(system):
+    """Position k of a subsystem is the k-th positive root of the
+    standalone system of its kind, written in the subsystem's first two
+    roots: the correspondence the rank-2 admissibility tables rely on."""
     for sub in system.rank2_subsystems():
         assert sub.kind in {"A2", "B2", "G2"}
         expected_size = {"A2": 3, "B2": 4, "G2": 6}[sub.kind]
         assert len(sub.positions) == expected_size
-        s1, s2 = (system.positive_roots[p] for p in sub.simple_positions)
-        for p, coords in zip(sub.positions, sub.internal_coords):
-            a, b = coords
+        standalone = root_system(sub.kind[0], 2)
+        s1, s2 = (system.positive_roots[p] for p in sub.positions[:2])
+        for p, (a, b) in zip(sub.positions, standalone.positive_roots):
             combo = tuple(a * x + b * y for x, y in zip(s1, s2))
             assert system.positive_roots[p] == combo
         # span-intersection: membership is exactly rational-span membership

@@ -136,23 +136,26 @@ def test_enumerate_low_budget_bounds_the_low_elements():
 
 def test_enumerate_low_counts(desk):
     system = desk.system
-    assert len(desk.low) == system.region_count
-    assert len(set(desk.low)) == len(desk.low)
-    assert desk.group.identity in desk.low
+    low = enumerate_low(desk.group)
+    assert len(low) == system.region_count
+    assert len(set(low)) == len(low)
+    assert desk.group.identity in low
+    assert low == sorted(low, key=GroupElement.sort_key)
 
 
 def test_low_set_equals_scan_minima(desk):
-    assert set(desk.low) == set(desk.scan.minima.values())
+    assert set(enumerate_low(desk.group)) == set(desk.scan.minima.values())
 
 
 def test_low_elements_have_distinct_sign_types(desk):
-    signs = {sign_of_shi(w.shi) for w in desk.low}
-    assert len(signs) == len(desk.low)
+    low = desk.scan.minima.values()
+    signs = {sign_of_shi(w.shi) for w in low}
+    assert len(signs) == len(low)
 
 
 def test_low_membership_predicate(desk):
     group = desk.group
-    low_set = set(desk.low)
+    low_set = set(desk.scan.minima.values())
     for shi in desk.ball(4):
         assert is_low(group, shi) == (GroupElement(group, shi) in low_set)
 
@@ -166,4 +169,4 @@ def test_low_oracle_agreement_small_ball(a2):
 def test_enumerate_low_fresh_run_matches_cached(a2):
     group = AffineWeylGroup(root_system("A", 2))
     fresh = enumerate_low(group)
-    assert {tuple(w.shi) for w in fresh} == {tuple(w.shi) for w in a2.low}
+    assert {tuple(w.shi) for w in fresh} == {tuple(w.shi) for w in a2.scan.minima.values()}

@@ -334,8 +334,8 @@ def test_cone_oracle_fails_on_a_tampered_certificate(monkeypatch):
 def test_automaton_suite_walks_the_ball_once(monkeypatch):
     """Word counts come from the machine and element counts from the
     context's shells, so the suite walks the ball once.  A walk counts
-    when it takes its first step; the certified scan behind the low set
-    walks on its own, before the count starts."""
+    when it takes its first step; the region walk whose minima are the
+    low set walks on its own, before the count starts."""
     shells = AffineWeylGroup.shells
     walks = []
 
@@ -346,7 +346,7 @@ def test_automaton_suite_walks_the_ball_once(monkeypatch):
         return walk()
     monkeypatch.setattr(AffineWeylGroup, "shells", counted)
     ctx = verify.desk_context("A", 2)
-    ctx.low
+    ctx.scan
     walks.clear()
     assert verify.verify_automaton(ctx).passed
     assert len(walks) == 1
