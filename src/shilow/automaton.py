@@ -14,6 +14,14 @@ The construction and the labels read masks eight bits at a time.
 its images under all the letters side by side in one integer, so the
 transitions of a state cost one lookup per chunk; the labels decode
 eight sign positions per lookup, from a table filled as pieces occur.
+The machine is held flat, with no Python object per state or per
+transition: the targets of all transitions in one ``array("i")``,
+``letter_count`` entries per state in letter order and -1 for an illegal
+letter, and the state masks in one ``bytearray``, each in the same number
+of little-endian bytes, enough for the 2N bits of the small root table at
+any rank.  Only this module knows that layout; ``Automaton.states`` and
+``Automaton.transitions`` are read-only views that decode a mask (an int)
+or a row (a tuple, ``None`` for an illegal letter) as it is read.
 ``Automaton.order`` sorts the states by label once and keeps the result
 compact, as one ``array("i")``; both exports (DOT and the JSON
 transition table) walk that order.  Each export is written in chunks,
@@ -35,19 +43,73 @@ from .signtypes import sign_string
 _CHUNK = 8  # bits per table lookup in transitions and labels
 
 
+def _mask_bytes(small: SmallRoots) -> int:
+    """The number of bytes that hold one state mask, 2N bits."""
+    return (2 * small.count + 7) // 8
+
+
+class _View(Sequence):
+    """A read-only sequence over the machine's flat storage: ``item(i)``
+    decodes item i when it is read, ``items()`` iterates them all."""
+
+    def __init__(self, length: int, item, items):
+        self._length, self._item, self._items = length, item, items
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._item, range(self._length)[index]))
+        return self._item(range(self._length)[index])
+
+    def __iter__(self):
+        return self._items()
+
+
 class Automaton:
     # No __slots__: ``labels`` and ``order`` are cached in the __dict__.
 
-    def __init__(self, group: AffineWeylGroup, small: SmallRoots, states: tuple[int, ...],
-                 transitions: tuple[tuple[int | None, ...], ...]):
+    def __init__(self, group: AffineWeylGroup, small: SmallRoots, masks: bytearray,
+                 targets: Sequence[int]):
+        """``masks`` holds the state masks and ``targets`` the rows of
+        transition targets, in the layout the module docstring gives."""
         self.group = group
         self.small = small
-        self.states = states
-        self.transitions = transitions
+        self._masks = masks
+        self._targets = targets
+        self._size = _mask_bytes(small)
 
     @property
     def letter_count(self) -> int:
         return self.group.system.rank + 1
+
+    @property
+    def states(self) -> Sequence[int]:
+        """The mask of each state, decoded when read."""
+        masks, size = self._masks, self._size
+
+        def mask(state: int) -> int:
+            return int.from_bytes(masks[state * size:(state + 1) * size], "little")
+
+        def items() -> Iterator[int]:
+            for start in range(0, len(masks), size):
+                yield int.from_bytes(masks[start:start + size], "little")
+        return _View(len(masks) // size, mask, items)
+
+    @property
+    def transitions(self) -> Sequence[tuple[int | None, ...]]:
+        """The row of each state: the target of each letter, ``None`` where
+        the letter is illegal, decoded when read."""
+        targets, k = self._targets, self.letter_count
+
+        def row(state: int) -> tuple[int | None, ...]:
+            return tuple([None if t < 0 else t for t in targets[state * k:(state + 1) * k]])
+
+        def items() -> Iterator[tuple[int | None, ...]]:
+            # k references to one iterator: zip cuts it into the rows.
+            return zip(*[(None if t < 0 else t for t in targets)] * k)
+        return _View(len(targets) // k, row, items)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -70,7 +132,7 @@ class Automaton:
                 key = mask & bits
                 piece = pieces.get(key)
                 if piece is None:
-                    signs = self.small.signs_from_mask(key)[start:stop]
+                    signs = self.small.signs_from_mask(key, start, stop)
                     piece = pieces[key] = sign_string(signs)
                 label += piece
             labels.append(label)
@@ -91,30 +153,32 @@ class Automaton:
         return self.labels[state]
 
     def is_reduced(self, word: tuple[int, ...]) -> bool:
+        k = self.letter_count
         for g in word:
-            if not 0 <= g <= self.group.system.rank:
+            if not 0 <= g < k:
                 raise ValueError(f"letter {g} out of range")
+        targets = self._targets
         state = 0
         for g in word:
-            nxt = self.transitions[state][g]
-            if nxt is None:
+            state = targets[state * k + g]
+            if state < 0:
                 return False
-            state = nxt
         return True
 
     def word_counts_by_length(self, max_length: int) -> list[int]:
         """Number of reduced words of each length up to the bound."""
-        ways = [0] * len(self.states)
+        targets, k = self._targets, self.letter_count
+        size = len(targets) // k
+        ways = [0] * size
         ways[0] = 1
         counts = [1]
         for _ in range(max_length):
-            nxt = [0] * len(self.states)
+            nxt = [0] * size
             for state, count in enumerate(ways):
                 if count == 0:
                     continue
-                for g in range(self.letter_count):
-                    target = self.transitions[state][g]
-                    if target is not None:
+                for target in targets[state * k:(state + 1) * k]:
+                    if target >= 0:
                         nxt[target] += count
             ways = nxt
             counts.append(sum(ways))
@@ -132,6 +196,8 @@ def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
     generator of letter ``g``, of the small roots whose bits are set in
     ``b``; each entry is filled from the one with its lowest bit cleared.
     A state thus costs one lookup per chunk for all its transitions."""
+    from array import array  # here: importing the CLI need not load it
+
     system = group.system
     if small is None:
         small = SmallRoots(group)
@@ -158,9 +224,11 @@ def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
     moves = [(1 << small.index[group.simple_affine_root(g)], g * width)
              for g in letters]
 
+    size = _mask_bytes(small)
     index = {0: 0}
-    states = [0]
-    transitions: list[list[int | None]] = []
+    masks = bytearray(size)  # state 0, the empty set
+    targets = array("i")
+    add = targets.append
     frontier = [0]
     while frontier:
         next_frontier = []
@@ -168,25 +236,23 @@ def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
             packed = 0
             for table, shift in zip(tables, shifts):
                 packed |= table[mask >> shift & chunk]
-            row: list[int | None] = []
             for bit, offset in moves:
                 if mask & bit:
-                    row.append(None)
+                    add(-1)
                     continue
                 new_mask = packed >> offset & field | bit
                 target = index.get(new_mask)
                 if target is None:
-                    if len(states) >= budget:
+                    target = len(index)
+                    if target >= budget:
                         raise BudgetExceededError(
                             budget, "automaton states exceeded the budget")
-                    target = index[new_mask] = len(states)
-                    states.append(new_mask)
+                    index[new_mask] = target
+                    masks += new_mask.to_bytes(size, "little")
                     next_frontier.append(new_mask)
-                row.append(target)
-            transitions.append(tuple(row))
+                add(target)
         frontier = next_frontier
-    return Automaton(group=group, small=small, states=tuple(states),
-                     transitions=tuple(transitions))
+    return Automaton(group, small, masks, targets)
 
 
 def _dot_pieces(automaton: Automaton) -> Iterator[str]:
@@ -196,17 +262,17 @@ def _dot_pieces(automaton: Automaton) -> Iterator[str]:
     (source label, letter)."""
     labels = automaton.labels
     order = automaton.order
-    transitions = automaton.transitions
+    targets, k = automaton._targets, automaton.letter_count
     yield "digraph reduced_words {\n  rankdir=LR;\n  node [shape=circle];"
     for state in order:
         shape = " [shape=doublecircle]" if state == 0 else ""
         yield f'  "{labels[state]}"{shape};'
-    ends = [f'" [label="s{g}"];' for g in range(automaton.letter_count)]
+    ends = [f'" [label="s{g}"];' for g in range(k)]
     for state in order:
         start = f'  "{labels[state]}" -> "'
         yield "\n".join([start + labels[target] + ends[g]
-                         for g, target in enumerate(transitions[state])
-                         if target is not None])
+                         for g, target in enumerate(targets[state * k:(state + 1) * k])
+                         if target >= 0])
     yield "}"
 
 
@@ -232,35 +298,54 @@ def export_dot(automaton: Automaton) -> str:
 # 3 empty) or an edge ``"source" -> "target" [label="s<g>"]``.
 _DOT_ITEM = (r'[ \t]*"([-0+]+)"(?:[ \t]*->[ \t]*"([-0+]+)"[ \t]*'
              r'\[label="s(\d+)"\]|(?:[ \t]*\[[^]\n]*\])?;)')
-# ``parse_dot`` searches the whole text, so its pattern starts at the
+# ``parse_dot`` searches blocks of lines, so its pattern starts at the
 # newline before the line, not at ``^``: a literal first character lets
 # the search skip ahead.  ``match_dot_line`` reads one line at a time.
 _DOT_LINE = re.compile("\n" + _DOT_ITEM)
 match_dot_line = re.compile(_DOT_ITEM).match
+# Characters per ``findall`` of ``parse_dot``, rounded up to a line end.
+# One ``findall`` over the whole text held every line's groups at once
+# and raised the peak RSS of rank4-enumerate by 2.1% (BENCH_8.json).
+_DOT_BLOCK = 1 << 16
 
 
 def parse_dot(text: str) -> tuple[list[str], dict[tuple[str, int], str]]:
     """Recover node labels and the labelled edge map from export_dot output;
     raises ``ValueError`` on a second edge with the same source and letter.
 
-    Nodes and edges are read in one pass over the lines, one match at a
-    time, and every label is kept as one string object, shared by its node
-    and all its edges, so the result holds one copy of each label rather
-    than one per edge end."""
+    Nodes and edges are read in one pass over the lines, a block of lines
+    at a time, and every label is kept as one string object, shared by its
+    node and all its edges, so the result holds one copy of each label
+    rather than one per edge end."""
     names: dict[str, str] = {}
     labels: list[str] = []
     edges: dict[tuple[str, int], str] = {}
-    for line in _DOT_LINE.finditer("\n" + text):
-        source, target, letter = line.groups()
-        source = names.setdefault(source, source)
-        if not target:
-            labels.append(source)
-            continue
-        key = (source, int(letter))
-        if key in edges:
-            raise ValueError(f"duplicate edge from {source!r} on s{letter}")
-        edges[key] = names.setdefault(target, target)
-    return labels, edges
+    numbers: dict[str, int] = {}
+    # The first line has no newline before it; each block after starts at
+    # a newline and stops before the next one, so no match crosses blocks.
+    first = match_dot_line(text)
+    lines = [first.groups()] if first else []
+    start, end = 0, len(text)
+    while True:
+        for source, target, letter in lines:
+            source = names.setdefault(source, source)
+            if not target:
+                labels.append(source)
+                continue
+            number = numbers.get(letter)
+            if number is None:
+                number = numbers[letter] = int(letter)
+            key = (source, number)
+            if key in edges:
+                raise ValueError(f"duplicate edge from {source!r} on s{letter}")
+            edges[key] = names.setdefault(target, target)
+        if start == end:
+            return labels, edges
+        stop = text.find("\n", start + _DOT_BLOCK)
+        if stop < 0:
+            stop = end
+        lines = _DOT_LINE.findall(text, start, stop)
+        start = stop
 
 
 def _table_head(automaton: Automaton) -> dict:
@@ -276,10 +361,10 @@ def _table_head(automaton: Automaton) -> dict:
 
 def transition_table_json(automaton: Automaton) -> dict:
     labels = automaton.labels
-    transitions = automaton.transitions
-    letters = [f"s{g}" for g in range(automaton.letter_count)]
+    targets, k = automaton._targets, automaton.letter_count
+    letters = [f"s{g}" for g in range(k)]
     table = {labels[i]: {letter: labels[target] for letter, target
-                         in zip(letters, transitions[i]) if target is not None}
+                         in zip(letters, targets[i * k:(i + 1) * k]) if target >= 0}
              for i in automaton.order}
     return {**_table_head(automaton), "transitions": table}
 
@@ -293,15 +378,15 @@ def json_chunks(automaton: Automaton) -> Iterator[str]:
     ``-0+``, which JSON needs no escape for.  Every state has a legal
     letter (an affine Weyl group is infinite), so no row is empty."""
     labels = automaton.labels
-    transitions = automaton.transitions
+    targets, k = automaton._targets, automaton.letter_count
     head = json.dumps(_table_head(automaton), indent=2)
     yield head[:-2] + ',\n  "transitions": {'
-    starts = [f'\n      "s{g}": "' for g in range(automaton.letter_count)]
+    starts = [f'\n      "s{g}": "' for g in range(k)]
     separator = "\n"
     for state in automaton.order:
         row = ",".join([starts[g] + labels[target] + '"'
-                        for g, target in enumerate(transitions[state])
-                        if target is not None])
+                        for g, target in enumerate(targets[state * k:(state + 1) * k])
+                        if target >= 0])
         yield f'{separator}    "{labels[state]}": {{{row}\n    }}'
         separator = ",\n"
     yield "\n  }\n}"

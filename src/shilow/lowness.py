@@ -121,10 +121,13 @@ class SmallRoots:
                 mask |= 1 << (self.count + i)
         return mask
 
-    def signs_from_mask(self, mask: int) -> tuple[int, ...]:
-        """The sign type whose ``mask_from_shi`` is ``mask``."""
+    def signs_from_mask(self, mask: int, start: int = 0,
+                        stop: int | None = None) -> tuple[int, ...]:
+        """The sign type whose ``mask_from_shi`` is ``mask``, or its
+        positions ``start`` to ``stop`` (excluded) alone."""
         n = self.count
-        return tuple((mask >> (n + i) & 1) - (mask >> i & 1) for i in range(n))
+        return tuple((mask >> (n + i) & 1) - (mask >> i & 1)
+                     for i in range(start, n if stop is None else stop))
 
     def mask_from_roots(self, roots) -> int:
         mask = 0

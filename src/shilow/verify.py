@@ -609,9 +609,10 @@ def _dot_items(machine: automata.Automaton) -> Iterator[tuple[str, str | None, s
     for state in order:
         yield labels[state], None, None
     letters = [str(g) for g in range(machine.letter_count)]
+    rows = machine.transitions
     for state in order:
         source = labels[state]
-        for letter, target in zip(letters, machine.transitions[state]):
+        for letter, target in zip(letters, rows[state]):
             if target is not None:
                 yield source, labels[target], letter
 
@@ -681,16 +682,17 @@ def verify_automaton(ctx: DeskContext, bound: int | None = None,
                set(machine.states) == {ctx.small.sigma_mask(w) for w in ctx.scan.minima.values()})
 
     bits = [machine.small.index[group.simple_affine_root(g)] for g in range(rank + 1)]
-    _check_each(report, "empty_state_transitions", range(rank + 1),
-                lambda g: None if machine.transitions[0][g] is not None
-                and machine.states[machine.transitions[0][g]] == 1 << bits[g] else {},
-                where=lambda g: {"letter": g})
+    states, rows = machine.states, machine.transitions
+    _check_each(report, "empty_state_transitions", enumerate(rows[0]),
+                lambda item: None if item[1] is not None
+                and states[item[1]] == 1 << bits[item[0]] else {},
+                where=lambda item: {"letter": item[0]})
     # A letter has no transition exactly when its root is in the state.
     _check_each(report, "transition_guard",
-                ((state, g) for state in range(len(machine.states))
-                 for g in range(rank + 1)),
-                lambda item: None if (machine.transitions[item[0]][item[1]] is None)
-                == bool(machine.states[item[0]] >> bits[item[1]] & 1) else {},
+                ((state, g, (target is None) == bool(mask >> bits[g] & 1))
+                 for state, (mask, row) in enumerate(zip(states, rows))
+                 for g, target in enumerate(row)),
+                lambda item: None if item[2] else {},
                 where=lambda item: {"state": machine.labels[item[0]], "letter": item[1]})
 
     # Level d maps each (element, state) pair reached by a reduced word of
@@ -705,7 +707,7 @@ def verify_automaton(ctx: DeskContext, bound: int | None = None,
     for depth in range(word_bound):
         reached: dict[tuple[GroupElement, int], int] = {}
         for (w, state), ways in level.items():
-            for g, target in enumerate(machine.transitions[state]):
+            for g, target in enumerate(rows[state]):
                 u = group.matrix_multiply(w, group.generators[g])
                 if (target is not None) != (u.length == depth + 1):
                     mismatch = mismatch or {

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -9,7 +10,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from array import array
+from collections.abc import Sequence
 from functools import cache
 from itertools import islice
 from pathlib import Path
@@ -18,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shilow import (AffineWeylGroup, SmallRoots, build_automaton, cli, enumerate_low,
-                    export_dot, parse_dot, parse_sign_string, root_system,
-                    transition_table_json)
+from shilow import (AffineWeylGroup, SmallRoots, automaton, build_automaton, cli,
+                    enumerate_low, export_dot, parse_dot, parse_sign_string, root_system,
+                    sign_string, transition_table_json)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,7 +58,7 @@ def test_state_labels_distinct(desk):
 
 def test_transition_shape(desk):
     machine = desk.machine
-    assert isinstance(machine.transitions, tuple)
+    assert isinstance(machine.transitions, Sequence)
     assert len(machine.transitions) == len(machine.states)
     for row in machine.transitions:
         assert isinstance(row, tuple)
@@ -210,8 +213,8 @@ def _machine(name):
 def test_chunk_tables_equal_reference_builder(name):
     machine = _machine(name)
     states, transitions = reference_automaton(machine.group, machine.small)
-    assert machine.states == states
-    assert machine.transitions == transitions
+    assert tuple(machine.states) == states
+    assert tuple(machine.transitions) == transitions
 
 
 @st.composite
@@ -235,9 +238,36 @@ def test_is_reduced_matches_the_length_oracle(case):
 
 @pytest.mark.parametrize("name", ["B4", "D4"])
 def test_every_label_round_trips_to_its_state(name):
+    """Labels are decoded eight positions at a time; each equals the whole
+    mask decoded at once, and reads back to its state."""
     machine = _machine(name)
+    small = machine.small
     for state, label in zip(machine.states, machine.labels):
-        assert machine.small.mask_from_shi(parse_sign_string(label)) == state
+        assert small.mask_from_shi(parse_sign_string(label)) == state
+        assert label == sign_string(small.signs_from_mask(state))
+        assert small.signs_from_mask(state, 3, 11) == small.signs_from_mask(state)[3:11]
+
+
+@pytest.mark.parametrize("name", ["B4", "D4"])
+def test_the_machine_holds_no_python_object_per_state_or_transition(name):
+    """Live memory after the build, traced by ``tracemalloc``: the
+    transitions take one machine int each and a state mask its 2N bits,
+    with room for the arrays' growth, instead of about 155 bytes of int
+    and tuple objects per state."""
+    group = AffineWeylGroup(root_system(name[0], int(name[1:])))
+    small = SmallRoots(group)
+    build_automaton(group, small)  # fills the group's lazy tables first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        machine = build_automaton(group, small)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    flat = 4 * machine.letter_count + (2 * small.count + 7) // 8
+    assert live <= len(machine.states) * flat * 5 // 4 + 4096
 
 
 def test_order_sorts_states_by_label(desk):
@@ -312,3 +342,55 @@ def test_parse_dot_rejects_a_duplicate_edge_under_python_o():
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ValueError: duplicate edge")
+
+
+def _parse_dot_by_matches(text):
+    """The earlier reading of ``parse_dot``: one ``finditer`` match at a
+    time over the whole text, with a newline put before it."""
+    labels, edges = [], {}
+    for line in automaton._DOT_LINE.finditer("\n" + text):
+        source, target, letter = line.groups()
+        if not target:
+            labels.append(source)
+            continue
+        key = (source, int(letter))
+        if key in edges:
+            raise ValueError(f"duplicate edge from {source!r} on s{letter}")
+        edges[key] = target
+    return labels, edges
+
+
+def _reading(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_dot_reads_blocks_as_the_whole_text_reading_did():
+    """``parse_dot`` reads the text a block of lines at a time.  On an A4
+    export longer than one block, without its header (so the first line is
+    a node) and with whitespace, attributes and letters written in other
+    ways the grammar allows, it gives what one match per line over the
+    whole text gave; so it does with one line copied next to itself, for
+    each line near the first block boundary, which places a duplicate edge
+    on either side of the boundary and across it."""
+    lines = export_dot(_machine("A4")).splitlines()[3:]
+    for i, line in enumerate(lines):
+        if i % 3 == 0:
+            line = "\t" + line.lstrip()
+        if i % 4 == 1:
+            line = line.replace(" -> ", "\t->  ").replace(";", " [shape=box];")
+        if i % 5 == 2:
+            line = line.replace('"s1"', '"s01"').replace(' [label', '[label')
+        lines[i] = line
+    text = "\n".join(lines) + "\n"
+    assert len(text) > 2 * automaton._DOT_BLOCK
+    assert parse_dot(text) == _parse_dot_by_matches(text)
+    boundary = text.count("\n", 0, text.find("\n", automaton._DOT_BLOCK))
+    assert " -> " in lines[boundary] or "->" in lines[boundary]
+    for i in range(boundary - 3, boundary + 4):
+        copied = "\n".join(lines[:i + 1] + lines[i:]) + "\n"
+        expected = _reading(_parse_dot_by_matches, copied)
+        assert isinstance(expected, str) and expected.startswith("duplicate edge")
+        assert _reading(parse_dot, copied) == expected

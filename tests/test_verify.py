@@ -4,6 +4,7 @@ from __future__ import annotations
 import inspect
 import json
 import re
+from array import array
 from collections import Counter
 from itertools import islice
 
@@ -188,11 +189,12 @@ def test_automaton_suite_catches_a_redirected_transition():
     accept the non-reduced word s0 s0, which the word walk reports; the
     start state's transition check names the letter."""
     ctx = verify.desk_context("A", 2)
-    rows = [list(row) for row in ctx.machine.transitions]
-    rows[0][0] = rows[0][1]
     machine = ctx.machine
-    ctx.machine = Automaton(machine.group, machine.small, machine.states,
-                            tuple(map(tuple, rows)))
+    # The start state's row is the first of the flat targets, letter by letter.
+    targets = array("i", machine._targets)
+    targets[0] = targets[1]
+    ctx.machine = Automaton(machine.group, machine.small, machine._masks, targets)
+    assert ctx.machine.transitions[0][0] == machine.transitions[0][1]
     checks = {c.name: c for c in verify.verify_automaton(ctx).checks}
     check = checks["reduced_word_verdicts_match_length_oracle"]
     assert not check.passed
