@@ -37,15 +37,15 @@ from collections.abc import Iterator, Sequence
 from functools import cached_property
 
 from .elements import AffineWeylGroup
-from .lowness import DEFAULT_BUDGET, BudgetExceededError, SmallRoots
+from .lowness import DEFAULT_BUDGET, BudgetExceededError
 from .signtypes import sign_string
 
 _CHUNK = 8  # bits per table lookup in transitions and labels
 
 
-def _mask_bytes(small: SmallRoots) -> int:
+def _mask_bytes(group: AffineWeylGroup) -> int:
     """The number of bytes that hold one state mask, 2N bits."""
-    return (2 * small.count + 7) // 8
+    return (2 * group.system.nroots + 7) // 8
 
 
 class _View(Sequence):
@@ -70,15 +70,13 @@ class _View(Sequence):
 class Automaton:
     # No __slots__: ``labels`` and ``order`` are cached in the __dict__.
 
-    def __init__(self, group: AffineWeylGroup, small: SmallRoots, masks: bytearray,
-                 targets: Sequence[int]):
+    def __init__(self, group: AffineWeylGroup, masks: bytearray, targets: Sequence[int]):
         """``masks`` holds the state masks and ``targets`` the rows of
         transition targets, in the layout the module docstring gives."""
         self.group = group
-        self.small = small
         self._masks = masks
         self._targets = targets
-        self._size = _mask_bytes(small)
+        self._size = _mask_bytes(group)
 
     @property
     def letter_count(self) -> int:
@@ -117,9 +115,9 @@ class Automaton:
 
         A label is decoded eight positions at a time: the bits of those
         positions in both halves of the mask key that span's piece of
-        text, decoded by the ``SmallRoots`` codec the first time it
-        occurs."""
-        n = self.small.count
+        text, decoded by the group's codec the first time it occurs."""
+        small = self.group.small
+        n = small.count
         spans = []
         for start in range(0, n, _CHUNK):
             stop = min(start + _CHUNK, n)
@@ -132,7 +130,7 @@ class Automaton:
                 key = mask & bits
                 piece = pieces.get(key)
                 if piece is None:
-                    signs = self.small.signs_from_mask(key, start, stop)
+                    signs = small.signs_from_mask(key, start, stop)
                     piece = pieces[key] = sign_string(signs)
                 label += piece
             labels.append(label)
@@ -185,8 +183,7 @@ class Automaton:
         return counts
 
 
-def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
-                    budget: int = DEFAULT_BUDGET) -> Automaton:
+def build_automaton(group: AffineWeylGroup, budget: int = DEFAULT_BUDGET) -> Automaton:
     """The automaton of the reachable small inversion sets, found breadth
     first; raises ``BudgetExceededError`` once the states exceed ``budget``.
 
@@ -198,9 +195,7 @@ def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
     A state thus costs one lookup per chunk for all its transitions."""
     from array import array  # here: importing the CLI need not load it
 
-    system = group.system
-    if small is None:
-        small = SmallRoots(group)
+    system, small = group.system, group.small
     width = 2 * small.count
     shifts = range(0, width, _CHUNK)
     chunk = (1 << _CHUNK) - 1
@@ -224,7 +219,7 @@ def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
     moves = [(1 << small.index[group.simple_affine_root(g)], g * width)
              for g in letters]
 
-    size = _mask_bytes(small)
+    size = _mask_bytes(group)
     index = {0: 0}
     masks = bytearray(size)  # state 0, the empty set
     targets = array("i")
@@ -252,7 +247,7 @@ def build_automaton(group: AffineWeylGroup, small: SmallRoots | None = None,
                     next_frontier.append(new_mask)
                 add(target)
         frontier = next_frontier
-    return Automaton(group, small, masks, targets)
+    return Automaton(group, masks, targets)
 
 
 def _dot_pieces(automaton: Automaton) -> Iterator[str]:

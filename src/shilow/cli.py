@@ -43,14 +43,13 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from itertools import islice
 
 from . import automaton as automaton_mod
 from . import regions as regions_mod
 from . import signtypes, verify
 from .elements import KernelError, word_text
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
-                      ball_within_budget, enumerate_low, sign_of_shi)
+                      enumerate_low, sign_of_shi)
 from .ratlp import CertificateError
 from .rootdata import RootDataError, root_system
 from .signtypes import sign_string
@@ -293,8 +292,7 @@ def cmd_automaton(args: argparse.Namespace) -> int:
     # Several reduced words may spell one element, so the two counts
     # differ from length 2 on.
     bound = args.bound if args.bound is not None else 8
-    ball_within_budget(ctx.system, bound, ctx.budget, "ball walk")
-    elements = [len(shell) for shell in islice(ctx.group.shells(), bound + 1)]
+    elements = [len(shell) for shell in ctx.shells(bound)]
     words = machine.word_counts_by_length(bound)
     name = ctx.system.cartan_type.name
     lines = [

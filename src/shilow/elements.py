@@ -59,6 +59,14 @@ the walls of the right descents g, and w * s_g differs from w only in
 coordinate i.  ``facet_data`` lists, per positive root, the inequalities
 that involve it, read off the root sums; like the reflection data, it is
 built on first use.
+
+The small roots, the level-zero positive roots and delta minus each, are
+indexed by one table, ``SmallRoots``, which holds the one sign/mask
+codec: a sign type or coefficient vector picks the root itself at '-'
+and delta minus the root at '+'.  Each group owns one,
+``AffineWeylGroup.small``, built on first read; the lowness tests, the
+region table, the automaton and the verification suites all read it, and
+no other module builds one.
 """
 
 from __future__ import annotations
@@ -176,6 +184,61 @@ class AffineRoot:
 
     def __repr__(self) -> str:
         return f"AffineRoot({self.finite}, {self.delta})"
+
+
+class SmallRoots:
+    """Indexed table of the small roots: positions 0..N-1 hold the finite
+    positive roots, positions N..2N-1 hold delta minus those roots.  Each
+    group owns one, ``AffineWeylGroup.small``."""
+
+    def __init__(self, group: AffineWeylGroup):
+        system = group.system
+        self.count = system.nroots
+        level_zero = [AffineRoot(r, 0) for r in system.positive_roots]
+        level_one = [AffineRoot(tuple(-c for c in r), 1) for r in system.positive_roots]
+        self.roots: tuple[AffineRoot, ...] = tuple(level_zero + level_one)
+        self.index: dict[AffineRoot, int] = {r: i for i, r in enumerate(self.roots)}
+
+    def __contains__(self, beta: AffineRoot) -> bool:
+        return beta in self.index
+
+    @staticmethod
+    def mask_from_shi(shi: tuple[int, ...]) -> int:
+        """Bitmask of the small roots picked by the signs of a coefficient
+        vector or sign type of N entries: a negative entry picks the root
+        itself, a positive one delta minus the root."""
+        n = len(shi)
+        mask = 0
+        for i, k in enumerate(shi):
+            if k < 0:
+                mask |= 1 << i
+            elif k > 0:
+                mask |= 1 << (n + i)
+        return mask
+
+    def signs_from_mask(self, mask: int, start: int = 0,
+                        stop: int | None = None) -> tuple[int, ...]:
+        """The sign type whose ``mask_from_shi`` is ``mask``, or its
+        positions ``start`` to ``stop`` (excluded) alone."""
+        n = self.count
+        return tuple((mask >> (n + i) & 1) - (mask >> i & 1)
+                     for i in range(start, n if stop is None else stop))
+
+    def mask_from_roots(self, roots) -> int:
+        mask = 0
+        for beta in roots:
+            mask |= 1 << self.index[beta]
+        return mask
+
+    def set_from_mask(self, mask: int) -> frozenset[AffineRoot]:
+        return frozenset(self.roots[i] for i in range(2 * self.count) if mask >> i & 1)
+
+    def sigma_mask(self, w: GroupElement) -> int:
+        return self.mask_from_shi(w.shi)
+
+    def sigma(self, w: GroupElement) -> frozenset[AffineRoot]:
+        """The small inversion set of w, read off the coefficient signs."""
+        return self.set_from_mask(self.mask_from_shi(w.shi))
 
 
 class GroupElement:
@@ -344,6 +407,12 @@ class AffineWeylGroup:
         if letter == 0:
             return AffineRoot(tuple(-c for c in self.system.highest_root), 1)
         return AffineRoot(self.system.positive_roots[letter - 1], 0)
+
+    @cached_property
+    def small(self) -> SmallRoots:
+        """The group's small-root table and sign/mask codec, built on first
+        read; every layer reads this one instance."""
+        return SmallRoots(self)
 
     # ------------------------------------------------------- the left kernel
 

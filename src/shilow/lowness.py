@@ -1,11 +1,13 @@
 """Small roots, small inversion sets, lowness tests, certified enumeration.
 
 The small roots of an irreducible affine Weyl group are the level-zero
-positive roots together with delta minus each positive root.
-``SmallRoots`` indexes them and holds the one sign/mask codec: a sign
-type or coefficient vector picks the root itself at '-' and delta minus
-the root at '+'.  An element is low when its inversion set is the
-root-cone generated by its small inversions; the production test
+positive roots together with delta minus each positive root.  They are
+indexed by the group's own table, ``AffineWeylGroup.small``: a
+``SmallRoots``, defined in ``elements`` and imported here, which holds
+the one sign/mask codec (a sign type or coefficient vector picks the
+root itself at '-' and delta minus the root at '+').  An element is low
+when its inversion set is the root-cone generated by its small
+inversions; the production test
 ``is_low`` uses the equivalent basis criterion on the Shi vector (every
 length-decreasing inversion is small, with lengths read from the
 kernel's compiled ``reflected_lengths``), the cone test backs it as an
@@ -60,7 +62,7 @@ Whether an element has a right descent inside its sign type
 
 from __future__ import annotations
 
-from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError
+from .elements import AffineRoot, AffineWeylGroup, GroupElement, KernelError, SmallRoots
 from .ratlp import cone_members
 from .rootdata import RootSystem
 
@@ -92,58 +94,6 @@ class CertificationError(RuntimeError):
     type with two shortest elements, a count off (h+1)^n, a candidate
     whose lowness and sign-type novelty disagree, or a region table whose
     minima disagree with the sign-type combinatorics."""
-
-
-class SmallRoots:
-    """Indexed table of the small roots: positions 0..N-1 hold the finite
-    positive roots, positions N..2N-1 hold delta minus those roots."""
-
-    def __init__(self, group: AffineWeylGroup):
-        system = group.system
-        self.count = system.nroots
-        level_zero = [AffineRoot(r, 0) for r in system.positive_roots]
-        level_one = [AffineRoot(tuple(-c for c in r), 1) for r in system.positive_roots]
-        self.roots: tuple[AffineRoot, ...] = tuple(level_zero + level_one)
-        self.index: dict[AffineRoot, int] = {r: i for i, r in enumerate(self.roots)}
-
-    def __contains__(self, beta: AffineRoot) -> bool:
-        return beta in self.index
-
-    def mask_from_shi(self, shi: tuple[int, ...]) -> int:
-        """Bitmask of the small roots picked by the signs of a coefficient
-        vector or sign type: a negative entry picks the root itself, a
-        positive one delta minus the root."""
-        mask = 0
-        for i, k in enumerate(shi):
-            if k < 0:
-                mask |= 1 << i
-            elif k > 0:
-                mask |= 1 << (self.count + i)
-        return mask
-
-    def signs_from_mask(self, mask: int, start: int = 0,
-                        stop: int | None = None) -> tuple[int, ...]:
-        """The sign type whose ``mask_from_shi`` is ``mask``, or its
-        positions ``start`` to ``stop`` (excluded) alone."""
-        n = self.count
-        return tuple((mask >> (n + i) & 1) - (mask >> i & 1)
-                     for i in range(start, n if stop is None else stop))
-
-    def mask_from_roots(self, roots) -> int:
-        mask = 0
-        for beta in roots:
-            mask |= 1 << self.index[beta]
-        return mask
-
-    def set_from_mask(self, mask: int) -> frozenset[AffineRoot]:
-        return frozenset(self.roots[i] for i in range(2 * self.count) if mask >> i & 1)
-
-    def sigma_mask(self, w: GroupElement) -> int:
-        return self.mask_from_shi(w.shi)
-
-    def sigma(self, w: GroupElement) -> frozenset[AffineRoot]:
-        """The small inversion set of w, read off the coefficient signs."""
-        return self.set_from_mask(self.mask_from_shi(w.shi))
 
 
 def affine_root_vector(beta: AffineRoot) -> tuple[int, ...]:
@@ -198,14 +148,14 @@ def is_low(group: AffineWeylGroup, shi: tuple[int, ...]) -> bool:
     return True
 
 
-def is_low_by_cone(group: AffineWeylGroup, small: SmallRoots, w: GroupElement) -> bool:
+def is_low_by_cone(group: AffineWeylGroup, w: GroupElement) -> bool:
     """Cone criterion: N(w) equals the root cone of the small inversions.
 
     Verified two-sidedly inside the delta window covering N(w); outside
     the window the containment direction is automatic (see module notes).
     """
     inversions = group.inversion_set(w)
-    sigma = small.sigma(w)
+    sigma = group.small.sigma(w)
     if not sigma <= inversions:
         raise KernelError(f"coefficients {w.shi}: the small roots read off the "
                           f"signs are not all inversions")

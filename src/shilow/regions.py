@@ -54,7 +54,7 @@ from itertools import islice
 
 from . import signtypes
 from .elements import AffineRoot, AffineWeylGroup, GroupElement
-from .lowness import (DEFAULT_BUDGET, CertificationError, ScanResult, SmallRoots,
+from .lowness import (DEFAULT_BUDGET, CertificationError, ScanResult,
                       ball_within_budget, region_walk,
                       right_descent_within_sign_type, sign_of_shi)
 from .rootdata import PosetIdeal, RootSystem
@@ -63,14 +63,15 @@ SAMPLE_SIZE = 8  # members kept per sign type by ``RegionTable.members``
 
 
 class ShiRegion:
-    """One region of the Shi arrangement with its certified data."""
+    """One region of the Shi arrangement with its certified data.  Its
+    separation set is its sign type read through the group's codec
+    (``separation_set``)."""
 
-    __slots__ = ("sign_type", "separation_mask", "descent_mask", "minimal")
+    __slots__ = ("sign_type", "descent_mask", "minimal")
 
-    def __init__(self, sign_type: tuple[int, ...], separation_mask: int,
-                 descent_mask: int, minimal: GroupElement):
+    def __init__(self, sign_type: tuple[int, ...], descent_mask: int,
+                 minimal: GroupElement):
         self.sign_type = sign_type
-        self.separation_mask = separation_mask
         self.descent_mask = descent_mask
         self.minimal = minimal
 
@@ -101,11 +102,9 @@ class RegionTable:
     ``stop_length`` is the length of the longest minimum, and ``budget``
     bounds the ball that ``members`` walks out to it."""
 
-    def __init__(self, group: AffineWeylGroup, small: SmallRoots,
-                 regions: tuple[ShiRegion, ...], stop_length: int,
-                 budget: int = DEFAULT_BUDGET):
+    def __init__(self, group: AffineWeylGroup, regions: tuple[ShiRegion, ...],
+                 stop_length: int, budget: int = DEFAULT_BUDGET):
         self.group = group
-        self.small = small
         self.regions = regions
         self.stop_length = stop_length
         self.budget = budget
@@ -191,7 +190,7 @@ def enumerate_regions(group: AffineWeylGroup, scan: ScanResult | None = None,
     system = group.system
     if scan is None:
         scan = region_walk(group, budget)
-    small = SmallRoots(group)
+    small = group.small
     found = []
     for zeta, minimal in scan.minima.items():
         if not signtypes.is_admissible(system, zeta):
@@ -208,20 +207,21 @@ def enumerate_regions(group: AffineWeylGroup, scan: ScanResult | None = None,
                                      f"descent inside the sign type")
         found.append((zeta, mask, minimal))
     realized = {mask for _, mask, _ in found}
-    regions = [ShiRegion(sign_type=zeta, separation_mask=mask,
-                         descent_mask=_descent_bits(mask, realized), minimal=minimal)
+    regions = [ShiRegion(sign_type=zeta, descent_mask=_descent_bits(mask, realized),
+                         minimal=minimal)
                for zeta, mask, minimal in found]
     regions.sort(key=lambda r: (r.minimal.length, r.sign_string))
-    return RegionTable(group=group, small=small, regions=tuple(regions),
+    return RegionTable(group=group, regions=tuple(regions),
                        stop_length=scan.stop_length, budget=budget)
 
 
 def descent_root_set(table: RegionTable, region: ShiRegion) -> frozenset[AffineRoot]:
-    return table.small.set_from_mask(region.descent_mask)
+    return table.group.small.set_from_mask(region.descent_mask)
 
 
 def separation_set(table: RegionTable, region: ShiRegion) -> frozenset[AffineRoot]:
-    return table.small.set_from_mask(region.separation_mask)
+    small = table.group.small
+    return small.set_from_mask(small.mask_from_shi(region.sign_type))
 
 
 def ideal_sign_type(system: RootSystem, ideal: PosetIdeal) -> tuple[int, ...]:
@@ -277,13 +277,13 @@ def region_entries(table: RegionTable, regions) -> list[dict]:
     """The JSON entries of ``regions``: each region's separation and
     descent roots, named and sorted by delta level, then finite part, and
     its minimal element."""
-    group, small = table.group, table.small
+    group, small = table.group, table.group.small
 
     def names(mask: int) -> list[str]:
         return [group.affine_root_name(b) for b in sorted(
             small.set_from_mask(mask), key=lambda b: (b.delta, b.finite))]
     return [{"sign_type": region.sign_string,
-             "separation": names(region.separation_mask),
+             "separation": names(small.mask_from_shi(region.sign_type)),
              "descent_roots": names(region.descent_mask),
              "minimal_word": list(group.word_from_element(region.minimal)),
              "minimal_coefficients": list(region.minimal.shi),

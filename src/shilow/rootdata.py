@@ -349,9 +349,6 @@ class RootSystem:
             if not 0 < sum(p * c for p, c in zip(point, root)) < self.scale:
                 raise RootDataError("alcove representative point must be interior")
 
-        self._rank2: tuple[Rank2Subsystem, ...] | None = None
-        self._ideals: tuple[PosetIdeal, ...] | None = None
-
     @cached_property
     def _leq(self) -> tuple[tuple[bool, ...], ...]:
         """``_leq[i][j]``: positive root i is below j, coordinatewise;
@@ -511,19 +508,21 @@ class RootSystem:
 
     def poset_ideals(self) -> tuple[PosetIdeal, ...]:
         """All upward-closed subsets, paired with their minimal elements."""
-        if self._ideals is None:
-            items = []
-            for antichain in self.antichains():
-                # ``_leq`` is a partial order, so the minimal elements of the
-                # up-closure of an antichain are the antichain itself.
-                ideal = self.up_closure(antichain)
-                items.append(PosetIdeal(tuple(sorted(ideal)), tuple(sorted(antichain))))
-            items.sort(key=lambda p: (len(p.ideal), p.ideal))
-            if len(items) != self.catalan_number:
-                raise RootDataError(f"{len(items)} root poset ideals, not the Catalan "
-                                    f"number {self.catalan_number}")
-            self._ideals = tuple(items)
         return self._ideals
+
+    @cached_property
+    def _ideals(self) -> tuple[PosetIdeal, ...]:
+        items = []
+        for antichain in self.antichains():
+            # ``_leq`` is a partial order, so the minimal elements of the
+            # up-closure of an antichain are the antichain itself.
+            ideal = self.up_closure(antichain)
+            items.append(PosetIdeal(tuple(sorted(ideal)), tuple(sorted(antichain))))
+        items.sort(key=lambda p: (len(p.ideal), p.ideal))
+        if len(items) != self.catalan_number:
+            raise RootDataError(f"{len(items)} root poset ideals, not the Catalan "
+                                f"number {self.catalan_number}")
+        return tuple(items)
 
     # ---------------------------------------------------- rank-2 subsystems
 
@@ -544,8 +543,10 @@ class RootSystem:
         rational spans; orthogonal (reducible) pairs whose span holds no
         further roots are excluded.
         """
-        if self._rank2 is not None:
-            return self._rank2
+        return self._rank2
+
+    @cached_property
+    def _rank2(self) -> tuple[Rank2Subsystem, ...]:
         seen: set[frozenset[int]] = set()
         found: list[Rank2Subsystem] = []
         for i in range(self.nroots):
@@ -559,8 +560,7 @@ class RootSystem:
                     continue  # orthogonal pair only: reducible
                 found.append(self._build_subsystem(members))
         found.sort(key=lambda s: s.positions)
-        self._rank2 = tuple(found)
-        return self._rank2
+        return tuple(found)
 
     def _build_subsystem(self, members: list[int]) -> Rank2Subsystem:
         kind = _KIND_BY_SIZE[len(members)]

@@ -157,12 +157,11 @@ def admissible_sign_types(system: RootSystem,
     return found
 
 
-def descent_mask(system: RootSystem, small: SmallRoots,
-                 trits: tuple[int, ...]) -> int:
+def descent_mask(system: RootSystem, trits: tuple[int, ...]) -> int:
     """Descent-roots of the region: separating walls whose sign can be
-    zeroed without leaving the admissible set."""
+    zeroed without leaving the admissible set, as a small-root mask."""
     _require_admissible(system, trits)
-    return small.mask_from_shi(tuple(
+    return SmallRoots.mask_from_shi(tuple(
         t if t and is_admissible(system, trits[:i] + (0,) + trits[i + 1:]) else 0
         for i, t in enumerate(trits)))
 

@@ -52,8 +52,9 @@ first failing item as the counterexample; a ``KernelError``, a cone
 an item, or while the items are built, fails the check too, and so does
 a check that examined no item.
 Sign-type reflection, the small-root codec and the shell walk are the
-library's own (``signtypes.reflect_sign_type``, ``SmallRoots``,
-``AffineWeylGroup.shells``); the suites do not re-derive them.
+library's own (``signtypes.reflect_sign_type``, the group's
+``AffineWeylGroup.small``, ``AffineWeylGroup.shells``); the suites do not
+re-derive them.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from . import signtypes
 from .elements import (AffineRoot, AffineWeylGroup, GroupElement, KernelError,
                        word_text)
 from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
-                      ScanResult, SmallRoots, ball_within_budget, certified_scan,
+                      ScanResult, ball_within_budget, certified_scan,
                       cone_window_members, is_low, is_low_by_cone,
                       positive_roots_window, region_walk, sign_of_shi)
 from .ratlp import CertificateError
@@ -97,10 +98,6 @@ class DeskContext:
         return AffineWeylGroup(self.system)
 
     @cached_property
-    def small(self) -> SmallRoots:
-        return SmallRoots(self.group)
-
-    @cached_property
     def scan(self) -> ScanResult:
         """The region walk; a failed walk raises its error again on every
         read instead of running a second time."""
@@ -117,14 +114,15 @@ class DeskContext:
 
     @cached_property
     def machine(self) -> automata.Automaton:
-        return automata.build_automaton(self.group, self.small, self.budget)
+        return automata.build_automaton(self.group, self.budget)
 
-    def shells(self, bound: int) -> list[list[tuple[int, ...]]]:
-        """Shells 0..bound of the group ball as bare Shi vectors, read from
-        ``group.shells()`` once ``ball_within_budget`` has let the ball in;
-        a suite makes a ``GroupElement`` only of the vectors it reads."""
+    def shells(self, bound: int) -> Iterator[list[tuple[int, ...]]]:
+        """Shells 0..bound of the group ball as bare Shi vectors, read lazily
+        from ``group.shells()``; ``ball_within_budget`` lets the ball in on
+        the call, before any shell is walked.  A reader makes a
+        ``GroupElement`` only of the vectors it reads."""
         ball_within_budget(self.system, bound, self.budget, "ball walk")
-        return list(islice(self.group.shells(), bound + 1))
+        return islice(self.group.shells(), bound + 1)
 
     def ball(self, bound: int) -> list[tuple[int, ...]]:
         return [shi for shell in self.shells(bound) for shi in shell]
@@ -227,7 +225,7 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
                            "symmetric_difference": len(low_set ^ minima_set),
                            "oracle": "full-ball scan", "compared": oracle.visited})
 
-    masks = {ctx.small.sigma_mask(w) for w in low}
+    masks = {group.small.sigma_mask(w) for w in low}
     report.add("sigma_injective_on_low", len(masks) == len(low))
     report.add("sigma_image_equals_states", masks == set(ctx.machine.states))
 
@@ -255,7 +253,7 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
                     for g in group.left_descents(w)) else {},
                 where=at)
 
-    small = ctx.small
+    small = group.small
     triples = [(ideal, region.minimal, group.inversion_set(region.minimal))
                for ideal, region in regionlib.dominant_pairs(system, ctx.table)]
 
@@ -298,7 +296,7 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
 # --------------------------------------------------------------------------
 
 def verify_descent_walls(ctx: DeskContext) -> Report:
-    system, group, small = ctx.system, ctx.group, ctx.small
+    system, group, small = ctx.system, ctx.group, ctx.group.small
     family, rank = system.cartan_type.family, system.rank
     report = Report(suite="descent-walls", family=family, rank=rank)
     # The checks that read other members of the regions than the minima
@@ -322,13 +320,13 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
     # Descent roots read through the codec; inversions read off the Shi vector.
     _check_each(report, "descent_roots_separate", table,
                 lambda region: None if small.set_from_mask(
-                    signtypes.descent_mask(system, small, region.sign_type))
+                    signtypes.descent_mask(system, region.sign_type))
                 <= group.inversion_set(region.minimal) else {},
                 where=_at_region)
 
     # The table read the descent walls off its neighbouring regions' masks.
     def geometric(region):
-        computed = signtypes.descent_mask(system, small, region.sign_type)
+        computed = signtypes.descent_mask(system, region.sign_type)
         if region.descent_mask != computed:
             return {"oracle": _root_names(group, small.set_from_mask(region.descent_mask)),
                     "computed": _root_names(group, small.set_from_mask(computed))}
@@ -462,7 +460,7 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
 # --------------------------------------------------------------------------
 
 def verify_recurrences(ctx: DeskContext, bound: int | None = None) -> Report:
-    system, group, small = ctx.system, ctx.group, ctx.small
+    system, group, small = ctx.system, ctx.group, ctx.group.small
     family, rank = system.cartan_type.family, system.rank
     sweep_bound = bound if bound is not None else _SWEEP_BOUNDS.get(rank, 6)
     report = Report(suite="recurrences", family=family, rank=rank, bound=sweep_bound)
@@ -583,7 +581,7 @@ def verify_recurrences(ctx: DeskContext, bound: int | None = None) -> Report:
     _check_each(report, "lowness_oracle_agreement",
                 (u for shell in shells[:cone_cap + 1] for u in shell),
                 lambda w: None if is_low(group, w.shi)
-                == is_low_by_cone(group, small, w) else {},
+                == is_low_by_cone(group, w) else {},
                 where=at, detail={"exhaustive_to_length": cone_cap})
 
     def length_equalities(item):
@@ -679,9 +677,9 @@ def verify_automaton(ctx: DeskContext, bound: int | None = None,
                detail={"states": len(machine.states),
                        "expected": system.region_count})
     report.add("states_equal_low_sigma_sets",
-               set(machine.states) == {ctx.small.sigma_mask(w) for w in ctx.scan.minima.values()})
+               set(machine.states) == {group.small.sigma_mask(w) for w in ctx.scan.minima.values()})
 
-    bits = [machine.small.index[group.simple_affine_root(g)] for g in range(rank + 1)]
+    bits = [group.small.index[group.simple_affine_root(g)] for g in range(rank + 1)]
     states, rows = machine.states, machine.transitions
     _check_each(report, "empty_state_transitions", enumerate(rows[0]),
                 lambda item: None if item[1] is not None
@@ -880,9 +878,9 @@ def _display(trits: tuple[int, ...], order: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(trits[p] for p in order)
 
 
-def _validate_catalog_row(system: RootSystem, group: AffineWeylGroup,
-                          small: SmallRoots, table: regionlib.RegionTable,
+def _validate_catalog_row(system: RootSystem, table: regionlib.RegionTable,
                           layout: tuple[int, ...], row) -> str | None:
+    small = table.group.small
     s, r_str, r_marks, r1_str, r1_marks, r2_str, r2_marks, beta, sbeta = row
     strs = (r_str, r1_str, r2_str)
     marks = (r_marks, r1_marks, r2_marks)
@@ -907,11 +905,11 @@ def _validate_catalog_row(system: RootSystem, group: AffineWeylGroup,
             if trits[n] == 0:
                 return "mark at zero sign"
             marked[n] = trits[n]
-        if signtypes.descent_mask(system, small, trits) != small.mask_from_shi(marked):
+        if signtypes.descent_mask(system, trits) != small.mask_from_shi(marked):
             return "marked descent positions"
     def footprints(trits):
         """The positive roots whose walls are descent walls."""
-        signs = small.signs_from_mask(signtypes.descent_mask(system, small, trits))
+        signs = small.signs_from_mask(signtypes.descent_mask(system, trits))
         return {system.positive_roots[i] for i, t in enumerate(signs) if t}
     if set(beta) != footprints(canon[1]):
         return "first root column"
@@ -930,8 +928,8 @@ def _catalog_layouts(ctx: DeskContext, rows) -> list[tuple[int, ...]]:
     system = ctx.system
     valid = []
     for layout in permutations(range(system.nroots)):
-        if all(_validate_catalog_row(system, ctx.group, ctx.small, ctx.table,
-                                     layout, row) is None for row in rows):
+        if all(_validate_catalog_row(system, ctx.table, layout, row) is None
+               for row in rows):
             valid.append(layout)
     return valid
 
@@ -1008,13 +1006,13 @@ def verify_tables(ctx: DeskContext) -> Report:
         if k_ok:
             w = GroupElement(group, hits[0])
             k_ok = (group.inversion_set(w) == worked["k_inversions"]
-                    and ctx.small.sigma(w) == worked["k_sigma"])
+                    and group.small.sigma(w) == worked["k_sigma"])
         report.add("worked_alcove_coefficients", k_ok,
                    detail={"unique_element_with_coefficients": list(target)})
 
     if (family, rank) == ("B", 2):
         worked, table, group = _B2_WORKED, ctx.table, ctx.group
-        small = ctx.small
+        small = group.small
         printed_r1, printed_r2 = (
             small.signs_from_mask(small.mask_from_roots(worked[key]))
             for key in ("printed_sigma_r1", "printed_sigma_r2"))

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shilow import (AffineWeylGroup, SmallRoots, automaton, build_automaton, cli,
+from shilow import (AffineWeylGroup, automaton, build_automaton, cli,
                     enumerate_low, export_dot, parse_dot, parse_sign_string, root_system,
                     sign_string, transition_table_json)
 
@@ -37,12 +37,12 @@ def test_state_count_matches_regions(desk):
 def test_start_state_is_empty_set(desk):
     machine = desk.machine
     assert machine.states[0] == 0
-    assert machine.state_label(0) == "0" * desk.small.count
+    assert machine.state_label(0) == "0" * desk.group.small.count
 
 
 def test_states_are_exactly_low_sigma_sets(desk):
     machine = desk.machine
-    assert set(machine.states) == {desk.small.sigma_mask(w)
+    assert set(machine.states) == {desk.group.small.sigma_mask(w)
                                    for w in enumerate_low(desk.group)}
     assert len(set(machine.states)) == len(machine.states)
 
@@ -52,7 +52,7 @@ def test_state_labels_distinct(desk):
     labels = [machine.state_label(i) for i in range(len(machine.states))]
     assert len(set(labels)) == len(labels)
     for label in labels:
-        assert len(label) == desk.small.count
+        assert len(label) == desk.group.small.count
         assert set(label) <= set("+-0")
 
 
@@ -205,14 +205,14 @@ def reference_automaton(group, small):
 @cache
 def _machine(name):
     group = AffineWeylGroup(root_system(name[0], int(name[1:])))
-    return build_automaton(group, SmallRoots(group))
+    return build_automaton(group)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B3", "C3",
                                   "B4", "C4", "D4"])
 def test_chunk_tables_equal_reference_builder(name):
     machine = _machine(name)
-    states, transitions = reference_automaton(machine.group, machine.small)
+    states, transitions = reference_automaton(machine.group, machine.group.small)
     assert tuple(machine.states) == states
     assert tuple(machine.transitions) == transitions
 
@@ -241,7 +241,7 @@ def test_every_label_round_trips_to_its_state(name):
     """Labels are decoded eight positions at a time; each equals the whole
     mask decoded at once, and reads back to its state."""
     machine = _machine(name)
-    small = machine.small
+    small = machine.group.small
     for state, label in zip(machine.states, machine.labels):
         assert small.mask_from_shi(parse_sign_string(label)) == state
         assert label == sign_string(small.signs_from_mask(state))
@@ -255,13 +255,13 @@ def test_the_machine_holds_no_python_object_per_state_or_transition(name):
     with room for the arrays' growth, instead of about 155 bytes of int
     and tuple objects per state."""
     group = AffineWeylGroup(root_system(name[0], int(name[1:])))
-    small = SmallRoots(group)
-    build_automaton(group, small)  # fills the group's lazy tables first
+    small = group.small
+    build_automaton(group)  # fills the group's lazy tables first
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        machine = build_automaton(group, small)
+        machine = build_automaton(group)
         gc.collect()
         live = tracemalloc.get_traced_memory()[0] - before
     finally:

@@ -292,7 +292,7 @@ def test_the_region_layer_raises_named_errors(monkeypatch):
     group = _group()
     table = enumerate_regions(group)
     with pytest.raises(CertificationError, match="share a sign type"):
-        regions.RegionTable(table.group, table.small, table.regions + table.regions[:1],
+        regions.RegionTable(table.group, table.regions + table.regions[:1],
                             table.stop_length, table.budget)
     whole = group.system.poset_ideals()[-1]
     monkeypatch.setattr(group.system, "coxeter_number", 1)
@@ -422,3 +422,43 @@ def test_no_module_imports_dataclasses(module):
     ``exec`` at import, in every process."""
     lines = _import_lines(module, {"dataclasses"})
     assert not lines, f"{module}.py: imports of dataclasses at lines {lines}"
+
+
+def _calls_of(tree: ast.AST, name: str) -> list[ast.Call]:
+    """The calls of ``name`` in ``tree``, bare or as a module attribute."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == name
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == name)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_group_builds_the_small_root_codec(module):
+    """Each group owns one small-root codec, ``AffineWeylGroup.small``:
+    ``SmallRoots`` is constructed there once, and nowhere else, so every
+    layer reads the same instance."""
+    path = SRC / "shilow" / f"{module}.py"
+    tree = ast.parse(path.read_text())
+    allowed = set()
+    if module == "elements":
+        (group,) = [node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "AffineWeylGroup"]
+        (owner,) = [node for node in group.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "small"]
+        allowed = {id(node) for node in _calls_of(owner, "SmallRoots")}
+        assert len(allowed) == 1, "AffineWeylGroup.small builds one SmallRoots"
+    lines = [node.lineno for node in _calls_of(tree, "SmallRoots")
+             if id(node) not in allowed]
+    assert not lines, f"{path.name}: SmallRoots constructed at lines {lines}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_takes_a_small_root_codec(module):
+    """A codec is read from its group, never passed next to it: no
+    function or method has a parameter named ``small``."""
+    path = SRC / "shilow" / f"{module}.py"
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             and any(arg.arg == "small" for arg in (*node.args.posonlyargs,
+                                                     *node.args.args,
+                                                     *node.args.kwonlyargs))]
+    assert not lines, f"{path.name}: parameters named small at lines {lines}"

@@ -75,7 +75,7 @@ def test_member_index_buckets_the_scanned_ball(family, rank):
 def test_separation_set_is_sigma_of_minimal(desk):
     table = desk.table
     for region in table.regions:
-        assert separation_set(table, region) == desk.small.sigma(region.minimal)
+        assert separation_set(table, region) == desk.group.small.sigma(region.minimal)
 
 
 def test_descent_roots_within_separation(desk):
@@ -90,7 +90,7 @@ def test_recorded_descent_walls_equal_the_sign_type_route(family, rank):
     masks, are the walls whose sign can be zeroed within admissibility."""
     table = enumerate_regions(AffineWeylGroup(root_system(family, rank)))
     for region in table:
-        assert region.descent_mask == descent_mask(table.group.system, table.small,
+        assert region.descent_mask == descent_mask(table.group.system,
                                                    region.sign_type), region.sign_string
 
 

@@ -297,6 +297,20 @@ def test_a_root_no_sum_reaches_raises_root_data_error(monkeypatch):
         system.root_sums
 
 
+def test_a_wrong_ideal_count_raises_root_data_error(monkeypatch):
+    """The ideals are built on first read and counted against the Catalan
+    number; a count off it raises, and nothing is kept for a later read."""
+    system = root_system("A", 3)
+    monkeypatch.setattr(system, "catalan_number", 13)
+    for _ in range(2):
+        with pytest.raises(RootDataError, match="14 root poset ideals, not the Catalan "
+                                                "number 13"):
+            system.poset_ideals()
+    monkeypatch.undo()
+    assert len(system.poset_ideals()) == 14
+    assert system.poset_ideals() is system.poset_ideals()
+
+
 @pytest.mark.parametrize("family", ["A", "B", "G"])
 def test_alcove_vectors_are_the_solutions_of_shi_inequalities(family):
     """Squares 0..2 of the search hold each solution once, at its radius;

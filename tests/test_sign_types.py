@@ -165,14 +165,14 @@ def test_admissible_budget_guard():
 
 
 def test_identity_region_has_empty_masks(desk):
-    system, small = desk.system, desk.small
+    system, small = desk.system, desk.group.small
     zero = (0,) * system.nroots
     assert small.mask_from_shi(zero) == 0
-    assert descent_mask(system, small, zero) == 0
+    assert descent_mask(system, zero) == 0
 
 
 def test_separation_mask_encodes_signs(desk):
-    small = desk.small
+    small = desk.group.small
     for region in desk.table.regions:
         mask = small.mask_from_shi(region.sign_type)
         for i, t in enumerate(region.sign_type):
@@ -181,18 +181,18 @@ def test_separation_mask_encodes_signs(desk):
 
 
 def test_descent_mask_subset_of_separation(desk):
-    system, small = desk.system, desk.small
+    system, small = desk.system, desk.group.small
     for region in desk.table.regions:
         sep = small.mask_from_shi(region.sign_type)
-        des = descent_mask(system, small, region.sign_type)
+        des = descent_mask(system, region.sign_type)
         assert des & ~sep == 0
 
 
 def test_descent_mask_marks_zeroable_positions(b2):
-    system, small = b2.system, b2.small
+    system, small = b2.system, b2.group.small
     for region in b2.table.regions:
         trits = region.sign_type
-        des = descent_mask(system, small, trits)
+        des = descent_mask(system, trits)
         for i, t in enumerate(trits):
             if t == 0:
                 continue

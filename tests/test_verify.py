@@ -193,7 +193,7 @@ def test_automaton_suite_catches_a_redirected_transition():
     # The start state's row is the first of the flat targets, letter by letter.
     targets = array("i", machine._targets)
     targets[0] = targets[1]
-    ctx.machine = Automaton(machine.group, machine.small, machine._masks, targets)
+    ctx.machine = Automaton(machine.group, machine._masks, targets)
     assert ctx.machine.transitions[0][0] == machine.transitions[0][1]
     checks = {c.name: c for c in verify.verify_automaton(ctx).checks}
     check = checks["reduced_word_verdicts_match_length_oracle"]
@@ -300,8 +300,8 @@ def test_lowness_oracle_fails_on_a_swapped_codec(monkeypatch):
     small inversions outside N(w); the cone oracle raises ``KernelError``
     (also under ``-O``), and the agreement check reports it."""
     mask_from_shi = SmallRoots.mask_from_shi
-    monkeypatch.setattr(SmallRoots, "mask_from_shi",
-                        lambda self, shi: mask_from_shi(self, tuple(-k for k in shi)))
+    monkeypatch.setattr(SmallRoots, "mask_from_shi", staticmethod(
+        lambda shi: mask_from_shi(tuple(-k for k in shi))))
     check = {c.name: c for c in run_suite("recurrences", "A", 2).checks}[
         "lowness_oracle_agreement"]
     assert not check.passed
@@ -313,12 +313,51 @@ def test_descent_roots_separate_fails_on_a_swapped_codec(monkeypatch):
     signs the wrong way round, are not inversions of the region minimum,
     which ``inversion_set`` reads off the Shi vector."""
     mask_from_shi = SmallRoots.mask_from_shi
-    monkeypatch.setattr(SmallRoots, "mask_from_shi",
-                        lambda self, shi: mask_from_shi(self, tuple(-k for k in shi)))
+    monkeypatch.setattr(SmallRoots, "mask_from_shi", staticmethod(
+        lambda shi: mask_from_shi(tuple(-k for k in shi))))
     check = {c.name: c for c in run_suite("descent-walls", "A", 2).checks}[
         "descent_roots_separate"]
     assert not check.passed
     assert check.counterexample == {"sign_type": "-00"}
+
+
+def test_the_ball_reader_refuses_on_the_call_and_streams_the_shells():
+    """``DeskContext.shells`` asks the budget rule when it is called,
+    before any shell is read, and hands the shells out one at a time."""
+    ctx = verify.desk_context("A", 2, budget=20)
+    with pytest.raises(BudgetExceededError, match="ball walk to length 10 would visit 166"):
+        ctx.shells(10)
+    shells = ctx.shells(2)
+    assert not isinstance(shells, list)
+    assert [len(shell) for shell in shells] == [1, 3, 6]
+
+
+def test_one_context_reads_one_codec(monkeypatch):
+    """The group owns the small-root codec: the context's automaton, the
+    region table's separation sets and a new automaton build all read
+    ``ctx.group.small``, and none of them constructs another."""
+    ctx = verify.desk_context("B", 2)
+    small = ctx.group.small
+    built, read = [], []
+    init, set_from_mask = SmallRoots.__init__, SmallRoots.set_from_mask
+
+    def counted(self, group):
+        built.append(self)
+        init(self, group)
+
+    def recorded(self, mask):
+        read.append(self)
+        return set_from_mask(self, mask)
+    monkeypatch.setattr(SmallRoots, "__init__", counted)
+    monkeypatch.setattr(SmallRoots, "set_from_mask", recorded)
+    assert ctx.machine.group.small is small
+    region = ctx.table.regions[-1]
+    assert regions.separation_set(ctx.table, region) == frozenset(
+        small.roots[i] for i, t in enumerate(region.sign_type) if t < 0) | frozenset(
+        small.roots[small.count + i] for i, t in enumerate(region.sign_type) if t > 0)
+    assert read == [small]
+    assert automaton.build_automaton(ctx.group).group.small is small
+    assert built == []
 
 
 def test_cone_oracle_fails_on_a_tampered_certificate(monkeypatch):

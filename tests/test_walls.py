@@ -79,7 +79,7 @@ def reference_is_low(group: AffineWeylGroup, small: SmallRoots, w) -> bool:
 @pytest.mark.parametrize("name, bound", BALLS, ids=[name for name, _ in BALLS])
 def test_walls_paths_equal_the_references(name, bound):
     group, ball = _elements(name, bound)
-    small = SmallRoots(group)
+    small = group.small
     for w in ball:
         assert group.right_descent_roots(w) == reference_descent_roots(group, w), w.shi
         assert right_descent_within_sign_type(group, w) \
