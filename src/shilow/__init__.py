@@ -22,10 +22,9 @@ from .lowness import (DEFAULT_BUDGET, BudgetExceededError, CertificationError,
                       ScanResult, SmallRoots, certified_scan, enumerate_low,
                       is_low, is_low_by_cone, region_walk, sign_of_shi)
 from .ratlp import CertificateError
-from .regions import (RegionTable, ShiRegion, descent_root_set,
-                      dominant_pairs, enumerate_regions,
-                      ideal_closed_form_inversions, ideal_sign_type,
-                      separation_set)
+from .regions import (ShiRegion, descent_root_set, dominant_pairs,
+                      enumerate_regions, ideal_closed_form_inversions,
+                      ideal_sign_type, region_members, separation_set)
 from .report import Check, Report
 from .rootdata import (CartanType, PosetIdeal, Rank2Subsystem, RootDataError,
                        RootSystem, root_system)
@@ -52,7 +51,6 @@ __all__ = [
     "KernelError",
     "PosetIdeal",
     "Rank2Subsystem",
-    "RegionTable",
     "Report",
     "RootDataError",
     "RootSystem",
@@ -81,6 +79,7 @@ __all__ = [
     "parse_sign_string",
     "rank2_admissible_table",
     "rank2_tables_json",
+    "region_members",
     "region_walk",
     "root_system",
     "run_suite",

@@ -58,9 +58,7 @@ class _View(Sequence):
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self._item, range(self._length)[index]))
+    def __getitem__(self, index: int):
         return self._item(range(self._length)[index])
 
     def __iter__(self):

@@ -213,9 +213,9 @@ def _entries(what: str, ctx: verify.DeskContext) -> list[dict]:
                 for w in enumerate_low(group, ctx.budget)]
     table = ctx.table
     if what == "ideals":
-        return regions_mod.ideal_entries(ctx.system, table)
-    regions = table.regions if what == "regions" else table.dominant_regions()
-    return regions_mod.region_entries(table, regions)
+        return regions_mod.ideal_entries(ctx.group, table)
+    regions = [r for r in table.values() if what == "regions" or r.is_dominant]
+    return regions_mod.region_entries(ctx.group, regions)
 
 
 def _low_cells(entry: dict) -> list[str]:

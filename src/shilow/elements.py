@@ -371,15 +371,6 @@ class AffineWeylGroup:
         w._action = (mat, trans)
         return w
 
-    def translation(self, coroot_coords: tuple[int, ...]) -> GroupElement:
-        """The translation by an integer combination of simple coroots."""
-        n = self.system.rank
-        trans = [0] * n
-        for i, m in enumerate(coroot_coords):
-            for j, c in enumerate(self.coroot_scaled(self.system.positive_roots[i])):
-                trans[j] += m * c
-        return self.from_matrix(_identity_matrix(n), tuple(trans))
-
     def _action_of(self, w: GroupElement) -> tuple:
         """The matrix action of w: the product over its reduced word."""
         action = self.identity._matrix_action()

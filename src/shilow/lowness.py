@@ -33,8 +33,8 @@ Every enumeration is held to an element budget.  A walk of the unpruned
 ball out to a length known in advance asks ``ball_within_budget`` first,
 which reads the ball's size off Bott's series and refuses an oversized
 ball with ``BudgetExceededError`` before any walk starts: the sweeps of
-``verify.DeskContext.shells``, the member walk of
-``regions.RegionTable.members``, ``main-theorem``'s choice of its
+``verify.DeskContext.shells``, the member walk
+``regions.region_members``, ``main-theorem``'s choice of its
 full-ball oracle and the shell counts of the ``automaton`` text
 summary.  ``certified_scan``, whose radius is not known in advance,
 counts the elements shell by shell, and ``region_walk`` counts the
@@ -173,7 +173,7 @@ class ScanResult:
     element of shells 0..stop_length; for ``region_walk``, the identity
     and every candidate whose lowness and sign-type novelty it compared.
     The other members of each sign type are not kept:
-    ``regions.RegionTable.members`` walks the ball out to ``stop_length``
+    ``regions.region_members`` walks the ball out to ``stop_length``
     when a check needs them.
     """
 

@@ -1,7 +1,9 @@
 """Shi regions: minimal elements, separation sets, descent walls, the dominant case.
 
-A region is determined by its sign type.  The table builder takes the
-minima of a walk (by default ``lowness.region_walk``; the full-ball
+A region is determined by its sign type.  The region table is a plain
+dict from sign type to ``ShiRegion``, in table order (minimal length,
+then sign string): ``enumerate_regions`` reads the minima of a scan
+(``lowness.region_walk`` in production; the full-ball
 ``lowness.certified_scan`` gives the same), attaches the shortest element
 of each region, and cross-checks them against the sign-type
 combinatorics: every region's sign type must be admissible, its
@@ -15,17 +17,18 @@ is the region's minimum: this last check is what makes each kept vector
 of the pruned walk its region's minimum.  A failed cross-check raises
 ``lowness.CertificationError``.
 
-The other members of each region within the ball out to the walk's stop
-length are read only on demand: ``RegionTable.members`` walks
+The other members of each region within the ball out to the scan's stop
+length are read only by ``region_members(scan, budget)``, which walks
 ``group.shells()`` up to that length and keeps per sign type the
 componentwise minimum of the coefficient magnitudes and the first
 ``SAMPLE_SIZE`` members, the only vectors of the walk it makes elements
-of.  The ball's size is known beforehand from Bott's series
-(``lowness.ball_within_budget``, from the type and the stop length alone,
-so also before the table is built): a ball over the budget is refused
-before walking, with ``BudgetExceededError``, and the walk must see
-exactly that many elements, with the region minimum first in each sign
-type, else ``CertificationError``.
+of.  It reads the scan alone, not the table, so it can run before the
+table is built.  The ball's size is known beforehand from Bott's series
+(``lowness.ball_within_budget``, from the type and the stop length
+alone): a ball over the budget is refused before walking, with
+``BudgetExceededError``, and the walk must see exactly that many
+elements and exactly the sign types of the scan's minima, with the
+minimum first in each, else ``CertificationError``.
 Building the table, the minima and the exports never walk it: the
 region members' least magnitudes are the minimum's own, which the
 ``descent-walls`` suite checks against this walk.
@@ -49,17 +52,15 @@ lines off the same entries.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import islice
 
 from . import signtypes
 from .elements import AffineRoot, AffineWeylGroup, GroupElement
 from .lowness import (DEFAULT_BUDGET, CertificationError, ScanResult,
-                      ball_within_budget, region_walk,
-                      right_descent_within_sign_type, sign_of_shi)
+                      ball_within_budget, right_descent_within_sign_type)
 from .rootdata import PosetIdeal, RootSystem
 
-SAMPLE_SIZE = 8  # members kept per sign type by ``RegionTable.members``
+SAMPLE_SIZE = 8  # members kept per sign type by ``region_members``
 
 
 class ShiRegion:
@@ -85,7 +86,7 @@ class ShiRegion:
 
 
 class RegionMembers:
-    """The members of one region in the table's ball: the componentwise
+    """The members of one region in the scan's ball: the componentwise
     minimum of their coefficient magnitudes, and the first few of them in
     walk order, the region minimum first."""
 
@@ -96,78 +97,48 @@ class RegionMembers:
         self.samples = samples
 
 
-class RegionTable:
-    """All regions of one affine type, sorted by minimal length then sign.
+def region_members(scan: ScanResult,
+                   budget: int = DEFAULT_BUDGET) -> dict[tuple[int, ...], RegionMembers]:
+    """Each sign type's members in the ball out to ``scan.stop_length``,
+    from one walk of ``group.shells()``.
 
-    ``stop_length`` is the length of the longest minimum, and ``budget``
-    bounds the ball that ``members`` walks out to it."""
-
-    def __init__(self, group: AffineWeylGroup, regions: tuple[ShiRegion, ...],
-                 stop_length: int, budget: int = DEFAULT_BUDGET):
-        self.group = group
-        self.regions = regions
-        self.stop_length = stop_length
-        self.budget = budget
-        self.by_sign = {r.sign_type: r for r in regions}
-        if len(self.by_sign) != len(regions):
-            raise CertificationError("two regions of the table share a sign type")
-
-    def __iter__(self):
-        return iter(self.regions)
-
-    def __len__(self) -> int:
-        return len(self.regions)
-
-    def region_of(self, w: GroupElement) -> ShiRegion:
-        return self.by_sign[sign_of_shi(w.shi)]
-
-    def dominant_regions(self) -> list[ShiRegion]:
-        return [r for r in self.regions if r.is_dominant]
-
-    @cached_property
-    def members(self) -> dict[tuple[int, ...], RegionMembers]:
-        """Each sign type's members in the ball out to ``stop_length``,
-        from one walk of ``group.shells()``, built on first read.
-
-        Refused by ``ball_within_budget`` before walking when the ball
-        exceeds the budget.  Raises ``CertificationError`` unless the walk
-        sees as many elements as Bott's series counts, every one in a
-        region of the table, with each region's minimum as the first
-        member of its sign type."""
-        group = self.group
-        ball = ball_within_budget(group.system, self.stop_length, self.budget,
-                                  "member walk")
-        sign_type = group.sign_type
-        buckets: dict[tuple[int, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
-        seen = 0
-        for shell in islice(group.shells(), self.stop_length + 1):
-            seen += len(shell)
-            for shi in shell:
-                zeta = sign_type(shi)
-                entry = buckets.get(zeta)
-                if entry is None:
-                    buckets[zeta] = ([abs(k) for k in shi], [shi])
-                    continue
-                low, samples = entry
-                for i, k in enumerate(shi):
-                    if abs(k) < low[i]:
-                        low[i] = abs(k)
-                if len(samples) < SAMPLE_SIZE:
-                    samples.append(shi)
-        if seen != ball:
-            raise CertificationError(f"the member walk to length {self.stop_length} "
-                                     f"saw {seen} elements, Bott's series {ball}")
-        for zeta, (_, samples) in buckets.items():
-            region = self.by_sign.get(zeta)
-            if region is None or samples[0] != region.minimal.shi:
-                raise CertificationError(f"sign type {zeta}: the first member of the "
-                                         f"walk is not the region minimum")
-        if len(buckets) != len(self.regions):
-            raise CertificationError(f"the member walk met {len(buckets)} of the "
-                                     f"{len(self.regions)} regions")
-        return {zeta: RegionMembers(tuple(low), tuple(GroupElement(group, shi)
-                                                      for shi in samples))
-                for zeta, (low, samples) in buckets.items()}
+    Refused by ``ball_within_budget`` before walking when the ball
+    exceeds ``budget``.  Raises ``CertificationError`` unless the walk
+    sees as many elements as Bott's series counts and meets exactly the
+    sign types of ``scan.minima``, each first at its minimum."""
+    group, stop_length, minima = scan.group, scan.stop_length, scan.minima
+    ball = ball_within_budget(group.system, stop_length, budget, "member walk")
+    sign_type = group.sign_type
+    buckets: dict[tuple[int, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
+    seen = 0
+    for shell in islice(group.shells(), stop_length + 1):
+        seen += len(shell)
+        for shi in shell:
+            zeta = sign_type(shi)
+            entry = buckets.get(zeta)
+            if entry is None:
+                buckets[zeta] = ([abs(k) for k in shi], [shi])
+                continue
+            low, samples = entry
+            for i, k in enumerate(shi):
+                if abs(k) < low[i]:
+                    low[i] = abs(k)
+            if len(samples) < SAMPLE_SIZE:
+                samples.append(shi)
+    if seen != ball:
+        raise CertificationError(f"the member walk to length {stop_length} "
+                                 f"saw {seen} elements, Bott's series {ball}")
+    for zeta, (_, samples) in buckets.items():
+        minimum = minima.get(zeta)
+        if minimum is None or samples[0] != minimum.shi:
+            raise CertificationError(f"sign type {zeta}: the first member of the "
+                                     f"walk is not the region minimum")
+    if len(buckets) != len(minima):
+        raise CertificationError(f"the member walk met {len(buckets)} of the "
+                                 f"{len(minima)} regions")
+    return {zeta: RegionMembers(tuple(low), tuple(GroupElement(group, shi)
+                                                  for shi in samples))
+            for zeta, (low, samples) in buckets.items()}
 
 
 def _descent_bits(mask: int, realized: set[int]) -> int:
@@ -182,15 +153,11 @@ def _descent_bits(mask: int, realized: set[int]) -> int:
     return descents
 
 
-def enumerate_regions(group: AffineWeylGroup, scan: ScanResult | None = None,
-                      budget: int = DEFAULT_BUDGET) -> RegionTable:
-    """The region table of ``scan``'s minima (by default those of
-    ``region_walk(group, budget)``), each certified as above; ``budget``
-    also bounds the table's member walk."""
-    system = group.system
-    if scan is None:
-        scan = region_walk(group, budget)
-    small = group.small
+def enumerate_regions(scan: ScanResult) -> dict[tuple[int, ...], ShiRegion]:
+    """The region table of ``scan``'s minima, each certified as above:
+    sign type -> region, sorted by minimal length, then sign string."""
+    group = scan.group
+    system, small = group.system, group.small
     found = []
     for zeta, minimal in scan.minima.items():
         if not signtypes.is_admissible(system, zeta):
@@ -211,16 +178,15 @@ def enumerate_regions(group: AffineWeylGroup, scan: ScanResult | None = None,
                          minimal=minimal)
                for zeta, mask, minimal in found]
     regions.sort(key=lambda r: (r.minimal.length, r.sign_string))
-    return RegionTable(group=group, regions=tuple(regions),
-                       stop_length=scan.stop_length, budget=budget)
+    return {r.sign_type: r for r in regions}
 
 
-def descent_root_set(table: RegionTable, region: ShiRegion) -> frozenset[AffineRoot]:
-    return table.group.small.set_from_mask(region.descent_mask)
+def descent_root_set(group: AffineWeylGroup, region: ShiRegion) -> frozenset[AffineRoot]:
+    return group.small.set_from_mask(region.descent_mask)
 
 
-def separation_set(table: RegionTable, region: ShiRegion) -> frozenset[AffineRoot]:
-    small = table.group.small
+def separation_set(group: AffineWeylGroup, region: ShiRegion) -> frozenset[AffineRoot]:
+    small = group.small
     return small.set_from_mask(small.mask_from_shi(region.sign_type))
 
 
@@ -228,18 +194,19 @@ def ideal_sign_type(system: RootSystem, ideal: PosetIdeal) -> tuple[int, ...]:
     return tuple(int(p in ideal.ideal) for p in range(system.nroots))
 
 
-def dominant_pairs(system: RootSystem,
-                   table: RegionTable) -> list[tuple[PosetIdeal, ShiRegion]]:
-    """The bijection ideal -> dominant region ('+' on the ideal, 0 off it)."""
+def dominant_pairs(system: RootSystem, table: dict[tuple[int, ...], ShiRegion]
+                   ) -> list[tuple[PosetIdeal, ShiRegion]]:
+    """The bijection ideal -> dominant region ('+' on the ideal, 0 off it)
+    of the region table ``table``."""
     pairs = []
     seen = set()
     for ideal in system.poset_ideals():
-        region = table.by_sign[ideal_sign_type(system, ideal)]
+        region = table[ideal_sign_type(system, ideal)]
         if not region.is_dominant:
             raise CertificationError(f"the region of ideal {ideal.ideal} is not dominant")
         seen.add(region.sign_type)
         pairs.append((ideal, region))
-    if seen != {r.sign_type for r in table.dominant_regions()}:
+    if seen != {r.sign_type for r in table.values() if r.is_dominant}:
         raise CertificationError("the ideals do not reach every dominant region")
     return pairs
 
@@ -273,11 +240,11 @@ def ideal_closed_form_inversions(group: AffineWeylGroup,
     return frozenset(inversions)
 
 
-def region_entries(table: RegionTable, regions) -> list[dict]:
+def region_entries(group: AffineWeylGroup, regions) -> list[dict]:
     """The JSON entries of ``regions``: each region's separation and
     descent roots, named and sorted by delta level, then finite part, and
     its minimal element."""
-    group, small = table.group, table.group.small
+    small = group.small
 
     def names(mask: int) -> list[str]:
         return [group.affine_root_name(b) for b in sorted(
@@ -292,11 +259,12 @@ def region_entries(table: RegionTable, regions) -> list[dict]:
             for region in regions]
 
 
-def ideal_entries(system: RootSystem, table: RegionTable) -> list[dict]:
-    """The JSON entries of the ideal bijection: each ideal and its
-    antichain by root name, with its dominant region's sign and minimal
-    word."""
-    group = table.group
+def ideal_entries(group: AffineWeylGroup,
+                  table: dict[tuple[int, ...], ShiRegion]) -> list[dict]:
+    """The JSON entries of the ideal bijection of the region table
+    ``table``: each ideal and its antichain by root name, with its
+    dominant region's sign and minimal word."""
+    system = group.system
     return [{"ideal": [system.root_name(p) for p in ideal.ideal],
              "antichain": [system.root_name(p) for p in ideal.antichain],
              "sign_type": region.sign_string,

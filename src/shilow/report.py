@@ -50,9 +50,6 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
-
     def to_dict(self) -> dict:
         out: dict = {
             "suite": self.suite,

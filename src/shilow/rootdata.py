@@ -482,10 +482,6 @@ class RootSystem:
 
     # ------------------------------------------------------------ root poset
 
-    def poset_leq(self, i: int, j: int) -> bool:
-        """True iff positive root i is below j (difference in cone of simples)."""
-        return self._leq[i][j]
-
     def antichains(self) -> list[frozenset[int]]:
         """All antichains of the positive-root poset, as index sets."""
         out: list[frozenset[int]] = []

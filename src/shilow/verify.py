@@ -10,9 +10,11 @@ Five suites, each returning a structured pass/fail report:
 * ``descent-walls``  -- the descent-wall equality ND_R(min) = descent
   roots of the region, wall-crossing transforms, and the minimality
   characterisation by descent walls, over the region members in the
-  ball out to the walk's stop length (``RegionTable.members``, the
-  suite's one extra walk, refused before the region table is built when
-  Bott's series puts that ball over the budget).
+  ball out to the walk's stop length (``DeskContext.members``, from
+  ``regions.region_members``, the suite's one extra walk).  The member
+  walk reads the scan alone and the suite reads it first, so a ball that
+  Bott's series puts over the budget is refused before the region table
+  is built.
 * ``recurrences``    -- exhaustive sweeps of the coefficient recurrences
   (the kernel's vectors against products taken through the matrix
   action), inversion-set transition rules, and the two lowness oracles.
@@ -32,7 +34,8 @@ Five suites, each returning a structured pass/fail report:
 
 Each suite takes a ``DeskContext`` (``desk_context`` makes a new one per
 call) and reads its type and budget from it; its group, scan, region
-table and automaton are built on first read, and its ball is
+table (a dict from sign type to ``regions.ShiRegion``), region members
+and automaton are built on first read, and its ball is
 sliced from one walk of ``AffineWeylGroup.shells()`` once
 ``lowness.ball_within_budget`` has let it in, so a ball over the budget
 is refused from Bott's series before any walk starts.  The scan is the
@@ -62,6 +65,7 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Iterator
+from contextlib import suppress
 from functools import cached_property, partial
 from itertools import islice, zip_longest
 
@@ -91,7 +95,17 @@ class DeskContext:
     def __init__(self, system: RootSystem, budget: int):
         self.system = system
         self.budget = budget
-        self._scan_error: BudgetExceededError | CertificationError | None = None
+        self._errors: dict[str, BudgetExceededError | CertificationError] = {}
+
+    def _walk_once(self, part: str, walk):
+        """``walk()``; a failed walk raises its error again on every later
+        read of ``part`` instead of running a second time."""
+        if part not in self._errors:
+            try:
+                return walk()
+            except (BudgetExceededError, CertificationError) as exc:
+                self._errors[part] = exc
+        raise self._errors[part]
 
     @cached_property
     def group(self) -> AffineWeylGroup:
@@ -99,18 +113,18 @@ class DeskContext:
 
     @cached_property
     def scan(self) -> ScanResult:
-        """The region walk; a failed walk raises its error again on every
-        read instead of running a second time."""
-        if self._scan_error is None:
-            try:
-                return region_walk(self.group, self.budget)
-            except (BudgetExceededError, CertificationError) as exc:
-                self._scan_error = exc
-        raise self._scan_error
+        """The region walk."""
+        return self._walk_once("scan", lambda: region_walk(self.group, self.budget))
 
     @cached_property
-    def table(self) -> regionlib.RegionTable:
-        return regionlib.enumerate_regions(self.group, scan=self.scan, budget=self.budget)
+    def table(self) -> dict[tuple[int, ...], regionlib.ShiRegion]:
+        return regionlib.enumerate_regions(self.scan)
+
+    @cached_property
+    def members(self) -> dict[tuple[int, ...], regionlib.RegionMembers]:
+        """The member walk over the scan's ball."""
+        return self._walk_once("members",
+                               lambda: regionlib.region_members(self.scan, self.budget))
 
     @cached_property
     def machine(self) -> automata.Automaton:
@@ -206,7 +220,7 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
     report.add("admissible_sign_type_count", len(admissible) == expected,
                detail={"admissible": len(admissible), "expected": expected})
     report.add("admissible_set_equals_region_signs",
-               set(admissible) == set(ctx.table.by_sign))
+               set(admissible) == set(ctx.table))
 
     # The walk certified low = minima candidate by candidate; where the
     # full ball out to its stop length fits the budget, the full-ball scan
@@ -231,7 +245,7 @@ def verify_main_theorem(ctx: DeskContext) -> Report:
 
     catalan = system.catalan_number
     dominant_low = [w for w in low if all(k >= 0 for k in w.shi)]
-    dominant_regions = ctx.table.dominant_regions()
+    dominant_regions = [r for r in ctx.table.values() if r.is_dominant]
     ideals = system.poset_ideals()
     report.add("dominant_low_catalan", len(dominant_low) == catalan,
                detail={"dominant_low": len(dominant_low), "catalan": catalan})
@@ -299,26 +313,28 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
     system, group, small = ctx.system, ctx.group, ctx.group.small
     family, rank = system.cartan_type.family, system.rank
     report = Report(suite="descent-walls", family=family, rank=rank)
-    # The checks that read other members of the regions than the minima
-    # read them from the table's member index, built on first read; a
-    # ball over the budget is refused here, from the walk's stop length,
-    # before the table is built and before any check runs.
+    # The member walk reads the scan alone, so it runs before the table is
+    # built: a ball over the budget is refused first.  A walk that fails
+    # its certification fails each check that reads the members instead.
+    with suppress(CertificationError):
+        ctx.members
     stop_length = ctx.scan.stop_length
-    ball = {"members": ball_within_budget(system, stop_length, ctx.budget, "member walk"),
+    ball = {"members": sum(system.affine_length_counts(stop_length)),
             "stop_length": stop_length}
     table = ctx.table
+    regions = table.values()
 
     def wall_theorem(region):
         nd = group.right_descent_roots(region.minimal)
-        dr = regionlib.descent_root_set(table, region)
+        dr = regionlib.descent_root_set(group, region)
         if nd != dr:
             return {"nd_r": _root_names(group, nd),
                     "descent_roots": _root_names(group, dr)}
         return None
-    _check_each(report, "descent_wall_equality", table, wall_theorem, where=_at_region)
+    _check_each(report, "descent_wall_equality", regions, wall_theorem, where=_at_region)
 
     # Descent roots read through the codec; inversions read off the Shi vector.
-    _check_each(report, "descent_roots_separate", table,
+    _check_each(report, "descent_roots_separate", regions,
                 lambda region: None if small.set_from_mask(
                     signtypes.descent_mask(system, region.sign_type))
                 <= group.inversion_set(region.minimal) else {},
@@ -331,7 +347,7 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
             return {"oracle": _root_names(group, small.set_from_mask(region.descent_mask)),
                     "computed": _root_names(group, small.set_from_mask(computed))}
         return None
-    _check_each(report, "geometric_wall_oracle", table, geometric, where=_at_region)
+    _check_each(report, "geometric_wall_oracle", regions, geometric, where=_at_region)
 
     def star_agreement(region):
         trits = region.sign_type
@@ -343,7 +359,7 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
                     signtypes.condition_star(system, trits, s):
                 return {"simple": system.root_name(s)}
         return None
-    _check_each(report, "pair_sum_test_agreement", table,
+    _check_each(report, "pair_sum_test_agreement", regions,
                 star_agreement, where=_at_region)
 
     def suffix_transform(region):
@@ -352,17 +368,17 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
             if not 1 <= g <= rank:
                 continue
             sw = group.left_multiply(g, w)
-            other = table.region_of(sw)
+            other = table[sign_of_shi(sw.shi)]
             if other.minimal != sw:
                 return {"letter": g, "issue": "left quotient is not minimal"}
             alpha = group.simple_affine_root(g)
             expect = frozenset(
                 group.act_on_affine_root(group.generators[g], b)
-                for b in regionlib.descent_root_set(table, region) - {alpha})
-            if regionlib.descent_root_set(table, other) != expect:
+                for b in regionlib.descent_root_set(group, region) - {alpha})
+            if regionlib.descent_root_set(group, other) != expect:
                 return {"letter": g}
         return None
-    _check_each(report, "descent_roots_wall_crossing", table,
+    _check_each(report, "descent_roots_wall_crossing", regions,
                 suffix_transform, where=_at_region)
 
     def union_transform(region):
@@ -376,7 +392,7 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
                 return {"simple": system.root_name(s),
                         "issue": "minus sign without left descent"}
             sw = group.left_multiply(g, w)
-            other = table.region_of(sw).sign_type
+            other = sign_of_shi(sw.shi)
             image = signtypes.reflect_sign_type(system, trits, s, other[s])
             if other != image:
                 return {"simple": system.root_name(s),
@@ -391,12 +407,12 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
             if signtypes.is_admissible(system, zero_variant) != expected_zero:
                 return {"simple": system.root_name(s),
                         "issue": "zero variant admissibility"}
-            for u in table.members[other].samples:
+            for u in ctx.members[other].samples:
                 if sign_of_shi(group.left_multiply(g, u).shi) != trits:
                     return {"simple": system.root_name(s),
                             "issue": "sample leaves the region"}
         return None
-    _check_each(report, "wall_crossing_sign_transform", table,
+    _check_each(report, "wall_crossing_sign_transform", regions,
                 union_transform, where=_at_region, detail=ball)
 
     def basis_descents(region):
@@ -408,7 +424,7 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
             if beta in basis and beta not in nd:
                 return {"root": group.affine_root_name(beta)}
         return None
-    _check_each(report, "level_one_basis_descents", table,
+    _check_each(report, "level_one_basis_descents", regions,
                 basis_descents, where=_at_region)
 
     # Right descents from the reduced word and products through the matrix
@@ -420,37 +436,37 @@ def verify_descent_walls(ctx: DeskContext) -> Report:
                     == region.sign_type:
                 return {"letter": g}
         return None
-    _check_each(report, "right_descents_change_region", table, eq_star, where=_at_region)
+    _check_each(report, "right_descents_change_region", regions, eq_star, where=_at_region)
 
     def minstar(region):
         w = region.minimal
-        members = table.members[region.sign_type]
+        members = ctx.members[region.sign_type]
         if tuple(abs(k) for k in w.shi) != members.min_abs:
             return {"minimum_magnitudes": list(members.min_abs)}
         for u in members.samples:
             if any(abs(a) > abs(b) for a, b in zip(w.shi, u.shi)):
                 return {"sample": word_text(group.word_from_element(u))}
         return None
-    _check_each(report, "minimal_coefficient_magnitudes", table,
+    _check_each(report, "minimal_coefficient_magnitudes", regions,
                 minstar, where=_at_region, detail=ball)
 
     def weak_order_prefix(region):
         inv = group.inversion_set(region.minimal)
-        for u in table.members[region.sign_type].samples:
+        for u in ctx.members[region.sign_type].samples:
             if not inv <= group.inversion_set(u):
                 return {"sample": word_text(group.word_from_element(u))}
         return None
-    _check_each(report, "minimal_inversions_contained_in_samples", table,
+    _check_each(report, "minimal_inversions_contained_in_samples", regions,
                 weak_order_prefix, where=_at_region, detail=ball)
 
     def minimal_characterisation(region):
-        dr = regionlib.descent_root_set(table, region)
-        for u in table.members[region.sign_type].samples:
+        dr = regionlib.descent_root_set(group, region)
+        for u in ctx.members[region.sign_type].samples:
             contained = group.right_descent_roots(u) <= dr
             if contained != (u == region.minimal):
                 return {"sample": word_text(group.word_from_element(u))}
         return None
-    _check_each(report, "minimality_iff_descents_in_walls", table,
+    _check_each(report, "minimality_iff_descents_in_walls", regions,
                 minimal_characterisation, where=_at_region, detail=ball)
     return report
 
@@ -878,9 +894,10 @@ def _display(trits: tuple[int, ...], order: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(trits[p] for p in order)
 
 
-def _validate_catalog_row(system: RootSystem, table: regionlib.RegionTable,
+def _validate_catalog_row(group: AffineWeylGroup,
+                          table: dict[tuple[int, ...], regionlib.ShiRegion],
                           layout: tuple[int, ...], row) -> str | None:
-    small = table.group.small
+    system, small = group.system, group.small
     s, r_str, r_marks, r1_str, r1_marks, r2_str, r2_marks, beta, sbeta = row
     strs = (r_str, r1_str, r2_str)
     marks = (r_marks, r1_marks, r2_marks)
@@ -894,7 +911,7 @@ def _validate_catalog_row(system: RootSystem, table: regionlib.RegionTable,
     if canon[0][simple] != -1 or canon[1][simple] != 0 or canon[2][simple] != 1:
         return "wall signs"
     for trits in canon:
-        if trits not in table.by_sign:
+        if trits not in table:
             return "not a region"
     if canon[1] != signtypes.reflect_sign_type(system, canon[0], simple, 0) \
             or canon[2] != signtypes.reflect_sign_type(system, canon[0], simple, 1):
@@ -928,7 +945,7 @@ def _catalog_layouts(ctx: DeskContext, rows) -> list[tuple[int, ...]]:
     system = ctx.system
     valid = []
     for layout in permutations(range(system.nroots)):
-        if all(_validate_catalog_row(system, ctx.table, layout, row) is None
+        if all(_validate_catalog_row(ctx.group, ctx.table, layout, row) is None
                for row in rows):
             valid.append(layout)
     return valid
@@ -965,7 +982,7 @@ def verify_tables(ctx: DeskContext) -> Report:
                     trits[layout[p]] = t
                 by_letter.setdefault(row[0], set()).add(tuple(trits))
             def block_complete(s):
-                expect = {trits for trits in table.by_sign if trits[s - 1] == -1
+                expect = {trits for trits in table if trits[s - 1] == -1
                           and all(signtypes.is_admissible(
                               system, signtypes.reflect_sign_type(system, trits, s - 1, fill))
                               for fill in (0, 1))}
@@ -983,12 +1000,12 @@ def verify_tables(ctx: DeskContext) -> Report:
 
     if (family, rank) == ("A", 2):
         worked, table, group = _A2_WORKED, ctx.table, ctx.group
-        region = table.by_sign.get(worked["region_signs"])
+        region = table.get(worked["region_signs"])
         sep_ok = region is not None and \
-            regionlib.separation_set(table, region) == worked["separation"]
+            regionlib.separation_set(group, region) == worked["separation"]
         report.add("worked_region_separation", sep_ok)
         dr_ok = region is not None and \
-            regionlib.descent_root_set(table, region) == worked["descent_roots"] \
+            regionlib.descent_root_set(group, region) == worked["descent_roots"] \
             and group.right_descent_roots(region.minimal) == worked["descent_roots"]
         report.add("worked_region_descent_roots", dr_ok)
 
@@ -1017,8 +1034,8 @@ def verify_tables(ctx: DeskContext) -> Report:
             small.signs_from_mask(small.mask_from_roots(worked[key]))
             for key in ("printed_sigma_r1", "printed_sigma_r2"))
         report.add("reference_sigma_r1_realizable",
-                   printed_r1 in table.by_sign
-                   and regionlib.separation_set(table, table.by_sign[printed_r1])
+                   printed_r1 in table
+                   and regionlib.separation_set(group, table[printed_r1])
                    == worked["printed_sigma_r1"],
                    detail={"sign_type": signtypes.sign_string(printed_r1)})
         r2_admissible = signtypes.is_admissible(system, printed_r2)
@@ -1037,10 +1054,10 @@ def verify_tables(ctx: DeskContext) -> Report:
 
         def decodes(item):
             trits, printed = item
-            region = table.by_sign.get(trits)
+            region = table.get(trits)
             if region is None:
                 return {"issue": "not a region"}
-            swapped = _relabel_simple_swap(system, regionlib.separation_set(table, region))
+            swapped = _relabel_simple_swap(system, regionlib.separation_set(group, region))
             return None if swapped == printed else {"swapped": _root_names(group, swapped)}
         _check_each(report, "reference_sigma_simple_swap_decodes",
                     ((true_r1, worked["printed_sigma_r1"]),
@@ -1051,16 +1068,16 @@ def verify_tables(ctx: DeskContext) -> Report:
                                     "the two simple root names; swap recorded, "
                                     "fixtures unchanged"})
 
-        r2_region = table.by_sign.get(true_r2)
+        r2_region = table.get(true_r2)
         dr2_ok = r2_region is not None and \
-            regionlib.descent_root_set(table, r2_region) \
+            regionlib.descent_root_set(group, r2_region) \
             == worked["printed_descent_r2"] \
             and group.right_descent_roots(r2_region.minimal) \
             == worked["printed_descent_r2"]
         report.add("reference_descent_roots_r2", dr2_ok)
 
-        r1_region = table.by_sign.get(true_r1)
-        computed_dr1 = regionlib.descent_root_set(table, r1_region) \
+        r1_region = table.get(true_r1)
+        computed_dr1 = regionlib.descent_root_set(group, r1_region) \
             if r1_region else frozenset()
         printed_dr1 = worked["printed_descent_r1"]
         suspected = worked["suspected_descent_r1"]

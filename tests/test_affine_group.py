@@ -191,11 +191,23 @@ def test_finite_inversion_sets_are_root_subsets(desk):
         group.finite_inversion_set(group.generators[0])
 
 
+def _translation(group: AffineWeylGroup, coroot_coords: tuple[int, ...]) -> GroupElement:
+    """The translation by an integer combination of simple coroots, built
+    from its matrix action."""
+    n = group.system.rank
+    trans = [0] * n
+    for i, m in enumerate(coroot_coords):
+        for j, c in enumerate(group.coroot_scaled(group.system.positive_roots[i])):
+            trans[j] += m * c
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return group.from_matrix(identity, tuple(trans))
+
+
 def test_translation_by_coroot(desk):
     group = desk.group
     system = desk.system
     theta = system.highest_root
-    t = group.translation(group.coroot_scaled(theta))
+    t = _translation(group, group.coroot_scaled(theta))
     # the translation is length-additive with itself and never shortens
     assert t.length > 0
     assert group.multiply(t, t).length == 2 * t.length

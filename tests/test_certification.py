@@ -19,7 +19,8 @@ import pytest
 
 from shilow import (AffineWeylGroup, CertificationError, GroupElement, certified_scan,
                     cli, condition_star, enumerate_low, enumerate_regions, lowness,
-                    region_walk, regions, root_system, sign_of_shi, signtypes, verify)
+                    region_members, region_walk, regions, root_system, sign_of_shi,
+                    signtypes, verify)
 from shilow.report import Report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -98,34 +99,40 @@ def test_a_low_element_of_a_type_missing_from_the_scan_is_caught(monkeypatch):
     assert check.detail["symmetric_difference"] == 1
 
 
-def test_the_member_index_rejects_a_swapped_minimum(monkeypatch):
-    """With the descent test blinded, a table takes a swapped minimum;
-    the member walk then meets the true minimum first and raises."""
-    group = _group()
-    monkeypatch.setattr(regions, "right_descent_within_sign_type", lambda group, w: None)
-    table = enumerate_regions(group, scan=_swapped_minimum(certified_scan(group)))
+def test_the_member_index_rejects_a_swapped_minimum():
+    """The member walk reads the scan's minima, not a table, so a scan
+    with a swapped minimum is caught without building one: the walk meets
+    the true minimum first and raises."""
     with pytest.raises(CertificationError,
                        match=r"sign type \(1, 0, 1\): the first member of the walk"):
-        table.members
+        region_members(_swapped_minimum(certified_scan(_group())))
 
 
 def test_the_member_index_rejects_a_ball_of_another_size(monkeypatch):
     """The member walk must see the ball size of Bott's series."""
-    table = enumerate_regions(_group())
-    counts = table.group.system.affine_length_counts
-    monkeypatch.setattr(table.group.system, "affine_length_counts",
+    scan = region_walk(_group())
+    counts = scan.group.system.affine_length_counts
+    monkeypatch.setattr(scan.group.system, "affine_length_counts",
                         lambda bound: [*counts(bound)[:-1], counts(bound)[-1] + 1])
     with pytest.raises(CertificationError, match="saw 31 elements, Bott's series 32"):
-        table.members
+        region_members(scan)
+
+
+def test_the_member_index_rejects_a_region_the_ball_never_meets():
+    """A scan whose minima hold one sign type more than the ball's 16 is
+    caught once every bucket has been matched to its minimum."""
+    scan = region_walk(_group())
+    extra = _scan_with_minima(scan, {**scan.minima, (2, 2, 2): scan.group.identity})
+    with pytest.raises(CertificationError, match="the member walk met 16 of the 17 regions"):
+        region_members(extra)
 
 
 def test_the_member_walk_is_refused_over_the_budget():
-    """A table whose ball exceeds its budget refuses the member walk
-    before walking, naming it."""
-    table = enumerate_regions(_group(), budget=30)
+    """A ball over the budget refuses the member walk before walking,
+    naming it."""
     with pytest.raises(lowness.BudgetExceededError,
                        match=r"the member walk to length 4 would visit 31 elements"):
-        table.members
+        region_members(region_walk(_group()), 30)
 
 
 @pytest.mark.parametrize("module, name, fault, message", [
@@ -139,7 +146,7 @@ def test_each_region_table_cross_check_raises(monkeypatch, module, name, fault, 
     scan = certified_scan(group)
     monkeypatch.setattr(module, name, fault)
     with pytest.raises(CertificationError, match=message):
-        enumerate_regions(group, scan=scan)
+        enumerate_regions(scan)
 
 
 def test_the_region_table_tests_each_sign_type_once(monkeypatch):
@@ -154,7 +161,7 @@ def test_the_region_table_tests_each_sign_type_once(monkeypatch):
         calls.append(zeta)
         return admissible(system, zeta)
     monkeypatch.setattr(signtypes, "is_admissible", counted)
-    enumerate_regions(group, scan=scan)
+    enumerate_regions(scan)
     assert len(calls) == 125
 
 
@@ -171,11 +178,11 @@ def test_check_each_fails_a_check_on_a_certification_error():
 
 _INJECTED = """
 from shilow import (AffineWeylGroup, CertificationError, cli, enumerate_regions,
-                    lowness, regions, root_system)
+                    lowness, region_walk, regions, root_system)
 
 regions.right_descent_within_sign_type = lambda group, w: 0
 try:
-    enumerate_regions(AffineWeylGroup(root_system("A", 2)))
+    enumerate_regions(region_walk(AffineWeylGroup(root_system("A", 2))))
 except CertificationError as exc:
     print("CertificationError:", exc)
 real = lowness.is_low
@@ -290,10 +297,6 @@ def test_a_non_dominant_ideal_region_raises_under_python_o():
 
 def test_the_region_layer_raises_named_errors(monkeypatch):
     group = _group()
-    table = enumerate_regions(group)
-    with pytest.raises(CertificationError, match="share a sign type"):
-        regions.RegionTable(table.group, table.regions + table.regions[:1],
-                            table.stop_length, table.budget)
     whole = group.system.poset_ideals()[-1]
     monkeypatch.setattr(group.system, "coxeter_number", 1)
     with pytest.raises(CertificationError, match="the sums reach level 2 > h"):
@@ -341,6 +344,28 @@ def test_the_sign_type_layer_does_not_read_the_kernel():
                   or isinstance(node, ast.Attribute) and node.attr == "certified_scan"]
     assert not kernel_imports, f"signtypes.py imports .elements at lines {kernel_imports}"
     assert not scan_names, f"signtypes.py names certified_scan at lines {scan_names}"
+
+
+def test_the_member_walk_is_refused_in_one_place():
+    """Exactly one call in the package passes "member walk" to
+    ``ball_within_budget``, the one in ``regions.region_members``, and the
+    region table is a plain dict: no module defines ``RegionTable``."""
+    calls, classes = [], []
+    for path in sorted((SRC / "shilow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name == "RegionTable":
+                classes.append(f"{path.name}:{node.lineno}")
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
+            if name == "ball_within_budget" and any(
+                    isinstance(arg, ast.Constant) and arg.value == "member walk"
+                    for arg in arguments):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert len(calls) == 1, f"member walk refused at {calls}"
+    assert not classes, f"RegionTable defined at {classes}"
 
 
 MODULES = sorted(path.stem for path in (SRC / "shilow").glob("*.py"))

@@ -83,9 +83,9 @@ def test_the_dominant_export_builds_words_for_the_dominant_regions_only(
     reduced word for each of them, not one for each of the 343 regions."""
     group = AffineWeylGroup(root_system("B", 3))
     scan = region_walk(group)
-    table = enumerate_regions(group, scan=scan)
+    table = enumerate_regions(scan)
     monkeypatch.setattr(verify, "region_walk", lambda *args, **kwargs: scan)
-    monkeypatch.setattr(regions, "enumerate_regions", lambda group, scan, budget: table)
+    monkeypatch.setattr(regions, "enumerate_regions", lambda scan: table)
     calls = []
     word = AffineWeylGroup.word_from_element
 
@@ -97,7 +97,7 @@ def test_the_dominant_export_builds_words_for_the_dominant_regions_only(
                            "--rank", "3", "--format", fmt)
     assert code == cli.EXIT_PASS
     printed = json.loads(out)["count"] if fmt == "json" else len(out.splitlines()) - 1
-    assert printed == len(calls) == len(table.dominant_regions()) == 20
+    assert printed == len(calls) == sum(r.is_dominant for r in table.values()) == 20
 
 
 def test_enumerate_regions_count(capsys):
@@ -527,9 +527,9 @@ def test_no_region_export_walks_the_members(capsys, monkeypatch, argv):
     """The JSON export prints each region's minimum magnitudes from the
     minimum itself; no export builds the member index."""
     built = []
-    index = regions.RegionTable.members
-    monkeypatch.setattr(regions.RegionTable, "members",
-                        property(lambda table: built.append(table) or index.func(table)))
+    index = regions.region_members
+    monkeypatch.setattr(regions, "region_members",
+                        lambda *args: built.append(args) or index(*args))
     code, _, _ = run_cli(capsys, *argv, "--type", "A", "--rank", "2")
     assert code == 0
     assert not built

@@ -64,7 +64,7 @@ def test_admissible_counts_match_region_formula(desk):
     system = desk.system
     admissible = admissible_sign_types(system)
     assert len(admissible) == system.region_count
-    realized = {region.sign_type for region in desk.table.regions}
+    realized = {region.sign_type for region in desk.table.values()}
     assert set(admissible) == realized
 
 
@@ -173,7 +173,7 @@ def test_identity_region_has_empty_masks(desk):
 
 def test_separation_mask_encodes_signs(desk):
     small = desk.group.small
-    for region in desk.table.regions:
+    for region in desk.table.values():
         mask = small.mask_from_shi(region.sign_type)
         for i, t in enumerate(region.sign_type):
             assert bool(mask >> i & 1) == (t < 0)
@@ -182,7 +182,7 @@ def test_separation_mask_encodes_signs(desk):
 
 def test_descent_mask_subset_of_separation(desk):
     system, small = desk.system, desk.group.small
-    for region in desk.table.regions:
+    for region in desk.table.values():
         sep = small.mask_from_shi(region.sign_type)
         des = descent_mask(system, region.sign_type)
         assert des & ~sep == 0
@@ -190,7 +190,7 @@ def test_descent_mask_subset_of_separation(desk):
 
 def test_descent_mask_marks_zeroable_positions(b2):
     system, small = b2.system, b2.group.small
-    for region in b2.table.regions:
+    for region in b2.table.values():
         trits = region.sign_type
         des = descent_mask(system, trits)
         for i, t in enumerate(trits):
@@ -203,7 +203,7 @@ def test_descent_mask_marks_zeroable_positions(b2):
 
 def test_condition_star_matches_zeroed_admissibility(desk):
     system = desk.system
-    for region in desk.table.regions:
+    for region in desk.table.values():
         trits = region.sign_type
         for s in range(system.rank):
             if trits[s] <= 0:

@@ -72,7 +72,7 @@ def test_certified_scan_counts(desk):
         assert sign_of_shi(w.shi) == zeta
     # the member index's minimum magnitudes are componentwise lower
     # bounds of its samples
-    for zeta, members in desk.table.members.items():
+    for zeta, members in desk.members.items():
         for w in members.samples:
             assert sign_of_shi(w.shi) == zeta
             assert all(m <= abs(k)

@@ -17,6 +17,11 @@ from shilow import (AffineWeylGroup, Automaton, BudgetExceededError, GroupElemen
 from shilow.elements import word_text
 
 
+def _failures(report: Report) -> list:
+    """The failed checks of ``report``, in report order."""
+    return [c for c in report.checks if not c.passed]
+
+
 @pytest.mark.parametrize("suite", verify.SUITES)
 def test_suite_passes(desk, suite):
     family = desk.system.cartan_type.family
@@ -351,8 +356,8 @@ def test_one_context_reads_one_codec(monkeypatch):
     monkeypatch.setattr(SmallRoots, "__init__", counted)
     monkeypatch.setattr(SmallRoots, "set_from_mask", recorded)
     assert ctx.machine.group.small is small
-    region = ctx.table.regions[-1]
-    assert regions.separation_set(ctx.table, region) == frozenset(
+    region = list(ctx.table.values())[-1]
+    assert regions.separation_set(ctx.group, region) == frozenset(
         small.roots[i] for i, t in enumerate(region.sign_type) if t < 0) | frozenset(
         small.roots[small.count + i] for i, t in enumerate(region.sign_type) if t > 0)
     assert read == [small]
@@ -436,7 +441,7 @@ def test_descent_walls_reads_reduced_words_of_the_minima_only(monkeypatch):
     calls = _word_reads(monkeypatch)
     ctx = verify.desk_context("A", 3)
     assert verify.verify_descent_walls(ctx).passed
-    assert set(calls) == {region.minimal.shi for region in ctx.table}
+    assert set(calls) == {region.minimal.shi for region in ctx.table.values()}
     assert max(Counter(calls).values()) == 2
 
 
@@ -465,8 +470,8 @@ def test_a_corrupted_catalog_row_names_its_letter(monkeypatch):
     rows = verify._ROW_CATALOGS["A", 2]
     monkeypatch.setitem(verify._ROW_CATALOGS, ("A", 2), [rows[1], *rows[1:]])
     report = verify.verify_tables(verify.desk_context("A", 2))
-    assert [c.name for c in report.failures()] == ["row_catalog_blocks_complete"]
-    assert report.failures()[0].counterexample == {
+    assert [c.name for c in _failures(report)] == ["row_catalog_blocks_complete"]
+    assert _failures(report)[0].counterexample == {
         "letter": 1, "missing": ["-++"], "extra": []}
 
 
@@ -542,15 +547,33 @@ def test_member_checks_fail_on_a_broken_member_walk(monkeypatch):
                         ([shi for shi in shell if sum(map(abs, shi)) != 3]
                          for shell in shells(group, *args, **kwargs)))
     report = verify.verify_descent_walls(ctx)
-    assert {c.name for c in report.failures()} == set(MEMBER_CHECKS)
-    for check in report.failures():
+    assert {c.name for c in _failures(report)} == set(MEMBER_CHECKS)
+    for check in _failures(report):
         assert "Bott's series 31" in check.counterexample["certification_error"]
+
+
+def test_a_failed_member_walk_runs_once(monkeypatch):
+    """The context keeps a failed member walk's error, so the checks that
+    read the members fail on it without walking the ball again."""
+    ctx = verify.desk_context("A", 2)
+    ctx.table
+    shells = AffineWeylGroup.shells
+    walks = []
+
+    def broken(group, *args, **kwargs):
+        walks.append(group)
+        return ([shi for shi in shell if sum(map(abs, shi)) != 3]
+                for shell in shells(group, *args, **kwargs))
+    monkeypatch.setattr(AffineWeylGroup, "shells", broken)
+    report = verify.verify_descent_walls(ctx)
+    assert {c.name for c in _failures(report)} == set(MEMBER_CHECKS)
+    assert len(walks) == 1
 
 
 def test_main_theorem_builds_no_member_index():
     ctx = verify.desk_context("A", 3)
     assert verify.verify_main_theorem(ctx).passed
-    assert "members" not in vars(ctx.table)
+    assert "members" not in vars(ctx)
 
 
 @pytest.mark.parametrize("family, rank, lps", [("B", 3, 16), ("A", 4, 20)],
@@ -602,7 +625,7 @@ def test_failing_report_shape():
     report.add("good", True)
     report.add("bad", False, counterexample={"word": [1]}, detail={"why": 1})
     assert not report.passed
-    assert [c.name for c in report.failures()] == ["bad"]
+    assert [c.name for c in _failures(report)] == ["bad"]
     data = json.loads(report.to_json())
     bad = [c for c in data["checks"] if c["status"] == "fail"][0]
     assert bad["counterexample"] == {"word": [1]}
